@@ -335,20 +335,26 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path, ontology: Ontology | None = None) -> TrainedModel:
-    """Load a serialized model, validating tensor shapes (and, if an
-    ontology is given, the vocabulary) before use."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    """Load a serialized model, validating tensor shapes and values (and, if
+    an ontology is given, the vocabulary) before use."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise BackendError(f"model file is not valid JSON: {exc}") from None
     if doc.get("format_version") != FORMAT_VERSION:
         raise BackendError(f"unsupported params format {doc.get('format_version')!r}")
     backend_kind = doc.get("backend")
     _check_kind(backend_kind)
-    vocab = tuple(doc["vocab"])
-    d = int(doc["d"])
+    try:
+        vocab = tuple(doc["vocab"])
+        d = int(doc["d"])
+        tensors = doc["tensors"]
+    except KeyError as exc:
+        raise BackendError(f"model file has no {exc.args[0]!r} entry") from None
     if ontology is not None and vocab != ontology.ccs_codes:
         raise BackendError("model vocabulary does not match the ontology")
 
-    tensors = doc["tensors"]
     expected = _expected_shapes(backend_kind, len(vocab), d)
     if set(tensors) != set(expected):
         missing = sorted(set(expected) - set(tensors))
@@ -359,6 +365,8 @@ def load_model(path: str | Path, ontology: Ontology | None = None) -> TrainedMod
         arr = np.asarray(tensors[key], dtype=float)
         if arr.shape != want:
             raise BackendError(f"tensor {key} has shape {arr.shape}, expected {want}")
+        if not np.all(np.isfinite(arr)):
+            raise BackendError(f"tensor {key} has non-finite values")
         flat[key] = arr
 
     tc = doc.get("train_config", {})

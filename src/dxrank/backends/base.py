@@ -3,7 +3,8 @@ the training configuration, and instance encoding over a fixed CCS
 vocabulary."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,9 +21,11 @@ class LogitVector:
 
     vocab: tuple[str, ...]
     scores: np.ndarray
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "vocab", tuple(self.vocab))
+        object.__setattr__(self, "_index", vocab_index(self.vocab))
         scores = np.asarray(self.scores, dtype=float)
         object.__setattr__(self, "scores", scores)
         if scores.shape != (len(self.vocab),):
@@ -35,12 +38,12 @@ class LogitVector:
 
     def score(self, code: str) -> float:
         try:
-            return float(self.scores[self.vocab.index(code)])
-        except ValueError:
+            return float(self.scores[self._index[code]])
+        except KeyError:
             raise BackendError(f"CCS code {code!r} not in logit vector") from None
 
     def as_dict(self) -> dict[str, float]:
-        return {c: float(s) for c, s in zip(self.vocab, self.scores)}
+        return dict(zip(self.vocab, self.scores.tolist()))
 
 
 @dataclass(frozen=True)
@@ -73,6 +76,11 @@ class EncodedInstance:
 
 def code_index(vocab: tuple[str, ...]) -> dict[str, int]:
     return {c: i for i, c in enumerate(vocab)}
+
+
+# Every logit vector of a model shares one vocabulary, so its code -> position
+# map is built once. Callers must not mutate the returned dict.
+vocab_index = lru_cache(maxsize=8)(code_index)
 
 
 def encode_instance(

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from ..ehr import PredictionInstance
-from .base import BackendError, EncodedInstance, LogitVector, code_index, encode_instance
+from .base import BackendError, EncodedInstance, LogitVector, encode_instance, vocab_index
 from .numerics import (
     ParamTree,
     dlog_softplus,
@@ -174,7 +174,7 @@ def boxlm_logits(
 ) -> LogitVector:
     """score(c) = log(max(eps, volume(patient box ∩ code box c))) for every
     CCS code in the vocabulary."""
-    encoded = encode_instance(patient, code_index(params.vocab))
+    encoded = encode_instance(patient, vocab_index(params.vocab))
     logits, _ = box_forward(params.flat(), encoded, cfg)
     return LogitVector(vocab=params.vocab, scores=logits)
 

@@ -82,12 +82,6 @@ def zeros_like_tree(params: ParamTree) -> ParamTree:
     return {k: np.zeros_like(v) for k, v in params.items()}
 
 
-def add_tree(acc: ParamTree, other: ParamTree, scale: float = 1.0) -> None:
-    """acc += scale * other, in place."""
-    for k, v in other.items():
-        acc[k] += scale * v
-
-
 @dataclass
 class AdamState:
     m: ParamTree

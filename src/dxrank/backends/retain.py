@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from ..ehr import PredictionInstance
-from .base import BackendError, EncodedInstance, LogitVector, code_index, encode_instance
+from .base import BackendError, EncodedInstance, LogitVector, encode_instance, vocab_index
 from .numerics import ParamTree, sigmoid, softmax, softmax_vjp
 
 GRU_FIELDS = ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h")
@@ -110,7 +110,7 @@ class RetainParams:
 
 def retain_logits(patient: PredictionInstance, params: RetainParams) -> LogitVector:
     """Logits over the CCS vocabulary for one prediction instance."""
-    encoded = encode_instance(patient, code_index(params.vocab))
+    encoded = encode_instance(patient, vocab_index(params.vocab))
     logits, _ = retain_forward(params.flat(), encoded)
     return LogitVector(vocab=params.vocab, scores=logits)
 

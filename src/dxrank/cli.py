@@ -4,8 +4,8 @@ co-occurrence evidence, run the LLM re-ranker, and score the results.
 All subcommands share one output directory; each writes its resolved
 configuration next to its artifacts so a run can be reproduced from the
 directory alone. Exit codes: 0 on success, 1 when more than 10% of
-prediction instances failed, 2 for invalid configuration or a missing
-input artifact.
+prediction instances failed, 2 for invalid configuration or a missing or
+corrupt input artifact.
 """
 from __future__ import annotations
 
@@ -18,20 +18,23 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .backends import TrainConfig, TrainedModel, load_model, save_model, train
+from .backends import BackendError, TrainConfig, TrainedModel, load_model, \
+    save_model, train
 from .backends.boxes import VolumeConfig
-from .ehr import Dataset, Ontology, PredictionInstance, build_instances, \
+from .ehr import Dataset, DatasetError, Ontology, OntologyError, \
+    PredictionInstance, SplitError, build_instances, check_split_ratios, \
     load_dataset, load_ontology, save_dataset, save_ontology, split_patients
-from .evidence import CandidateSet, CooccurrenceMatrix, RelationalEvidence, \
-    build_cooccurrence, extract_relations, load_cooccurrence, \
-    prioritize_history, propagate_to_icd, save_cooccurrence, select_candidates
+from .evidence import CandidateSet, CooccurrenceMatrix, EvidenceError, \
+    RelationalEvidence, build_cooccurrence, extract_relations, \
+    load_cooccurrence, prioritize_history, propagate_to_icd, \
+    save_cooccurrence, select_candidates
 from .llm import LlmClient, LlmConfig, LlmError
-from .metrics import DEFAULT_KS, MetricsReport, RunArtifact, RunRecord, \
-    compare_ablations, evaluate_run, load_run, metrics_table, \
+from .metrics import DEFAULT_KS, EvalError, MetricsReport, RunArtifact, \
+    RunRecord, compare_ablations, evaluate_run, load_run, metrics_table, \
     save_comparison, save_metrics, save_run
-from .prompting import ABLATION_STAGES, SC_SAMPLES, SC_TEMPERATURE, STRATEGIES, \
-    TASKS, AblationFlags, PromptOptions, compose_prompt, load_template, \
-    parse_answer, sc_aggregate
+from .prompting import ABLATION_STAGES, DEFAULT_MAX_PROMPT_CHARS, SC_SAMPLES, \
+    SC_TEMPERATURE, STRATEGIES, TASKS, AblationFlags, PromptOptions, \
+    compose_prompt, load_template, parse_answer, sc_aggregate
 from .synth import ComorbidityRule, SyntheticConfig, generate_synthetic
 
 EXIT_OK = 0
@@ -76,7 +79,7 @@ class RunConfig:
     task: str = "novel"
     strategy: str = "evidence"
     stage: str = "relational"
-    max_prompt_chars: int = 16000
+    max_prompt_chars: int = DEFAULT_MAX_PROMPT_CHARS
     template_path: str = ""
     synth: SyntheticConfig = field(default_factory=SyntheticConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -99,9 +102,12 @@ class RunConfig:
             raise ConfigError("k_candidates must be at least 1")
         if self.max_prompt_chars < 1:
             raise ConfigError("max_prompt_chars must be at least 1")
-        if len(self.split_ratios) != 3 or min(self.split_ratios) < 0 \
-                or sum(self.split_ratios) <= 0:
-            raise ConfigError("split_ratios must be three non-negative numbers")
+        if len(self.split_ratios) != 3:
+            raise ConfigError("split_ratios must be three numbers")
+        try:
+            check_split_ratios(self.split_ratios)
+        except SplitError as exc:
+            raise ConfigError(f"split_ratios: {exc}") from None
 
     def to_dict(self) -> dict:
         return {
@@ -300,14 +306,30 @@ def _require(path: Path, hint: str) -> Path:
     return path
 
 
+# What the artifact loaders raise for a file they cannot use.
+_ARTIFACT_ERRORS = (DatasetError, OntologyError, BackendError, EvidenceError,
+                    EvalError)
+
+
+def _load(loader, path: Path, hint: str, *args):
+    """Read one input artifact; a missing or corrupt file is an input error."""
+    try:
+        return loader(_require(path, hint), *args)
+    except _ARTIFACT_ERRORS as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def _load_data(out_dir: Path) -> tuple[Dataset, Ontology]:
-    ontology = load_ontology(_require(out_dir / ONTOLOGY_FILE, "synth"))
-    dataset = load_dataset(_require(out_dir / DATASET_FILE, "synth"), ontology)
+    ontology = _load(load_ontology, out_dir / ONTOLOGY_FILE, "synth")
+    dataset = _load(load_dataset, out_dir / DATASET_FILE, "synth", ontology)
     return dataset, ontology
 
 
 def _splits(cfg: RunConfig, dataset: Dataset) -> tuple[Dataset, Dataset, Dataset]:
-    return split_patients(dataset, cfg.split_ratios, cfg.seed)
+    try:
+        return split_patients(dataset, cfg.split_ratios, cfg.seed)
+    except SplitError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _neutral_candidates(
@@ -401,9 +423,48 @@ def predict_record(
     )
 
 
+@dataclass(frozen=True)
+class PredictionInputs:
+    """What every prediction run of one command reads: loaded once, then
+    shared by every stage and K."""
+
+    ontology: Ontology
+    model: TrainedModel
+    cooc: CooccurrenceMatrix | None
+    instances: tuple[PredictionInstance, ...]
+    template_text: str
+
+
+def load_prediction_inputs(
+    cfg: RunConfig, out_dir: Path, stages: Sequence[str]
+) -> PredictionInputs:
+    """Load the artifacts that runs of `stages` need; co-occurrence counts
+    only if one of them uses relational evidence."""
+    dataset, ontology = _load_data(out_dir)
+    model = _load(load_model, out_dir / MODEL_FILE, "train", ontology)
+    cooc = None
+    if cfg.strategy != "plain" and any(
+        AblationFlags.for_stage(stage).relations for stage in stages
+    ):
+        cooc = _load(load_cooccurrence, out_dir / COOC_FILE, "cooc")
+    _, _, test_ds = _splits(cfg, dataset)
+    instances = tuple(build_instances(test_ds))
+    if not instances:
+        raise ConfigError("test split yields no prediction instances")
+    try:
+        template_text = load_template(cfg.template_path or None)
+    except OSError as exc:
+        raise ConfigError(f"cannot read prompt template: {exc}") from None
+    return PredictionInputs(
+        ontology=ontology, model=model, cooc=cooc, instances=instances,
+        template_text=template_text,
+    )
+
+
 def run_predictions(
     cfg: RunConfig,
     out_dir: Path,
+    inputs: PredictionInputs,
     stage: str,
     k: int,
     run_name: str,
@@ -414,26 +475,16 @@ def run_predictions(
     artifact is sorted by patient id, so output bytes do not depend on
     completion order.
     """
-    dataset, ontology = _load_data(out_dir)
-    model = load_model(_require(out_dir / MODEL_FILE, "train"), ontology)
-    cooc = None
-    if AblationFlags.for_stage(stage).relations and cfg.strategy != "plain":
-        cooc = load_cooccurrence(_require(out_dir / COOC_FILE, "cooc"))
-    _, _, test_ds = _splits(cfg, dataset)
-    instances = build_instances(test_ds)
-    if not instances:
-        raise ConfigError("test split yields no prediction instances")
-
     client = LlmClient(cfg.llm)
-    template_text = load_template(cfg.template_path or None)
 
     def one(instance: PredictionInstance) -> RunRecord:
         return predict_record(
-            instance, model, cooc, ontology, cfg, client, template_text, stage, k
+            instance, inputs.model, inputs.cooc, inputs.ontology, cfg, client,
+            inputs.template_text, stage, k,
         )
 
     with ThreadPoolExecutor(max_workers=cfg.llm.max_in_flight) as pool:
-        records = list(pool.map(one, instances))
+        records = list(pool.map(one, inputs.instances))
 
     artifact = RunArtifact(
         records=tuple(sorted(records, key=lambda r: r.patient_id)),
@@ -496,7 +547,10 @@ def cmd_cooc(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
 
 
 def cmd_predict(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
-    artifact = run_predictions(cfg, out_dir, cfg.stage, cfg.k_candidates, RUN_FILE)
+    inputs = load_prediction_inputs(cfg, out_dir, (cfg.stage,))
+    artifact = run_predictions(
+        cfg, out_dir, inputs, cfg.stage, cfg.k_candidates, RUN_FILE
+    )
     write_resolved_config(cfg, out_dir, "predict")
     failed = len(artifact.failed)
     print(f"wrote {len(artifact.records)} records ({failed} failed)")
@@ -505,7 +559,7 @@ def cmd_predict(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
 
 def cmd_eval(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
     run_path = out_dir / (args.run or RUN_FILE)
-    artifact = load_run(_require(run_path, "predict"))
+    artifact = _load(load_run, run_path, "predict")
     report = evaluate_run(artifact, cfg.eval_ks)
     save_metrics(report, out_dir / METRICS_FILE)
     write_resolved_config(cfg, out_dir, "eval")
@@ -514,11 +568,12 @@ def cmd_eval(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
 
 
 def cmd_ablate(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
+    inputs = load_prediction_inputs(cfg, out_dir, ABLATION_STAGES)
     worst = EXIT_OK
     reports: list[tuple[str, MetricsReport]] = []
     for stage in ABLATION_STAGES:
         artifact = run_predictions(
-            cfg, out_dir, stage, cfg.k_candidates, f"run_{stage}.jsonl"
+            cfg, out_dir, inputs, stage, cfg.k_candidates, f"run_{stage}.jsonl"
         )
         worst = max(worst, _failure_exit(artifact))
         report = evaluate_run(artifact, cfg.eval_ks)
@@ -532,10 +587,13 @@ def cmd_ablate(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
 
 
 def cmd_sweep_k(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
+    inputs = load_prediction_inputs(cfg, out_dir, (cfg.stage,))
     worst = EXIT_OK
     reports: list[tuple[str, MetricsReport]] = []
     for k in SWEEP_KS:
-        artifact = run_predictions(cfg, out_dir, cfg.stage, k, f"run_k{k}.jsonl")
+        artifact = run_predictions(
+            cfg, out_dir, inputs, cfg.stage, k, f"run_k{k}.jsonl"
+        )
         worst = max(worst, _failure_exit(artifact))
         report = evaluate_run(artifact, cfg.eval_ks)
         save_metrics(report, out_dir / f"metrics_k{k}.json")

@@ -258,6 +258,10 @@ def load_dataset(path: str | Path, ontology: Ontology) -> Dataset:
                             f"{v.get('day')}: stored ccs does not match the "
                             f"ontology image of its icd codes"
                         )
+                if "day" not in v:
+                    raise DatasetError(
+                        f"line {lineno}: patient {pid!r} has a visit without a day"
+                    )
                 visits.append(Visit(day=int(v["day"]), icd=tuple(icd), ccs=tuple(derived)))
             patients.append(PatientRecord(patient_id=pid, visits=tuple(visits)))
     return Dataset(patients=tuple(patients))
@@ -282,6 +286,14 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 
 
+def check_split_ratios(ratios: tuple[float, float, float]) -> None:
+    """Raise SplitError unless the ratios are non-negative and sum to 1."""
+    if any(r < 0 for r in ratios):
+        raise SplitError(f"negative ratio in {ratios}")
+    if not math.isclose(sum(ratios), 1.0, abs_tol=1e-9):
+        raise SplitError(f"ratios {ratios} do not sum to 1")
+
+
 def split_patients(
     dataset: Dataset,
     ratios: tuple[float, float, float] = (0.7, 0.1, 0.2),
@@ -291,10 +303,7 @@ def split_patients(
 
     Deterministic for a given seed; parts keep the original patient order.
     """
-    if any(r < 0 for r in ratios):
-        raise SplitError(f"negative ratio in {ratios}")
-    if not math.isclose(sum(ratios), 1.0, abs_tol=1e-9):
-        raise SplitError(f"ratios {ratios} do not sum to 1")
+    check_split_ratios(ratios)
     n = len(dataset.patients)
     n_nonzero = sum(1 for r in ratios if r > 0)
     if n < n_nonzero:

@@ -64,9 +64,6 @@ class CooccurrenceMatrix:
         key = (i, j) if i <= j else (j, i)
         return self.counts.get(key, 0)
 
-    def codes(self) -> tuple[str, ...]:
-        return tuple(sorted({c for pair in self.counts for c in pair}))
-
 
 def build_cooccurrence(train_dataset: Dataset) -> CooccurrenceMatrix:
     """counts(i, j) = number of patients diagnosed with both i and j."""
@@ -153,11 +150,12 @@ def select_candidates(
         raise EvidenceError("K must be at least 1")
     if mode not in MODES:
         raise EvidenceError(f"unknown candidate mode {mode!r}")
+    scores = logits.as_dict()
     pool = logits.vocab
     if mode == "novel":
         pool = tuple(c for c in pool if c not in history_ccs)
-    ranked = sorted(pool, key=lambda c: (-logits.score(c), c))
-    entries = tuple((c, logits.score(c)) for c in ranked[:K])
+    ranked = sorted(pool, key=lambda c: (-scores[c], c))
+    entries = tuple((c, scores[c]) for c in ranked[:K])
     return CandidateSet(entries=entries, K=K, mode=mode)
 
 

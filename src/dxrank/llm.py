@@ -108,7 +108,11 @@ class LlmClient:
         sleeper: Callable[[float], None] = time.sleep,
     ):
         self.cfg = cfg
-        self._transport = transport or _default_transport_factory(cfg.timeout_ms)
+        # Only the remote backend sends requests, so only it pays for
+        # importing the HTTP library.
+        if transport is None and cfg.backend == "remote":
+            transport = _default_transport_factory(cfg.timeout_ms)
+        self._transport = transport
         self._sleep = sleeper
         self._gate = threading.BoundedSemaphore(cfg.max_in_flight)
 

@@ -267,14 +267,14 @@ def _normalize(token: str) -> str:
 
 
 def _match_token(
-    norm: str, names: Sequence[str], folded: Sequence[str]
+    norm: str, folded: Sequence[str], exact: Mapping[str, int]
 ) -> int | None:
-    """Resolve one answer token to a candidate index, or None."""
+    """Resolve one answer token to a candidate index, or None. `exact` maps
+    each folded name to its first index in `folded`."""
     if not norm:
         return None
-    for i, f in enumerate(folded):
-        if norm == f:
-            return i
+    if norm in exact:
+        return exact[norm]
     # Name contained in the token: prefer the longest (most specific) name.
     best: int | None = None
     for i, f in enumerate(folded):
@@ -309,6 +309,9 @@ def parse_answer(
     codes = candidates.codes
     names = [ccs_names.get(c, c) if ccs_names else c for c in codes]
     folded = [n.casefold() for n in names]
+    exact: dict[str, int] = {}
+    for i, f in enumerate(folded):
+        exact.setdefault(f, i)
 
     answer_body: str | None = None
     for line in text.splitlines():
@@ -318,9 +321,11 @@ def parse_answer(
 
     matched: list[int] = []
     if answer_body is not None:
+        seen: set[int] = set()
         for token in answer_body.split(","):
-            idx = _match_token(_normalize(token), names, folded)
-            if idx is not None and idx not in matched:
+            idx = _match_token(_normalize(token), folded, exact)
+            if idx is not None and idx not in seen:
+                seen.add(idx)
                 matched.append(idx)
     else:
         hay = text.casefold()
@@ -332,7 +337,11 @@ def parse_answer(
         matched = [i for _, _, i in sorted(hits)]
 
     ranked = [codes[i] for i in matched]
-    ranked.extend(c for c in codes if c not in set(ranked))
+    listed = set(ranked)
+    for c in codes:
+        if c not in listed:
+            listed.add(c)
+            ranked.append(c)
     return ParsedPrediction(
         ranked=tuple(ranked), matched_count=len(matched), raw_text=text
     )

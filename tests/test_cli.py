@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import dxrank.cli as cli_module
 from dxrank.cli import (
     ABLATION_FILE,
     COOC_FILE,
@@ -60,6 +61,22 @@ def run_chain(tmp_path, out_name="runs", cfg_doc=None, seed_args=()):
         code = cli(command, cfg_path, out, *seed_args)
         assert code == EXIT_OK, command
     return out
+
+
+def count_calls(monkeypatch, *names):
+    """Wrap each named function of dxrank.cli; the dict counts their calls."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        wrapped = counted(name, getattr(cli_module, name))
+        monkeypatch.setattr(cli_module, name, wrapped)
+    return calls
 
 
 class TestConfigFromDict:
@@ -157,6 +174,78 @@ class TestMainErrors:
     def test_missing_subcommand_exits(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestInputErrors:
+    """Bad config values and corrupt artifacts exit 2 with one line."""
+
+    def _prepared(self, tmp_path, commands=("synth", "train", "cooc")):
+        cfg_path = write_cfg(tmp_path)
+        out = tmp_path / "runs"
+        for command in commands:
+            assert cli(command, cfg_path, out) == EXIT_OK, command
+        return cfg_path, out
+
+    def test_split_ratios_must_sum_to_one(self, tmp_path, capsys):
+        cfg_path, out = self._prepared(tmp_path, ("synth",))
+        bad = write_cfg(tmp_path, dict(SMALL_CFG, split_ratios=[0.5, 0.5, 0.5]),
+                        name="bad.json")
+        assert cli("train", bad, out) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert "split_ratios" in err and "sum to 1" in err
+        assert not (out / MODEL_FILE).exists()
+
+    def test_too_few_patients_to_split(self, tmp_path, capsys):
+        doc = dict(SMALL_CFG, synth=dict(SMALL_CFG["synth"], n_patients=2))
+        cfg_path = write_cfg(tmp_path, doc)
+        out = tmp_path / "runs"
+        assert cli("synth", cfg_path, out) == EXIT_OK
+        assert cli("train", cfg_path, out) == EXIT_BAD_CONFIG
+        assert "cannot split 2 patients" in capsys.readouterr().err
+
+    def test_nan_in_model_rejected(self, tmp_path, capsys):
+        cfg_path, out = self._prepared(tmp_path)
+        doc = json.loads((out / MODEL_FILE).read_text())
+        doc["tensors"]["center"][0][0] = float("nan")
+        (out / MODEL_FILE).write_text(json.dumps(doc))
+        capsys.readouterr()
+        for command in ("predict", "ablate", "sweep-k"):
+            assert cli(command, cfg_path, out) == EXIT_BAD_CONFIG, command
+            err = capsys.readouterr().err.strip()
+            assert len(err.splitlines()) == 1, err
+            assert MODEL_FILE in err and "non-finite" in err, err
+        assert not (out / RUN_FILE).exists()
+
+    def test_unknown_icd_in_dataset_rejected(self, tmp_path, capsys):
+        cfg_path, out = self._prepared(tmp_path)
+        with open(out / DATASET_FILE, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"patient_id": "zz", "visits": [
+                {"day": 0, "icd": ["NOT-AN-ICD"]}]}) + "\n")
+        capsys.readouterr()
+        for command in ("train", "cooc", "predict"):
+            assert cli(command, cfg_path, out) == EXIT_BAD_CONFIG, command
+            err = capsys.readouterr().err.strip()
+            assert len(err.splitlines()) == 1, err
+            assert DATASET_FILE in err and "NOT-AN-ICD" in err, err
+
+    def test_corrupt_cooc_rejected(self, tmp_path, capsys):
+        cfg_path, out = self._prepared(tmp_path)
+        (out / COOC_FILE).write_text("ccs_i,ccs_j,count\n")
+        capsys.readouterr()
+        assert cli("predict", cfg_path, out) == EXIT_BAD_CONFIG
+        assert COOC_FILE in capsys.readouterr().err
+
+    def test_corrupt_run_rejected_by_eval(self, tmp_path, capsys):
+        cfg_path, out = self._prepared(tmp_path, ("synth",))
+        (out / RUN_FILE).write_text("{not json\n")
+        assert cli("eval", cfg_path, out) == EXIT_BAD_CONFIG
+        assert RUN_FILE in capsys.readouterr().err
+
+    def test_missing_template_rejected(self, tmp_path, capsys):
+        cfg_path, out = self._prepared(tmp_path)
+        missing = str(tmp_path / "no_template.txt")
+        assert cli("predict", cfg_path, out, "--template", missing) == EXIT_BAD_CONFIG
+        assert "template" in capsys.readouterr().err
 
 
 class TestPipeline:
@@ -297,6 +386,34 @@ class TestAblate:
         labels = [ln.split(",")[0] for ln in lines[1:]]
         assert labels == list(stages)
 
+    def test_ablate_loads_inputs_once(self, tmp_path, monkeypatch):
+        doc = dict(SMALL_CFG, llm={"backend": "mock_evidence"})
+        cfg_path = write_cfg(tmp_path, doc)
+        out = tmp_path / "runs"
+        for command in ("synth", "train", "cooc"):
+            assert cli(command, cfg_path, out) == EXIT_OK
+        calls = count_calls(monkeypatch, "load_model", "load_dataset",
+                            "load_cooccurrence", "run_predictions")
+        assert cli("ablate", cfg_path, out) == EXIT_OK
+        assert calls == {"load_model": 1, "load_dataset": 1,
+                         "load_cooccurrence": 1, "run_predictions": 4}
+
+    def test_ablate_runs_match_predict(self, tmp_path):
+        doc = dict(SMALL_CFG, llm={"backend": "mock_evidence"})
+        cfg_path = write_cfg(tmp_path, doc)
+        out = tmp_path / "runs"
+        for command in ("synth", "train", "cooc", "ablate"):
+            assert cli(command, cfg_path, out) == EXIT_OK
+        for stage in ("base", "candidate", "prioritization", "relational"):
+            assert cli("predict", cfg_path, out, "--stage", stage) == EXIT_OK
+            single = (out / RUN_FILE).read_bytes()
+            ablated = (out / f"run_{stage}.jsonl").read_bytes()
+            # The meta line carries the config fingerprint, which includes
+            # the stage; every record line must match.
+            assert single.splitlines()[1:] == ablated.splitlines()[1:], stage
+        # The config's own stage (the default, relational) matches in full.
+        assert single == ablated
+
 
 class TestSweepK:
     def test_sweep_rows_and_default_label(self, tmp_path):
@@ -312,3 +429,15 @@ class TestSweepK:
         for k in SWEEP_KS:
             assert (out / f"run_k{k}.jsonl").exists()
             assert (out / f"metrics_k{k}.json").exists()
+
+    def test_sweep_runs_match_predict(self, tmp_path, monkeypatch):
+        cfg_path = write_cfg(tmp_path)
+        out = tmp_path / "runs"
+        for command in ("synth", "train", "cooc", "sweep-k"):
+            assert cli(command, cfg_path, out) == EXIT_OK
+        assert cli("predict", cfg_path, out, "--k", "10") == EXIT_OK
+        single = (out / RUN_FILE).read_bytes().splitlines()
+        assert single[1:] == (out / "run_k10.jsonl").read_bytes().splitlines()[1:]
+        calls = count_calls(monkeypatch, "load_model", "run_predictions")
+        assert cli("sweep-k", cfg_path, out) == EXIT_OK
+        assert calls == {"load_model": 1, "run_predictions": len(SWEEP_KS)}

@@ -103,6 +103,13 @@ class TestDatasetIO:
         with pytest.raises(DatasetError):
             load_dataset(path, ontology)
 
+    def test_visit_without_day_rejected(self, ontology, tmp_path):
+        path = tmp_path / "d.jsonl"
+        line = {"patient_id": "p", "visits": [{"icd": ["I01a"]}]}
+        path.write_text(json.dumps(line) + "\n")
+        with pytest.raises(DatasetError, match="line 1: .* without a day"):
+            load_dataset(path, ontology)
+
     def test_parse_error_names_the_line(self, ontology, tmp_path):
         path = tmp_path / "d.jsonl"
         good = {"patient_id": "p", "visits": [{"day": 0, "icd": ["I01a"]}]}

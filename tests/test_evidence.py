@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dxrank.backends.base import LogitVector
+from dxrank.backends.base import BackendError, LogitVector
 from dxrank.ehr import Visit
 from dxrank.evidence import (
     UNMAPPED_GROUP,
@@ -118,6 +118,25 @@ class TestSelectCandidates:
         a = select_candidates(self.LOGITS, K=5, mode="overall")
         b = select_candidates(doubled, K=5, mode="overall")
         assert a.codes == b.codes
+
+    def test_unknown_code_score_raises(self):
+        assert self.LOGITS.score("C05") == 1.0
+        with pytest.raises(BackendError, match="not in logit vector"):
+            self.LOGITS.score("C09")
+
+    def test_matches_brute_force_order(self):
+        rng = np.random.default_rng(0)
+        vocab = [f"C{i:03d}" for i in range(60)]
+        for _ in range(50):
+            # Few distinct values, so ties are common.
+            scores = rng.integers(-3, 3, size=len(vocab)) / 2.0
+            logits = _logits(dict(zip(vocab, scores)))
+            history = frozenset(rng.choice(vocab, size=5, replace=False))
+            want = sorted((c for c in vocab if c not in history),
+                          key=lambda c: (-scores[vocab.index(c)], c))[:10]
+            got = select_candidates(logits, K=10, mode="novel", history_ccs=history)
+            assert got.codes == tuple(want)
+            assert got.entries == tuple((c, logits.score(c)) for c in want)
 
     def test_candidate_set_validates_order(self):
         with pytest.raises(EvidenceError):

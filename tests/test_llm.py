@@ -1,12 +1,18 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
+import dxrank
 from dxrank.llm import (
     BACKOFF_BASE_S,
     CompletionResult,
@@ -322,3 +328,23 @@ class TestCompletionResult:
             text="x", latency_ms=1, attempt_count=2, backend_tag="remote"
         )
         assert (got.text, got.latency_ms, got.attempt_count) == ("x", 1, 2)
+
+
+def test_only_remote_client_imports_requests():
+    """Mock runs never load the HTTP library; the remote client does."""
+    code = textwrap.dedent("""
+        import sys
+        import dxrank.cli
+        from dxrank.llm import LlmClient, LlmConfig
+        prompt = 'Candidate CCS Codes\\n"Anemia"\\n'
+        LlmClient(LlmConfig(backend="mock_evidence")).complete(prompt)
+        print("requests" in sys.modules)
+        LlmClient(LlmConfig(backend="remote", endpoint_url="http://unused"))
+        print("requests" in sys.modules)
+    """)
+    src = str(Path(dxrank.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "True"]

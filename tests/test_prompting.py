@@ -497,6 +497,87 @@ class TestParseAnswer:
                 ranked=("C01", "C01"), matched_count=1, raw_text=""
             )
 
+    def test_duplicate_folded_names_first_index_wins(self):
+        names = {"C01": "Anemia", "C02": "ANEMIA", "C03": "Diabetes"}
+        cands = CandidateSet(
+            entries=(("C01", 3.0), ("C02", 2.0), ("C03", 1.0)), K=3,
+            mode="overall",
+        )
+        got = parse_answer("Answer: anemia, Diabetes, ANEMIA", cands, names)
+        assert got.ranked == ("C01", "C03", "C02")
+        assert got.matched_count == 2
+
+    def test_repeated_tokens_keep_first_position(self):
+        got = parse("Answer: Diabetes, diabetes., Anemia, DIABETES, Anemia")
+        assert got.ranked == ("C02", "C03", "C01")
+        assert got.matched_count == 2
+
+    def test_matches_quadratic_reference(self):
+        """The indexed parser ranks exactly like a direct scan over the
+        candidates, including duplicate folded names and repeated tokens."""
+        rng = random.Random(1)
+        pool = ["Anemia", "ANEMIA", "Diabetes", "Heart Disease", "Heart",
+                "Hypertensive Heart Disease", "Gout", "Iron Deficiency Anemia"]
+        extras = ["", "n/a", "heart", "anemia.", "Disease", "iron deficiency"]
+        for _ in range(2000):
+            size = rng.randint(1, 6)
+            codes = [f"C{i:02d}" for i in range(size)]
+            names = {c: rng.choice(pool) for c in codes}
+            cands = CandidateSet(
+                entries=tuple((c, float(size - i)) for i, c in enumerate(codes)),
+                K=size, mode="overall",
+            )
+            tokens = [rng.choice(pool + extras) for _ in range(rng.randint(0, 8))]
+            body = ", ".join(t.upper() if rng.random() < 0.3 else t for t in tokens)
+            text = f"Answer: {body}" if rng.random() < 0.7 else f"I think {body}"
+            got = parse_answer(text, cands, names)
+            assert (got.ranked, got.matched_count) == _reference_parse(
+                text, codes, [names[c] for c in codes]
+            ), text
+
+
+def _reference_parse(text, codes, names):
+    """The answer parser as a direct O(candidates) scan per token."""
+    folded = [n.casefold() for n in names]
+
+    def match(norm):
+        if not norm:
+            return None
+        for i, f in enumerate(folded):
+            if norm == f:
+                return i
+        best = None
+        for i, f in enumerate(folded):
+            if len(f) >= 4 and f in norm:
+                if best is None or len(f) > len(folded[best]):
+                    best = i
+        if best is not None:
+            return best
+        if len(norm) >= 4:
+            enclosing = [i for i, f in enumerate(folded) if norm in f]
+            if enclosing:
+                return min(enclosing, key=lambda i: (len(folded[i]), i))
+        return None
+
+    body = None
+    for line in text.splitlines():
+        if line.strip().casefold().startswith("answer:"):
+            body = line.strip()[len("answer:"):]
+    matched = []
+    if body is not None:
+        for token in body.split(","):
+            idx = match(token.strip().strip("\"'").strip().rstrip(".").casefold())
+            if idx is not None and idx not in matched:
+                matched.append(idx)
+    else:
+        hay = text.casefold()
+        hits = sorted((hay.find(f), -len(f), i)
+                      for i, f in enumerate(folded) if hay.find(f) >= 0)
+        matched = [i for _, _, i in hits]
+    ranked = [codes[i] for i in matched]
+    ranked += [c for c in codes if c not in ranked]
+    return tuple(ranked), len(matched)
+
 
 def ranking(*codes: str, matched: int | None = None) -> ParsedPrediction:
     return ParsedPrediction(

@@ -126,6 +126,36 @@ class TestSerialization:
         with pytest.raises(BackendError):
             load_model(path, onto)
 
+    def test_non_finite_tensor_rejected(self, data, tmp_path):
+        ds, onto = data
+        model = train("box", ds, onto, TrainConfig(epochs=0, d=4))
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        for bad in (float("nan"), float("inf")):
+            doc = json.loads(path.read_text())
+            doc["tensors"]["visit_weight_vec"][1] = bad
+            path.with_name("bad.json").write_text(json.dumps(doc))
+            with pytest.raises(BackendError, match="non-finite"):
+                load_model(path.with_name("bad.json"), onto)
+
+    def test_missing_entry_rejected(self, data, tmp_path):
+        ds, onto = data
+        model = train("box", ds, onto, TrainConfig(epochs=0, d=4))
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        del doc["tensors"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(BackendError, match="no 'tensors' entry"):
+            load_model(path, onto)
+
+    def test_invalid_json_rejected(self, data, tmp_path):
+        ds, onto = data
+        path = tmp_path / "m.json"
+        path.write_text('{"format_version": 1,')
+        with pytest.raises(BackendError, match="not valid JSON"):
+            load_model(path, onto)
+
     def test_unknown_format_version_rejected(self, data, tmp_path):
         ds, onto = data
         model = train("box", ds, onto, TrainConfig(epochs=0, d=4))
