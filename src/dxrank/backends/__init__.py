@@ -22,6 +22,7 @@ from .base import (
     TrainConfig,
     code_index,
     encode_instance,
+    pack_instances,
 )
 from .boxes import (
     BoxEmbed,
@@ -86,22 +87,6 @@ def _check_kind(backend_kind: str) -> None:
         raise BackendError(f"unknown backend kind {backend_kind!r}")
 
 
-def _forward(backend_kind: str, flat: ParamTree, encoded: EncodedInstance,
-             volume: VolumeConfig) -> tuple[np.ndarray, dict]:
-    if backend_kind == "box":
-        return box_forward(flat, encoded, volume)
-    return retain_forward(flat, encoded)
-
-
-def _backward(backend_kind: str, flat: ParamTree, encoded: EncodedInstance,
-              cache: dict, dlogits: np.ndarray, volume: VolumeConfig,
-              grads: ParamTree) -> None:
-    if backend_kind == "box":
-        box_backward(flat, encoded, cache, dlogits, volume, grads)
-    else:
-        retain_backward(flat, encoded, cache, dlogits, grads)
-
-
 def bce_loss(logits: LogitVector, target: Sequence[str]) -> float:
     """Mean over codes of binary cross-entropy between logits and the
     multi-hot encoding of the target CCS set."""
@@ -111,15 +96,41 @@ def bce_loss(logits: LogitVector, target: Sequence[str]) -> float:
         y[[index[c] for c in sorted(set(target))]] = 1.0
     except KeyError as exc:
         raise BackendError(f"target CCS {exc.args[0]!r} not in vocabulary") from None
-    return bce_with_logits(logits.scores, y)
+    return float(bce_with_logits(logits.scores, y))
+
+
+def _instance_losses(backend_kind: str, flat: ParamTree,
+                     encoded: Sequence[EncodedInstance], volume: VolumeConfig,
+                     grads: ParamTree | None = None, scale: float = 1.0) -> list[float]:
+    """Each instance's mean BCE, in order. With `grads`, also accumulate the
+    gradient of `scale` times their sum. The box scorer takes the whole
+    chunk as one packed batch; retain runs one instance at a time."""
+    if backend_kind == "box":
+        batch = pack_instances(encoded)
+        logits, cache = box_forward(flat, batch, volume)
+        if grads is not None:
+            dlogits = bce_with_logits_grad(logits, batch.targets) * scale
+            box_backward(flat, batch, cache, dlogits, volume, grads)
+        return bce_with_logits(logits, batch.targets).tolist()
+    losses = []
+    for enc in encoded:
+        logits, cache = retain_forward(flat, enc)
+        losses.append(float(bce_with_logits(logits, enc.target)))
+        if grads is not None:
+            dlogits = bce_with_logits_grad(logits, enc.target) * scale
+            retain_backward(flat, enc, cache, dlogits, grads)
+    return losses
 
 
 def _batch_loss(backend_kind: str, flat: ParamTree,
-                encoded: Sequence[EncodedInstance], volume: VolumeConfig) -> float:
+                encoded: Sequence[EncodedInstance], volume: VolumeConfig,
+                chunk_size: int) -> float:
+    """Mean loss over `encoded`, scored `chunk_size` instances at a time."""
     total = 0.0
-    for enc in encoded:
-        logits, _ = _forward(backend_kind, flat, enc, volume)
-        total += bce_with_logits(logits, enc.target)
+    for start in range(0, len(encoded), chunk_size):
+        for loss in _instance_losses(backend_kind, flat,
+                                     encoded[start:start + chunk_size], volume):
+            total += loss
     return total / len(encoded)
 
 
@@ -129,11 +140,8 @@ def _loss_and_grads(backend_kind: str, flat: ParamTree,
     grads = zeros_like_tree(flat)
     total = 0.0
     scale = 1.0 / len(encoded)
-    for enc in encoded:
-        logits, cache = _forward(backend_kind, flat, enc, volume)
-        total += bce_with_logits(logits, enc.target)
-        dlogits = bce_with_logits_grad(logits, enc.target) * scale
-        _backward(backend_kind, flat, enc, cache, dlogits, volume, grads)
+    for loss in _instance_losses(backend_kind, flat, encoded, volume, grads, scale):
+        total += loss
     return total * scale, grads
 
 
@@ -219,7 +227,7 @@ def train(backend_kind: str, dataset: Dataset, ontology: Ontology,
         flat = init_retain_params(vocab, cfg.d, rng)
 
     state = adam_init(flat)
-    losses = [_batch_loss(backend_kind, flat, encoded, volume)]
+    losses = [_batch_loss(backend_kind, flat, encoded, volume, cfg.batch_size)]
     for _ in range(cfg.epochs):
         order = rng.permutation(len(encoded))
         for start in range(0, len(order), cfg.batch_size):
@@ -227,7 +235,7 @@ def train(backend_kind: str, dataset: Dataset, ontology: Ontology,
             _, grads = _loss_and_grads(backend_kind, flat, chunk, volume)
             adam_step(flat, grads, state, cfg.learning_rate,
                       cfg.adam_betas, cfg.adam_eps)
-        losses.append(_batch_loss(backend_kind, flat, encoded, volume))
+        losses.append(_batch_loss(backend_kind, flat, encoded, volume, cfg.batch_size))
 
     return TrainedModel(backend=backend_kind,
                         params=_params_obj(backend_kind, vocab, flat),
@@ -267,9 +275,9 @@ def grad_check(backend_kind: str, params: BoxLMParams | RetainParams,
             mi = it.multi_index
             orig = arr[mi]
             arr[mi] = orig + h
-            up = _batch_loss(backend_kind, flat, encoded, volume)
+            up = _batch_loss(backend_kind, flat, encoded, volume, len(encoded))
             arr[mi] = orig - h
-            down = _batch_loss(backend_kind, flat, encoded, volume)
+            down = _batch_loss(backend_kind, flat, encoded, volume, len(encoded))
             arr[mi] = orig
             fd = (up - down) / (2.0 * h)
             a = float(grad[mi])

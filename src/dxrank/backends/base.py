@@ -1,10 +1,11 @@
 """Shared backend plumbing: the labeled logit vector both scorers emit,
 the training configuration, and instance encoding over a fixed CCS
-vocabulary."""
+vocabulary, one instance at a time or packed into a ragged batch."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -98,3 +99,35 @@ def encode_instance(
             f"CCS code {exc.args[0]!r} has no trained parameters"
         ) from None
     return EncodedInstance(visit_idx=visit_idx, target=target)
+
+
+@dataclass(frozen=True)
+class PackedBatch:
+    """Encoded instances packed for batched scoring: every visit's code
+    indices concatenated in order, the offset in `codes` of each visit's
+    first code, the offset in the visit list of each instance's first
+    visit, and one multi-hot target row per instance."""
+
+    codes: np.ndarray
+    visit_starts: np.ndarray
+    instance_starts: np.ndarray
+    targets: np.ndarray
+
+
+def _starts(lengths: list[int]) -> np.ndarray:
+    return np.cumsum([0] + lengths[:-1], dtype=np.intp)
+
+
+def pack_instances(encoded: Sequence[EncodedInstance]) -> PackedBatch:
+    """Pack instances, in order, into one ragged batch."""
+    visits = [idx for enc in encoded for idx in enc.visit_idx]
+    if not encoded or any(not enc.visit_idx for enc in encoded):
+        raise BackendError("every instance needs at least one input visit")
+    if any(len(idx) == 0 for idx in visits):
+        raise BackendError("every input visit needs at least one CCS code")
+    return PackedBatch(
+        codes=np.concatenate(visits),
+        visit_starts=_starts([len(idx) for idx in visits]),
+        instance_starts=_starts([len(enc.visit_idx) for enc in encoded]),
+        targets=np.stack([enc.target for enc in encoded]),
+    )

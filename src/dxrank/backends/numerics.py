@@ -29,7 +29,9 @@ def softplus_inv(y: np.ndarray) -> np.ndarray:
 
 
 def log_softplus(x: np.ndarray) -> np.ndarray:
-    """log(softplus(x)) with a linear tail where softplus would underflow."""
+    """log(softplus(x)) with a linear tail where softplus would underflow.
+    The box volume kernels compute this and dlog_softplus in place, from
+    one softplus shared by forward and backward."""
     x = np.asarray(x, dtype=float)
     safe = np.maximum(x, -33.0)
     return np.where(x < -33.0, x, np.log(softplus(safe)))
@@ -56,19 +58,20 @@ def softmax_vjp(y: np.ndarray, dy: np.ndarray, axis: int = -1) -> np.ndarray:
     return y * (dy - dot)
 
 
-def bce_with_logits(logits: np.ndarray, targets: np.ndarray) -> float:
-    """Mean over all entries of stable binary cross-entropy with logits."""
+def bce_with_logits(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Stable binary cross-entropy with logits, averaged over the last axis:
+    a scalar for one logit vector, one mean per row for a batch of them."""
     z = np.asarray(logits, dtype=float)
     y = np.asarray(targets, dtype=float)
     per = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
-    return float(np.mean(per))
+    return np.mean(per, axis=-1)
 
 
 def bce_with_logits_grad(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Gradient of bce_with_logits w.r.t. the logits."""
+    """Gradient of each of bce_with_logits' means w.r.t. the logits."""
     z = np.asarray(logits, dtype=float)
     y = np.asarray(targets, dtype=float)
-    return (sigmoid(z) - y) / z.size
+    return (sigmoid(z) - y) / z.shape[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .backends import BackendError, TrainConfig, TrainedModel, load_model, \
+from .backends import BackendError, LogitVector, TrainConfig, load_model, \
     save_model, train
 from .backends.boxes import VolumeConfig
 from .ehr import Dataset, DatasetError, Ontology, OntologyError, \
@@ -345,7 +345,7 @@ def _neutral_candidates(
 
 def predict_record(
     instance: PredictionInstance,
-    model: TrainedModel,
+    logits: LogitVector,
     cooc: CooccurrenceMatrix | None,
     ontology: Ontology,
     cfg: RunConfig,
@@ -354,7 +354,8 @@ def predict_record(
     stage: str,
     k: int,
 ) -> RunRecord:
-    """Run the evidence pipeline and the LLM re-ranker for one instance.
+    """Run the evidence pipeline and the LLM re-ranker for one instance,
+    given the scorer's logits for it.
 
     LLM failures become an error record; any other exception is a bug and
     propagates.
@@ -367,12 +368,11 @@ def predict_record(
     flags = options.effective_flags
     mode = "novel" if cfg.task == "novel" else "overall"
     history = instance.history_ccs
-    logits = model.logit_vector(instance)
 
     if flags.candidates:
         candidates = select_candidates(logits, k, mode, history)
     else:
-        candidates = _neutral_candidates(model.vocab, mode, history)
+        candidates = _neutral_candidates(logits.vocab, mode, history)
 
     if flags.prioritization:
         ordered = prioritize_history(history, logits)
@@ -425,13 +425,14 @@ def predict_record(
 
 @dataclass(frozen=True)
 class PredictionInputs:
-    """What every prediction run of one command reads: loaded once, then
-    shared by every stage and K."""
+    """What every prediction run of one command reads: loaded and scored
+    once, then shared by every stage and K. `logits[i]` is the scorer's
+    output for `instances[i]`."""
 
     ontology: Ontology
-    model: TrainedModel
     cooc: CooccurrenceMatrix | None
     instances: tuple[PredictionInstance, ...]
+    logits: tuple[LogitVector, ...]
     template_text: str
 
 
@@ -456,7 +457,8 @@ def load_prediction_inputs(
     except OSError as exc:
         raise ConfigError(f"cannot read prompt template: {exc}") from None
     return PredictionInputs(
-        ontology=ontology, model=model, cooc=cooc, instances=instances,
+        ontology=ontology, cooc=cooc, instances=instances,
+        logits=tuple(model.logit_vector(inst) for inst in instances),
         template_text=template_text,
     )
 
@@ -471,20 +473,25 @@ def run_predictions(
 ) -> RunArtifact:
     """Predict over the test split and write one JSONL artifact.
 
-    Instances run on a worker pool sized to the LLM concurrency cap; the
-    artifact is sorted by patient id, so output bytes do not depend on
-    completion order.
+    With the remote LLM, instances run on a worker pool sized to its
+    concurrency cap, so requests overlap. The mocks do no I/O, and threads
+    would only contend for the interpreter lock, so they run in order on
+    the calling thread. The artifact is sorted by patient id, so output
+    bytes do not depend on completion order.
     """
     client = LlmClient(cfg.llm)
 
-    def one(instance: PredictionInstance) -> RunRecord:
+    def one(instance: PredictionInstance, logits: LogitVector) -> RunRecord:
         return predict_record(
-            instance, inputs.model, inputs.cooc, inputs.ontology, cfg, client,
+            instance, logits, inputs.cooc, inputs.ontology, cfg, client,
             inputs.template_text, stage, k,
         )
 
-    with ThreadPoolExecutor(max_workers=cfg.llm.max_in_flight) as pool:
-        records = list(pool.map(one, inputs.instances))
+    if cfg.llm.backend == "remote":
+        with ThreadPoolExecutor(max_workers=cfg.llm.max_in_flight) as pool:
+            records = list(pool.map(one, inputs.instances, inputs.logits))
+    else:
+        records = list(map(one, inputs.instances, inputs.logits))
 
     artifact = RunArtifact(
         records=tuple(sorted(records, key=lambda r: r.patient_id)),

@@ -40,29 +40,34 @@ class CooccurrenceMatrix:
     n_patients: int
 
     def __post_init__(self):
+        n = self.n_patients
+        if n < 0:
+            raise EvidenceError("negative n_patients")
+        diagonal = {i: int(v) for (i, j), v in self.counts.items() if i == j}
         canon: dict[tuple[str, str], int] = {}
         for (i, j), v in self.counts.items():
             key = (i, j) if i <= j else (j, i)
-            if canon.get(key, v) != v:
+            v = int(v)
+            if canon.setdefault(key, v) != v:
                 raise EvidenceError(f"asymmetric counts for pair {key}")
-            canon[key] = int(v)
+            if not 0 <= v <= n or (
+                i != j and (v > diagonal.get(i, 0) or v > diagonal.get(j, 0))
+            ):
+                raise EvidenceError(_bound_error(*key, v, n, diagonal))
         object.__setattr__(self, "counts", canon)
-        if self.n_patients < 0:
-            raise EvidenceError("negative n_patients")
-        for (i, j), v in canon.items():
-            if v < 0:
-                raise EvidenceError(f"negative count for ({i}, {j})")
-            bound = min(canon.get((i, i), 0), canon.get((j, j), 0))
-            if i != j and v > bound:
-                raise EvidenceError(
-                    f"count({i},{j})={v} exceeds a diagonal entry"
-                )
-            if v > self.n_patients:
-                raise EvidenceError(f"count({i},{j})={v} exceeds n_patients")
 
     def count(self, i: str, j: str) -> int:
         key = (i, j) if i <= j else (j, i)
         return self.counts.get(key, 0)
+
+
+def _bound_error(i: str, j: str, v: int, n_patients: int,
+                 diagonal: dict[str, int]) -> str:
+    if v < 0:
+        return f"negative count for ({i}, {j})"
+    if i != j and v > min(diagonal.get(i, 0), diagonal.get(j, 0)):
+        return f"count({i},{j})={v} exceeds a diagonal entry"
+    return f"count({i},{j})={v} exceeds n_patients"
 
 
 def build_cooccurrence(train_dataset: Dataset) -> CooccurrenceMatrix:
@@ -76,12 +81,15 @@ def build_cooccurrence(train_dataset: Dataset) -> CooccurrenceMatrix:
     return CooccurrenceMatrix(counts=counts, n_patients=len(train_dataset))
 
 
+COOC_COLUMNS = ["ccs_i", "ccs_j", "count"]
+
+
 def save_cooccurrence(matrix: CooccurrenceMatrix, path: str | Path) -> None:
     """CSV triples (i <= j) under a comment line carrying n_patients."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# n_patients={matrix.n_patients}\n")
         writer = csv.writer(fh)
-        writer.writerow(["ccs_i", "ccs_j", "count"])
+        writer.writerow(COOC_COLUMNS)
         for (i, j) in sorted(matrix.counts):
             writer.writerow([i, j, matrix.counts[(i, j)]])
 
@@ -95,14 +103,28 @@ def load_cooccurrence(path: str | Path) -> CooccurrenceMatrix:
             n_patients = int(first.split("=", 1)[1])
         except ValueError:
             raise EvidenceError(f"bad n_patients header {first!r}") from None
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != COOC_COLUMNS:
+            raise EvidenceError(f"co-occurrence columns {header!r}, expected {COOC_COLUMNS!r}")
         counts: dict[tuple[str, str], int] = {}
         for row in reader:
+            if not row:  # blank lines carry no row, as csv.DictReader treats them
+                continue
             try:
-                counts[(row["ccs_i"], row["ccs_j"])] = int(row["count"])
-            except (KeyError, TypeError, ValueError):
-                raise EvidenceError(f"bad co-occurrence row {row!r}") from None
+                counts[(row[0], row[1])] = int(row[2])
+            except (IndexError, ValueError):
+                raise EvidenceError(f"bad co-occurrence row {_row_fields(row)!r}") from None
     return CooccurrenceMatrix(counts=counts, n_patients=n_patients)
+
+
+def _row_fields(row: list[str]) -> dict:
+    """A row keyed by column, as csv.DictReader reports it: missing fields
+    are None and extra ones are listed under None."""
+    fields: dict = dict(zip(COOC_COLUMNS, row + [None] * len(COOC_COLUMNS)))
+    if len(row) > len(COOC_COLUMNS):
+        fields[None] = row[len(COOC_COLUMNS):]
+    return fields
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
@@ -28,7 +29,8 @@ from dxrank.cli import (
 )
 from dxrank.ehr import build_instances, load_dataset, load_ontology, split_patients
 from dxrank.evidence import load_cooccurrence
-from dxrank.llm import LlmError
+from dxrank.backends import TrainedModel
+from dxrank.llm import LlmClient, LlmError, derive_seed, mock_evidence_aware
 from dxrank.metrics import load_metrics, load_run
 
 SMALL_CFG = {
@@ -415,6 +417,25 @@ class TestAblate:
         assert single == ablated
 
 
+    def test_ablate_scores_each_instance_once(self, tmp_path, monkeypatch):
+        doc = dict(SMALL_CFG, llm={"backend": "mock_evidence"})
+        cfg_path = write_cfg(tmp_path, doc)
+        out = tmp_path / "runs"
+        for command in ("synth", "train", "cooc"):
+            assert cli(command, cfg_path, out) == EXIT_OK
+        scored = []
+        real = TrainedModel.logit_vector
+
+        def counted(model, patient):
+            scored.append(patient.patient_id)
+            return real(model, patient)
+
+        monkeypatch.setattr(TrainedModel, "logit_vector", counted)
+        assert cli("ablate", cfg_path, out) == EXIT_OK
+        records = load_run(out / "run_base.jsonl").records
+        assert sorted(scored) == sorted(r.patient_id for r in records)
+
+
 class TestSweepK:
     def test_sweep_rows_and_default_label(self, tmp_path):
         cfg_path = write_cfg(tmp_path)
@@ -441,3 +462,60 @@ class TestSweepK:
         calls = count_calls(monkeypatch, "load_model", "run_predictions")
         assert cli("sweep-k", cfg_path, out) == EXIT_OK
         assert calls == {"load_model": 1, "run_predictions": len(SWEEP_KS)}
+
+
+def _stub_remote_client(cfg):
+    """A remote client whose transport answers in process, as mock_evidence
+    would, so the pooled remote path runs without a server."""
+
+    def transport(url, body, headers):
+        prompt = json.loads(body)["messages"][0]["content"]
+        text = mock_evidence_aware(prompt, derive_seed(cfg.seed, prompt))
+        return 200, json.dumps({"choices": [{"message": {"content": text}}]}).encode()
+
+    return LlmClient(cfg, transport=transport)
+
+
+class TestRunThreads:
+    def _predict(self, tmp_path, monkeypatch, llm, name):
+        """Run predict on a shared prepared directory; return the run.jsonl
+        lines and the threads predict_record ran on."""
+        out = tmp_path / "runs"
+        cfg_path = write_cfg(tmp_path, dict(SMALL_CFG, llm=llm), f"{name}.json")
+        if not (out / MODEL_FILE).exists():
+            for command in ("synth", "train", "cooc"):
+                assert cli(command, cfg_path, out) == EXIT_OK
+        threads = []
+        real = cli_module.predict_record
+
+        def spy(*args, **kwargs):
+            threads.append(threading.current_thread())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli_module, "predict_record", spy)
+        monkeypatch.setattr(cli_module, "LlmClient", _stub_remote_client)
+        assert cli("predict", cfg_path, out) == EXIT_OK
+        monkeypatch.undo()
+        return (out / RUN_FILE).read_bytes().splitlines(), threads
+
+    def test_mock_run_stays_on_the_calling_thread(self, tmp_path, monkeypatch):
+        for backend in ("mock_echo", "mock_evidence"):
+            _, threads = self._predict(
+                tmp_path, monkeypatch, {"backend": backend, "max_in_flight": 4}, backend)
+            assert threads and all(t is threading.main_thread() for t in threads)
+
+    def test_run_does_not_depend_on_max_in_flight(self, tmp_path, monkeypatch):
+        runs = {}
+        for backend, cap in (("mock_evidence", 1), ("mock_evidence", 2), ("remote", 2)):
+            llm = {"backend": backend, "max_in_flight": cap,
+                   "endpoint_url": "http://127.0.0.1:9"}
+            runs[backend, cap] = self._predict(tmp_path, monkeypatch, llm, f"{backend}{cap}")
+        serial, _ = runs["mock_evidence", 1]
+        # The meta line carries the config fingerprint, which includes the
+        # LLM section; everything else must match byte for byte.
+        for key, (lines, threads) in runs.items():
+            assert lines[1:] == serial[1:], key
+            meta = {**json.loads(lines[0]), "fingerprint": None}
+            assert meta == {**json.loads(serial[0]), "fingerprint": None}, key
+        _, pooled = runs["remote", 2]
+        assert any(t is not threading.main_thread() for t in pooled)

@@ -75,6 +75,42 @@ class TestCooccurrence:
         with pytest.raises(EvidenceError):
             load_cooccurrence(path)
 
+    @pytest.mark.parametrize("body,message", [
+        ("ccs_j,ccs_i,count\nC01,C01,1\n", "co-occurrence columns"),
+        ("C01,C01,1\n", "co-occurrence columns"),
+        ("", "co-occurrence columns"),
+        ("ccs_i,ccs_j,count\nC01,C01\n",
+         "bad co-occurrence row {'ccs_i': 'C01', 'ccs_j': 'C01', 'count': None}"),
+        ("ccs_i,ccs_j,count\nC01,C01,x,y\n",
+         "bad co-occurrence row {'ccs_i': 'C01', 'ccs_j': 'C01', 'count': 'x', None: ['y']}"),
+    ])
+    def test_malformed_file_rejected(self, tmp_path, body, message):
+        path = tmp_path / "cooc.csv"
+        path.write_text("# n_patients=3\n" + body)
+        with pytest.raises(EvidenceError) as info:
+            load_cooccurrence(path)
+        assert str(info.value).startswith(message)
+
+    def test_blank_lines_and_extra_fields_are_read_as_before(self, tmp_path):
+        path = tmp_path / "cooc.csv"
+        path.write_text("# n_patients=3\nccs_i,ccs_j,count\nC01,C01,2\n\nC01,C02,1,\n"
+                        "C02,C02,1\n")
+        m = load_cooccurrence(path)
+        assert m.counts == {("C01", "C01"): 2, ("C01", "C02"): 1, ("C02", "C02"): 1}
+
+    @pytest.mark.parametrize("counts,n,message", [
+        ({("a", "b"): -1}, 3, "negative count for (a, b)"),
+        ({("b", "b"): 2, ("b", "a"): 1}, 3, "count(a,b)=1 exceeds a diagonal entry"),
+        ({("a", "a"): 4}, 3, "count(a,a)=4 exceeds n_patients"),
+        ({("a", "a"): 1, ("b", "b"): 1, ("a", "b"): 1, ("b", "a"): 0}, 3,
+         "asymmetric counts for pair ('a', 'b')"),
+        ({}, -1, "negative n_patients"),
+    ])
+    def test_bad_counts_messages(self, counts, n, message):
+        with pytest.raises(EvidenceError) as info:
+            CooccurrenceMatrix(counts=counts, n_patients=n)
+        assert str(info.value) == message
+
     def test_off_diagonal_bounded_by_diagonal(self):
         with pytest.raises(EvidenceError):
             CooccurrenceMatrix(
