@@ -8,9 +8,9 @@ format.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -37,6 +37,8 @@ from .boxes import (
     visit_box,
 )
 from .numerics import (
+    ADAM_BETAS,
+    ADAM_EPS,
     ParamTree,
     adam_init,
     adam_step,
@@ -53,10 +55,9 @@ from .retain import (
     retain_logits,
 )
 
-BACKENDS = ("box", "retain")
-
 __all__ = [
     "BACKENDS",
+    "Backend",
     "BackendError",
     "BoxEmbed",
     "BoxLMParams",
@@ -82,11 +83,6 @@ __all__ = [
 ]
 
 
-def _check_kind(backend_kind: str) -> None:
-    if backend_kind not in BACKENDS:
-        raise BackendError(f"unknown backend kind {backend_kind!r}")
-
-
 def bce_loss(logits: LogitVector, target: Sequence[str]) -> float:
     """Mean over codes of binary cross-entropy between logits and the
     multi-hot encoding of the target CCS set."""
@@ -99,19 +95,24 @@ def bce_loss(logits: LogitVector, target: Sequence[str]) -> float:
     return float(bce_with_logits(logits.scores, y))
 
 
-def _instance_losses(backend_kind: str, flat: ParamTree,
-                     encoded: Sequence[EncodedInstance], volume: VolumeConfig,
-                     grads: ParamTree | None = None, scale: float = 1.0) -> list[float]:
+def _box_losses(flat: ParamTree, encoded: Sequence[EncodedInstance],
+                volume: VolumeConfig, grads: ParamTree | None = None,
+                scale: float = 1.0) -> list[float]:
     """Each instance's mean BCE, in order. With `grads`, also accumulate the
-    gradient of `scale` times their sum. The box scorer takes the whole
-    chunk as one packed batch; retain runs one instance at a time."""
-    if backend_kind == "box":
-        batch = pack_instances(encoded)
-        logits, cache = box_forward(flat, batch, volume)
-        if grads is not None:
-            dlogits = bce_with_logits_grad(logits, batch.targets) * scale
-            box_backward(flat, batch, cache, dlogits, volume, grads)
-        return bce_with_logits(logits, batch.targets).tolist()
+    gradient of `scale` times their sum. The whole chunk is one packed
+    batch."""
+    batch = pack_instances(encoded)
+    logits, cache = box_forward(flat, batch, volume)
+    if grads is not None:
+        dlogits = bce_with_logits_grad(logits, batch.targets) * scale
+        box_backward(flat, batch, cache, dlogits, volume, grads)
+    return bce_with_logits(logits, batch.targets).tolist()
+
+
+def _retain_losses(flat: ParamTree, encoded: Sequence[EncodedInstance],
+                   volume: VolumeConfig, grads: ParamTree | None = None,
+                   scale: float = 1.0) -> list[float]:
+    """As `_box_losses`, one instance at a time; retain has no volume."""
     losses = []
     for enc in encoded:
         logits, cache = retain_forward(flat, enc)
@@ -122,34 +123,56 @@ def _instance_losses(backend_kind: str, flat: ParamTree,
     return losses
 
 
-def _batch_loss(backend_kind: str, flat: ParamTree,
+@dataclass(frozen=True)
+class Backend:
+    """One scorer kind: its parameter class, its seeded initializer
+    (vocab, d, rng), its per-chunk losses (and gradients), and its
+    single-instance inference (patient, params, volume)."""
+
+    params_cls: type[BoxLMParams] | type[RetainParams]
+    init: Callable[..., ParamTree]
+    losses: Callable[..., list[float]]
+    logits: Callable[..., LogitVector]
+
+
+# The losses and logits functions look the scorer kernels up as module
+# globals at call time, so a wrapper installed on this module sees every call.
+BACKENDS: dict[str, Backend] = {
+    "box": Backend(BoxLMParams, init_box_params, _box_losses,
+                   lambda patient, params, volume: boxlm_logits(patient, params, volume)),
+    "retain": Backend(RetainParams, init_retain_params, _retain_losses,
+                      lambda patient, params, volume: retain_logits(patient, params)),
+}
+
+
+def _backend(kind: str) -> Backend:
+    try:
+        return BACKENDS[kind]
+    except (KeyError, TypeError):
+        raise BackendError(f"unknown backend kind {kind!r}") from None
+
+
+def _batch_loss(backend: Backend, flat: ParamTree,
                 encoded: Sequence[EncodedInstance], volume: VolumeConfig,
                 chunk_size: int) -> float:
     """Mean loss over `encoded`, scored `chunk_size` instances at a time."""
     total = 0.0
     for start in range(0, len(encoded), chunk_size):
-        for loss in _instance_losses(backend_kind, flat,
-                                     encoded[start:start + chunk_size], volume):
+        for loss in backend.losses(flat, encoded[start:start + chunk_size],
+                                   volume):
             total += loss
     return total / len(encoded)
 
 
-def _loss_and_grads(backend_kind: str, flat: ParamTree,
+def _loss_and_grads(backend: Backend, flat: ParamTree,
                     encoded: Sequence[EncodedInstance],
                     volume: VolumeConfig) -> tuple[float, ParamTree]:
     grads = zeros_like_tree(flat)
     total = 0.0
     scale = 1.0 / len(encoded)
-    for loss in _instance_losses(backend_kind, flat, encoded, volume, grads, scale):
+    for loss in backend.losses(flat, encoded, volume, grads, scale):
         total += loss
     return total * scale, grads
-
-
-def _params_obj(backend_kind: str, vocab: Sequence[str],
-                flat: ParamTree) -> BoxLMParams | RetainParams:
-    if backend_kind == "box":
-        return BoxLMParams.from_flat(vocab, flat)
-    return RetainParams.from_flat(vocab, flat)
 
 
 def _encode_batch(batch: Sequence[PredictionInstance],
@@ -163,11 +186,11 @@ def gradients(backend_kind: str, params: BoxLMParams | RetainParams,
               volume: VolumeConfig = VolumeConfig()) -> ParamTree:
     """Exact gradient of the mean BCE loss over the batch, keyed like
     params.flat()."""
-    _check_kind(backend_kind)
+    backend = _backend(backend_kind)
     if not batch:
         raise BackendError("gradient batch is empty")
     encoded = _encode_batch(batch, params.vocab)
-    _, grads = _loss_and_grads(backend_kind, params.flat(), encoded, volume)
+    _, grads = _loss_and_grads(backend, params.flat(), encoded, volume)
     return grads
 
 
@@ -175,14 +198,11 @@ def infer_logits(backend_kind: str, params: BoxLMParams | RetainParams,
                  patient: PredictionInstance,
                  volume: VolumeConfig = VolumeConfig()) -> LogitVector:
     """Dispatch to the matching scorer; errors if kind and params disagree."""
-    _check_kind(backend_kind)
-    if backend_kind == "box":
-        if not isinstance(params, BoxLMParams):
-            raise BackendError("box backend requires BoxLMParams")
-        return boxlm_logits(patient, params, volume)
-    if not isinstance(params, RetainParams):
-        raise BackendError("retain backend requires RetainParams")
-    return retain_logits(patient, params)
+    backend = _backend(backend_kind)
+    if not isinstance(params, backend.params_cls):
+        raise BackendError(f"{backend_kind} backend requires "
+                           f"{backend.params_cls.__name__}")
+    return backend.logits(patient, params, volume)
 
 
 @dataclass
@@ -213,7 +233,7 @@ def train(backend_kind: str, dataset: Dataset, ontology: Ontology,
     Deterministic given cfg.seed: initialization, epoch shuffles, and the
     update schedule all derive from one seeded generator.
     """
-    _check_kind(backend_kind)
+    backend = _backend(backend_kind)
     instances = build_instances(dataset, all_prefixes=True)
     if not instances:
         raise BackendError("dataset yields no trainable instances")
@@ -221,24 +241,20 @@ def train(backend_kind: str, dataset: Dataset, ontology: Ontology,
     encoded = _encode_batch(instances, vocab)
 
     rng = np.random.default_rng(cfg.seed)
-    if backend_kind == "box":
-        flat = init_box_params(vocab, cfg.d, rng)
-    else:
-        flat = init_retain_params(vocab, cfg.d, rng)
+    flat = backend.init(vocab, cfg.d, rng)
 
     state = adam_init(flat)
-    losses = [_batch_loss(backend_kind, flat, encoded, volume, cfg.batch_size)]
+    losses = [_batch_loss(backend, flat, encoded, volume, cfg.batch_size)]
     for _ in range(cfg.epochs):
         order = rng.permutation(len(encoded))
         for start in range(0, len(order), cfg.batch_size):
             chunk = [encoded[i] for i in order[start:start + cfg.batch_size]]
-            _, grads = _loss_and_grads(backend_kind, flat, chunk, volume)
-            adam_step(flat, grads, state, cfg.learning_rate,
-                      cfg.adam_betas, cfg.adam_eps)
-        losses.append(_batch_loss(backend_kind, flat, encoded, volume, cfg.batch_size))
+            _, grads = _loss_and_grads(backend, flat, chunk, volume)
+            adam_step(flat, grads, state, cfg.learning_rate)
+        losses.append(_batch_loss(backend, flat, encoded, volume, cfg.batch_size))
 
     return TrainedModel(backend=backend_kind,
-                        params=_params_obj(backend_kind, vocab, flat),
+                        params=backend.params_cls.from_flat(vocab, flat),
                         losses=losses, config=cfg, volume=volume)
 
 
@@ -261,10 +277,10 @@ def grad_check(backend_kind: str, params: BoxLMParams | RetainParams,
     """Compare analytic gradients against central finite differences over
     every parameter element. Relative error uses max(|a|, |fd|, floor) as
     the denominator; exactly matching zeros count as zero error."""
-    _check_kind(backend_kind)
+    backend = _backend(backend_kind)
     encoded = _encode_batch(batch, params.vocab)
     flat = {k: v.copy() for k, v in params.flat().items()}
-    _, analytic = _loss_and_grads(backend_kind, flat, encoded, volume)
+    _, analytic = _loss_and_grads(backend, flat, encoded, volume)
 
     worst, worst_key, checked = 0.0, "", 0
     for key in sorted(flat):
@@ -275,9 +291,9 @@ def grad_check(backend_kind: str, params: BoxLMParams | RetainParams,
             mi = it.multi_index
             orig = arr[mi]
             arr[mi] = orig + h
-            up = _batch_loss(backend_kind, flat, encoded, volume, len(encoded))
+            up = _batch_loss(backend, flat, encoded, volume, len(encoded))
             arr[mi] = orig - h
-            down = _batch_loss(backend_kind, flat, encoded, volume, len(encoded))
+            down = _batch_loss(backend, flat, encoded, volume, len(encoded))
             arr[mi] = orig
             fd = (up - down) / (2.0 * h)
             a = float(grad[mi])
@@ -300,22 +316,6 @@ def grad_check(backend_kind: str, params: BoxLMParams | RetainParams,
 FORMAT_VERSION = 1
 
 
-def _expected_shapes(backend_kind: str, c: int, d: int) -> dict[str, tuple[int, ...]]:
-    if backend_kind == "box":
-        return {
-            "center": (c, d), "offset_raw": (c, d),
-            "attn_query": (d,), "visit_weight_vec": (d,),
-        }
-    shapes: dict[str, tuple[int, ...]] = {"embed": (c, d)}
-    for prefix in ("rnn_alpha", "rnn_beta"):
-        for name in ("w_z", "u_z", "w_r", "u_r", "w_h", "u_h"):
-            shapes[f"{prefix}/{name}"] = (d, d)
-        for name in ("b_z", "b_r", "b_h"):
-            shapes[f"{prefix}/{name}"] = (d,)
-    shapes.update({"w_alpha": (d,), "W_beta": (d, d), "W_o": (c, d), "b_o": (c,)})
-    return shapes
-
-
 def save_model(model: TrainedModel, path: str | Path) -> None:
     doc = {
         "format_version": FORMAT_VERSION,
@@ -324,17 +324,9 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
         "seed": model.config.seed,
         "vocab": list(model.vocab),
         "losses": [float(x) for x in model.losses],
-        "train_config": {
-            "epochs": model.config.epochs,
-            "learning_rate": model.config.learning_rate,
-            "batch_size": model.config.batch_size,
-            "seed": model.config.seed,
-            "d": model.config.d,
-            "adam_betas": list(model.config.adam_betas),
-            "adam_eps": model.config.adam_eps,
-        },
-        "volume": {"beta": model.volume.beta, "gamma": model.volume.gamma,
-                   "eps": model.volume.eps},
+        "train_config": {**asdict(model.config), "adam_betas": list(ADAM_BETAS),
+                         "adam_eps": ADAM_EPS},
+        "volume": asdict(model.volume),
         "tensors": {k: v.tolist() for k, v in sorted(model.params.flat().items())},
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -353,7 +345,7 @@ def load_model(path: str | Path, ontology: Ontology | None = None) -> TrainedMod
     if doc.get("format_version") != FORMAT_VERSION:
         raise BackendError(f"unsupported params format {doc.get('format_version')!r}")
     backend_kind = doc.get("backend")
-    _check_kind(backend_kind)
+    backend = _backend(backend_kind)
     try:
         vocab = tuple(doc["vocab"])
         d = int(doc["d"])
@@ -363,7 +355,11 @@ def load_model(path: str | Path, ontology: Ontology | None = None) -> TrainedMod
     if ontology is not None and vocab != ontology.ccs_codes:
         raise BackendError("model vocabulary does not match the ontology")
 
-    expected = _expected_shapes(backend_kind, len(vocab), d)
+    # Tensor shapes are read off an initialization at c=2, d=3 and mapped to
+    # this vocabulary and width, so a corrupt d allocates nothing.
+    probe = backend.init(("a", "b"), 3, np.random.default_rng(0))
+    expected = {k: tuple({2: len(vocab), 3: d}[n] for n in v.shape)
+                for k, v in probe.items()}
     if set(tensors) != set(expected):
         missing = sorted(set(expected) - set(tensors))
         extra = sorted(set(tensors) - set(expected))
@@ -384,14 +380,12 @@ def load_model(path: str | Path, ontology: Ontology | None = None) -> TrainedMod
         batch_size=int(tc.get("batch_size", 1)),
         seed=int(doc.get("seed", 0)),
         d=d,
-        adam_betas=tuple(tc.get("adam_betas", (0.9, 0.999))),
-        adam_eps=float(tc.get("adam_eps", 1e-8)),
     )
     vol = doc.get("volume", {})
     volume = VolumeConfig(beta=float(vol.get("beta", 0.1)),
                           gamma=float(vol.get("gamma", 0.5772156649)),
                           eps=float(vol.get("eps", 1e-30)))
     return TrainedModel(backend=backend_kind,
-                        params=_params_obj(backend_kind, vocab, flat),
+                        params=backend.params_cls.from_flat(vocab, flat),
                         losses=[float(x) for x in doc.get("losses", [])],
                         config=cfg, volume=volume)

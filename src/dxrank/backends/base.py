@@ -54,8 +54,6 @@ class TrainConfig:
     batch_size: int = 16
     seed: int = 0
     d: int = 16
-    adam_betas: tuple[float, float] = (0.9, 0.999)
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.epochs < 0:

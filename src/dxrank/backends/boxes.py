@@ -31,6 +31,9 @@ from .numerics import ParamTree, sigmoid, softmax, softplus, softplus_inv
 
 GAMMA = 0.5772156649
 
+# BoxLMParams' tensors, named as in its flat parameter tree.
+BOX_TENSORS = ("center", "offset_raw", "attn_query", "visit_weight_vec")
+
 
 @dataclass(frozen=True)
 class VolumeConfig:
@@ -90,7 +93,7 @@ class BoxLMParams:
 
     def __post_init__(self):
         object.__setattr__(self, "vocab", tuple(self.vocab))
-        for name in ("center", "offset_raw", "attn_query", "visit_weight_vec"):
+        for name in BOX_TENSORS:
             object.__setattr__(self, name, np.asarray(getattr(self, name), float))
         c, d = len(self.vocab), self.attn_query.shape[-1]
         if self.center.shape != (c, d) or self.offset_raw.shape != (c, d):
@@ -110,22 +113,11 @@ class BoxLMParams:
         }
 
     def flat(self) -> ParamTree:
-        return {
-            "center": self.center,
-            "offset_raw": self.offset_raw,
-            "attn_query": self.attn_query,
-            "visit_weight_vec": self.visit_weight_vec,
-        }
+        return {name: getattr(self, name) for name in BOX_TENSORS}
 
     @classmethod
     def from_flat(cls, vocab: Sequence[str], flat: ParamTree) -> BoxLMParams:
-        return cls(
-            vocab=tuple(vocab),
-            center=flat["center"],
-            offset_raw=flat["offset_raw"],
-            attn_query=flat["attn_query"],
-            visit_weight_vec=flat["visit_weight_vec"],
-        )
+        return cls(vocab=tuple(vocab), **{name: flat[name] for name in BOX_TENSORS})
 
 
 # ---------------------------------------------------------------------------

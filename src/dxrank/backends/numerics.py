@@ -80,6 +80,10 @@ def bce_with_logits_grad(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 ParamTree = dict[str, np.ndarray]
 
+# Adam's moment decay rates and denominator guard; model.json records them.
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
 
 def zeros_like_tree(params: ParamTree) -> ParamTree:
     return {k: np.zeros_like(v) for k, v in params.items()}
@@ -101,11 +105,9 @@ def adam_step(
     grads: ParamTree,
     state: AdamState,
     lr: float,
-    betas: tuple[float, float] = (0.9, 0.999),
-    eps: float = 1e-8,
 ) -> None:
     """One Adam update, mutating params and state in place."""
-    b1, b2 = betas
+    b1, b2 = ADAM_BETAS
     state.step += 1
     t = state.step
     for k in params:
@@ -114,4 +116,4 @@ def adam_step(
         state.v[k] = b2 * state.v[k] + (1.0 - b2) * g * g
         m_hat = state.m[k] / (1.0 - b1**t)
         v_hat = state.v[k] / (1.0 - b2**t)
-        params[k] = params[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        params[k] = params[k] - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)

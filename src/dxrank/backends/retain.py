@@ -15,6 +15,9 @@ from .base import BackendError, EncodedInstance, LogitVector, encode_instance, v
 from .numerics import ParamTree, sigmoid, softmax, softmax_vjp
 
 GRU_FIELDS = ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h")
+GRU_BLOCKS = ("rnn_alpha", "rnn_beta")
+# RetainParams' tensors outside its GRU blocks, named as in its flat tree.
+RETAIN_TENSORS = ("embed", "w_alpha", "W_beta", "W_o", "b_o")
 
 
 @dataclass(frozen=True)
@@ -57,7 +60,7 @@ class RetainParams:
 
     def __post_init__(self):
         object.__setattr__(self, "vocab", tuple(self.vocab))
-        for name in ("embed", "w_alpha", "W_beta", "W_o", "b_o"):
+        for name in RETAIN_TENSORS:
             object.__setattr__(self, name, np.asarray(getattr(self, name), float))
         r = len(self.vocab)
         d = self.w_alpha.shape[0]
@@ -80,32 +83,20 @@ class RetainParams:
         return int(self.w_alpha.shape[0])
 
     def flat(self) -> ParamTree:
-        out: ParamTree = {"embed": self.embed}
-        for prefix, block in (("rnn_alpha", self.rnn_alpha), ("rnn_beta", self.rnn_beta)):
+        out: ParamTree = {name: getattr(self, name) for name in RETAIN_TENSORS}
+        for prefix in GRU_BLOCKS:
             for name in GRU_FIELDS:
-                out[f"{prefix}/{name}"] = getattr(block, name)
-        out.update(
-            {"w_alpha": self.w_alpha, "W_beta": self.W_beta,
-             "W_o": self.W_o, "b_o": self.b_o}
-        )
+                out[f"{prefix}/{name}"] = getattr(getattr(self, prefix), name)
         return out
 
     @classmethod
     def from_flat(cls, vocab: Sequence[str], flat: ParamTree) -> RetainParams:
         blocks = {
             prefix: GruParams(**{n: flat[f"{prefix}/{n}"] for n in GRU_FIELDS})
-            for prefix in ("rnn_alpha", "rnn_beta")
+            for prefix in GRU_BLOCKS
         }
-        return cls(
-            vocab=tuple(vocab),
-            embed=flat["embed"],
-            rnn_alpha=blocks["rnn_alpha"],
-            rnn_beta=blocks["rnn_beta"],
-            w_alpha=flat["w_alpha"],
-            W_beta=flat["W_beta"],
-            W_o=flat["W_o"],
-            b_o=flat["b_o"],
-        )
+        return cls(vocab=tuple(vocab), **blocks,
+                   **{name: flat[name] for name in RETAIN_TENSORS})
 
 
 def retain_logits(patient: PredictionInstance, params: RetainParams) -> LogitVector:
@@ -235,7 +226,7 @@ def init_retain_params(
     """Seeded init: weights normal(0, 0.1), biases zero."""
     r = len(vocab)
     flat: ParamTree = {"embed": rng.normal(0.0, 0.1, size=(r, d))}
-    for prefix in ("rnn_alpha", "rnn_beta"):
+    for prefix in GRU_BLOCKS:
         for name in GRU_FIELDS:
             if name.startswith("b"):
                 flat[f"{prefix}/{name}"] = np.zeros(d)

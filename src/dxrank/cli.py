@@ -14,28 +14,28 @@ import hashlib
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_args, get_origin, get_type_hints
 
-from .backends import BackendError, LogitVector, TrainConfig, load_model, \
-    save_model, train
+from .backends import BACKENDS, BackendError, LogitVector, TrainConfig, \
+    load_model, save_model, train
 from .backends.boxes import VolumeConfig
-from .ehr import Dataset, DatasetError, Ontology, OntologyError, \
+from .ehr import TASKS, Dataset, DatasetError, Ontology, OntologyError, \
     PredictionInstance, SplitError, build_instances, check_split_ratios, \
     load_dataset, load_ontology, save_dataset, save_ontology, split_patients
 from .evidence import CandidateSet, CooccurrenceMatrix, EvidenceError, \
     RelationalEvidence, build_cooccurrence, extract_relations, \
     load_cooccurrence, prioritize_history, propagate_to_icd, \
     save_cooccurrence, select_candidates
-from .llm import LlmClient, LlmConfig, LlmError
+from .llm import LLM_BACKENDS, LlmClient, LlmConfig, LlmError
 from .metrics import DEFAULT_KS, EvalError, MetricsReport, RunArtifact, \
     RunRecord, compare_ablations, evaluate_run, load_run, metrics_table, \
     save_comparison, save_metrics, save_run
 from .prompting import ABLATION_STAGES, DEFAULT_MAX_PROMPT_CHARS, SC_SAMPLES, \
-    SC_TEMPERATURE, STRATEGIES, TASKS, AblationFlags, PromptOptions, \
-    compose_prompt, load_template, parse_answer, sc_aggregate
-from .synth import ComorbidityRule, SyntheticConfig, generate_synthetic
+    SC_TEMPERATURE, STRATEGIES, AblationFlags, PromptOptions, compose_prompt, \
+    load_template, parse_answer, sc_aggregate
+from .synth import SyntheticConfig, generate_synthetic
 
 EXIT_OK = 0
 EXIT_RUN_FAILURES = 1
@@ -69,7 +69,9 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One config drives every subcommand; unused sections are ignored."""
+    """One config drives every subcommand; unused sections are ignored.
+    The fields, and those of the nested dataclasses, are the whole JSON
+    schema: `config_from_dict` reads it off their type hints."""
 
     seed: int = 0
     split_ratios: tuple[float, float, float] = (0.7, 0.1, 0.2)
@@ -89,145 +91,82 @@ class RunConfig:
     )
 
     def __post_init__(self):
-        object.__setattr__(self, "split_ratios", tuple(self.split_ratios))
         if self.task not in TASKS:
             raise ConfigError(f"unknown task {self.task!r}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
         if self.stage not in ABLATION_STAGES:
             raise ConfigError(f"unknown ablation stage {self.stage!r}")
-        if self.backend not in ("box", "retain"):
+        if self.backend not in BACKENDS:
             raise ConfigError(f"unknown backend {self.backend!r}")
+        if self.beta <= 0:
+            raise ConfigError("beta must be positive")
         if self.k_candidates < 1:
             raise ConfigError("k_candidates must be at least 1")
         if self.max_prompt_chars < 1:
             raise ConfigError("max_prompt_chars must be at least 1")
-        if len(self.split_ratios) != 3:
-            raise ConfigError("split_ratios must be three numbers")
         try:
             check_split_ratios(self.split_ratios)
         except SplitError as exc:
             raise ConfigError(f"split_ratios: {exc}") from None
+        if set(self.eval_ks) - set(TASKS):
+            raise ConfigError(
+                f"unknown eval_ks tasks: {sorted(set(self.eval_ks) - set(TASKS))}")
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "split_ratios": list(self.split_ratios),
-            "backend": self.backend,
-            "beta": self.beta,
-            "k_candidates": self.k_candidates,
-            "task": self.task,
-            "strategy": self.strategy,
-            "stage": self.stage,
-            "max_prompt_chars": self.max_prompt_chars,
-            "template_path": self.template_path,
-            "synth": {
-                "n_patients": self.synth.n_patients,
-                "n_ccs": self.synth.n_ccs,
-                "icd_per_ccs": self.synth.icd_per_ccs,
-                "chronic_rate": self.synth.chronic_rate,
-                "rules": [
-                    {"trigger": r.trigger, "onset": r.onset, "q": r.q}
-                    for r in self.synth.rules
-                ],
-                "visits_range": list(self.synth.visits_range),
-                "codes_per_visit_range": list(self.synth.codes_per_visit_range),
-                "seed": self.synth.seed,
-            },
-            "train": {
-                "epochs": self.train.epochs,
-                "learning_rate": self.train.learning_rate,
-                "batch_size": self.train.batch_size,
-                "seed": self.train.seed,
-                "d": self.train.d,
-            },
-            "llm": {
-                "backend": self.llm.backend,
-                "endpoint_url": self.llm.endpoint_url,
-                "model_name": self.llm.model_name,
-                "temperature": self.llm.temperature,
-                "max_tokens": self.llm.max_tokens,
-                "timeout_ms": self.llm.timeout_ms,
-                "max_retries": self.llm.max_retries,
-                "max_in_flight": self.llm.max_in_flight,
-                "seed": self.llm.seed,
-                "api_key_env": self.llm.api_key_env,
-            },
-            "eval_ks": {t: list(v) for t, v in sorted(self.eval_ks.items())},
-        }
+    to_dict = asdict
 
 
-_TOP_KEYS = frozenset(
-    (
-        "seed", "split_ratios", "backend", "beta", "k_candidates", "task",
-        "strategy", "stage", "max_prompt_chars", "template_path",
-        "synth", "train", "llm", "eval_ks",
-    )
-)
+def _parse_value(hint, value, where: str):
+    """Check one JSON value against a field's type hint, turning arrays
+    into tuples and objects into dataclasses. Integers are valid floats and
+    keep their JSON spelling, so fingerprints follow the document."""
+    if is_dataclass(hint):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where} must be an object, got {value!r}")
+        return _build(hint, value, where)
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where} must be an array, got {value!r}")
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise ConfigError(f"{where} must have {len(args)} items, got {len(value)}")
+        return tuple(_parse_value(a, v, f"{where}[{i}]")
+                     for i, (a, v) in enumerate(zip(args, value)))
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where} must be an object, got {value!r}")
+        return {k: _parse_value(args[1], v, f"{where}.{k}") for k, v in value.items()}
+    allowed = (int, float) if hint is float else hint
+    if not isinstance(value, allowed) or isinstance(value, bool):
+        raise ConfigError(f"{where} must be {hint.__name__}, got {value!r}")
+    return value
 
 
-def _sub_config(cls, doc: dict, label: str, allowed: Sequence[str]):
-    unknown = set(doc) - set(allowed)
+def _build(cls, doc: dict, where: str = ""):
+    """Build dataclass `cls` from a JSON object, rejecting unknown keys,
+    missing required fields and values of the wrong JSON type."""
+    label = where or "config"
+    hints = get_type_hints(cls)
+    unknown = set(doc) - set(hints)
     if unknown:
         raise ConfigError(f"unknown {label} keys: {sorted(unknown)}")
+    missing = [f.name for f in fields(cls) if f.name not in doc
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigError(f"{label} is missing {missing}")
     try:
-        return cls(**doc)
+        return cls(**{k: _parse_value(hints[k], v, f"{where}.{k}" if where else k)
+                      for k, v in doc.items()})
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"bad {label} section: {exc}") from None
 
 
 def config_from_dict(doc: dict) -> RunConfig:
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    kwargs: dict = {
-        k: doc[k]
-        for k in (
-            "seed", "backend", "beta", "k_candidates", "task", "strategy",
-            "stage", "max_prompt_chars", "template_path",
-        )
-        if k in doc
-    }
-    if "split_ratios" in doc:
-        kwargs["split_ratios"] = tuple(doc["split_ratios"])
-    if "synth" in doc:
-        synth_doc = dict(doc["synth"])
-        if "rules" in synth_doc:
-            synth_doc["rules"] = tuple(
-                ComorbidityRule(r["trigger"], r["onset"], r["q"])
-                for r in synth_doc["rules"]
-            )
-        for key in ("visits_range", "codes_per_visit_range"):
-            if key in synth_doc:
-                synth_doc[key] = tuple(synth_doc[key])
-        kwargs["synth"] = _sub_config(
-            SyntheticConfig, synth_doc, "synth",
-            ("n_patients", "n_ccs", "icd_per_ccs", "chronic_rate", "rules",
-             "visits_range", "codes_per_visit_range", "seed"),
-        )
-    if "train" in doc:
-        kwargs["train"] = _sub_config(
-            TrainConfig, dict(doc["train"]), "train",
-            ("epochs", "learning_rate", "batch_size", "seed", "d"),
-        )
-    if "llm" in doc:
-        kwargs["llm"] = _sub_config(
-            LlmConfig, dict(doc["llm"]), "llm",
-            ("backend", "endpoint_url", "model_name", "temperature",
-             "max_tokens", "timeout_ms", "max_retries", "max_in_flight",
-             "seed", "api_key_env"),
-        )
-    if "eval_ks" in doc:
-        ks = {t: tuple(int(k) for k in v) for t, v in doc["eval_ks"].items()}
-        if set(ks) - set(TASKS):
-            raise ConfigError(f"unknown eval_ks tasks: {sorted(set(ks) - set(TASKS))}")
-        kwargs["eval_ks"] = ks
-    try:
-        return RunConfig(**kwargs)
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from None
+    return _build(RunConfig, doc)
 
 
 def fingerprint_config(cfg: RunConfig) -> str:
@@ -235,39 +174,41 @@ def fingerprint_config(cfg: RunConfig) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
+# Each CLI flag (its argparse dest) and the config paths it overrides.
+_OVERRIDES: dict[str, tuple[str, ...]] = {
+    "seed": ("seed", "synth.seed", "train.seed", "llm.seed"),
+    "backend": ("backend",),
+    "task": ("task",),
+    "strategy": ("strategy",),
+    "stage": ("stage",),
+    "k": ("k_candidates",),
+    "template": ("template_path",),
+    "max_prompt_chars": ("max_prompt_chars",),
+    "n_patients": ("synth.n_patients",),
+    "n_ccs": ("synth.n_ccs",),
+    "epochs": ("train.epochs",),
+    "d": ("train.d",),
+    "learning_rate": ("train.learning_rate",),
+    "llm_backend": ("llm.backend",),
+}
+
+
 def _apply_overrides(doc: dict, args: argparse.Namespace) -> None:
     """Fold CLI flags into the config document before validation, so the
     resolved config on disk reflects exactly what ran."""
-    if getattr(args, "seed", None) is not None:
-        doc["seed"] = args.seed
-        doc.setdefault("synth", {})["seed"] = args.seed
-        doc.setdefault("train", {})["seed"] = args.seed
-        doc.setdefault("llm", {})["seed"] = args.seed
-    direct = {
-        "backend": "backend",
-        "task": "task",
-        "strategy": "strategy",
-        "stage": "stage",
-        "k": "k_candidates",
-        "template": "template_path",
-        "max_prompt_chars": "max_prompt_chars",
-    }
-    for attr, key in direct.items():
+    for attr, paths in _OVERRIDES.items():
         value = getattr(args, attr, None)
-        if value is not None:
-            doc[key] = value
-    if getattr(args, "n_patients", None) is not None:
-        doc.setdefault("synth", {})["n_patients"] = args.n_patients
-    if getattr(args, "n_ccs", None) is not None:
-        doc.setdefault("synth", {})["n_ccs"] = args.n_ccs
-    if getattr(args, "epochs", None) is not None:
-        doc.setdefault("train", {})["epochs"] = args.epochs
-    if getattr(args, "d", None) is not None:
-        doc.setdefault("train", {})["d"] = args.d
-    if getattr(args, "learning_rate", None) is not None:
-        doc.setdefault("train", {})["learning_rate"] = args.learning_rate
-    if getattr(args, "llm_backend", None) is not None:
-        doc.setdefault("llm", {})["backend"] = args.llm_backend
+        if value is None:
+            continue
+        for path in paths:
+            *sections, key = path.split(".")
+            target = doc
+            for name in sections:
+                target = target.setdefault(name, {})
+            # A section that is not an object is rejected when the config
+            # is built.
+            if isinstance(target, dict):
+                target[key] = value
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
@@ -366,13 +307,12 @@ def predict_record(
     )
     # The plain strategy disables every evidence mechanism regardless of stage.
     flags = options.effective_flags
-    mode = "novel" if cfg.task == "novel" else "overall"
     history = instance.history_ccs
 
     if flags.candidates:
-        candidates = select_candidates(logits, k, mode, history)
+        candidates = select_candidates(logits, k, cfg.task, history)
     else:
-        candidates = _neutral_candidates(logits.vocab, mode, history)
+        candidates = _neutral_candidates(logits.vocab, cfg.task, history)
 
     if flags.prioritization:
         ordered = prioritize_history(history, logits)
@@ -442,7 +382,11 @@ def load_prediction_inputs(
     """Load the artifacts that runs of `stages` need; co-occurrence counts
     only if one of them uses relational evidence."""
     dataset, ontology = _load_data(out_dir)
-    model = _load(load_model, out_dir / MODEL_FILE, "train", ontology)
+    model_path = out_dir / MODEL_FILE
+    model = _load(load_model, model_path, "train", ontology)
+    if model.backend != cfg.backend:
+        raise ConfigError(f"{model_path}: model has backend {model.backend!r}, "
+                          f"config has {cfg.backend!r}")
     cooc = None
     if cfg.strategy != "plain" and any(
         AblationFlags.for_stage(stage).relations for stage in stages
@@ -623,6 +567,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON config file")
     common.add_argument("--seed", type=int, help="override every seed in the config")
     common.add_argument("--out", default="runs", help="artifact directory")
+    # Flags of every command that runs the re-ranker.
+    ranking = argparse.ArgumentParser(add_help=False, parents=[common])
+    ranking.add_argument("--task", choices=TASKS)
+    ranking.add_argument("--llm-backend", choices=LLM_BACKENDS)
 
     parser = argparse.ArgumentParser(
         prog="dxrank",
@@ -638,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", parents=[common],
                        help="train a scorer on the train split")
-    p.add_argument("--backend", choices=("box", "retain"))
+    p.add_argument("--backend", choices=tuple(BACKENDS))
     p.add_argument("--epochs", type=int)
     p.add_argument("--d", type=int)
     p.add_argument("--learning-rate", type=float)
@@ -648,13 +596,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="build co-occurrence counts on the train split")
     p.set_defaults(handler=cmd_cooc)
 
-    p = sub.add_parser("predict", parents=[common],
+    p = sub.add_parser("predict", parents=[ranking],
                        help="run the re-ranking pipeline on the test split")
     p.add_argument("--k", type=int, help="candidate list size")
-    p.add_argument("--task", choices=TASKS)
     p.add_argument("--strategy", choices=STRATEGIES)
     p.add_argument("--stage", choices=ABLATION_STAGES)
-    p.add_argument("--llm-backend", choices=("remote", "mock_echo", "mock_evidence"))
     p.add_argument("--template", help="prompt template file")
     p.add_argument("--max-prompt-chars", type=int)
     p.set_defaults(handler=cmd_predict)
@@ -663,18 +609,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run", help=f"run file name (default {RUN_FILE})")
     p.set_defaults(handler=cmd_eval)
 
-    p = sub.add_parser("ablate", parents=[common],
+    p = sub.add_parser("ablate", parents=[ranking],
                        help="run and score every ablation stage")
     p.add_argument("--k", type=int)
-    p.add_argument("--task", choices=TASKS)
-    p.add_argument("--llm-backend", choices=("remote", "mock_echo", "mock_evidence"))
     p.set_defaults(handler=cmd_ablate)
 
-    p = sub.add_parser("sweep-k", parents=[common],
+    p = sub.add_parser("sweep-k", parents=[ranking],
                        help="sweep the candidate list size")
-    p.add_argument("--task", choices=TASKS)
     p.add_argument("--stage", choices=ABLATION_STAGES)
-    p.add_argument("--llm-backend", choices=("remote", "mock_echo", "mock_evidence"))
     p.set_defaults(handler=cmd_sweep_k)
 
     return parser

@@ -15,6 +15,10 @@ from typing import Iterable
 
 import numpy as np
 
+# The two prediction tasks: every next-visit code, or only codes absent from
+# the history. Candidate selection uses the same names for its modes.
+TASKS = ("overall", "novel")
+
 
 class OntologyError(ValueError):
     """Raised for malformed or inconsistent ontology inputs."""

@@ -10,12 +10,11 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .backends import LogitVector
-from .ehr import Dataset, Ontology, Visit
+from .ehr import TASKS, Dataset, Ontology, Visit
 
 UNMAPPED_GROUP = "unmapped"
 
-CandidateMode = str  # "overall" | "novel"
-MODES = ("overall", "novel")
+CandidateMode = str  # one of ehr.TASKS
 
 
 class EvidenceError(ValueError):
@@ -145,7 +144,7 @@ class CandidateSet:
         object.__setattr__(
             self, "entries", tuple((c, float(s)) for c, s in self.entries)
         )
-        if self.mode not in MODES:
+        if self.mode not in TASKS:
             raise EvidenceError(f"unknown candidate mode {self.mode!r}")
         if self.K < 1:
             raise EvidenceError("K must be at least 1")
@@ -170,7 +169,7 @@ def select_candidates(
     cut, so the set stays at K when enough codes remain."""
     if K < 1:
         raise EvidenceError("K must be at least 1")
-    if mode not in MODES:
+    if mode not in TASKS:
         raise EvidenceError(f"unknown candidate mode {mode!r}")
     scores = logits.as_dict()
     pool = logits.vocab

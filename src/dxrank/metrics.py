@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-TASKS = ("overall", "novel")
+from .ehr import TASKS
+
 METRICS = ("visit_precision", "code_accuracy")
 
 DEFAULT_KS: dict[str, tuple[int, ...]] = {"overall": (10, 20), "novel": (5, 10)}
@@ -75,20 +76,9 @@ def save_run(artifact: RunArtifact, path: str | Path) -> None:
         }
         fh.write(json.dumps(meta, sort_keys=True) + "\n")
         for rec in sorted(artifact.records, key=lambda r: r.patient_id):
-            obj = {
-                "kind": "record",
-                "patient_id": rec.patient_id,
-                "prompt": rec.prompt,
-                "raw_text": rec.raw_text,
-                "ranked": list(rec.ranked),
-                "candidates": list(rec.candidates),
-                "target_overall": list(rec.target_overall),
-                "target_novel": list(rec.target_novel),
-                "history_ccs": list(rec.history_ccs),
-                "matched_count": rec.matched_count,
-                "error": rec.error,
-            }
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+            # A shallow copy: `asdict` deep-copies every string, 4x the time.
+            obj = {f.name: getattr(rec, f.name) for f in fields(rec)}
+            fh.write(json.dumps({"kind": "record", **obj}, sort_keys=True) + "\n")
 
 
 def load_run(path: str | Path) -> RunArtifact:

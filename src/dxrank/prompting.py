@@ -13,7 +13,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .ehr import Ontology, PredictionInstance
+from .ehr import TASKS, Ontology, PredictionInstance
 from .evidence import (
     UNMAPPED_GROUP,
     CandidateSet,
@@ -21,7 +21,6 @@ from .evidence import (
     RelationalEvidence,
 )
 
-TASKS = ("overall", "novel")
 STRATEGIES = ("evidence", "plain", "cot", "sc")
 
 SC_SAMPLES = 3
@@ -152,8 +151,7 @@ def build_prompt_spec(
     is rendered grouped and logit-ordered only when prioritization is on.
     """
     flags = options.effective_flags
-    want_mode = "novel" if options.task == "novel" else "overall"
-    if candidates.mode != want_mode:
+    if candidates.mode != options.task:
         raise PromptError(
             f"task {options.task!r} given {candidates.mode!r}-mode candidates"
         )

@@ -49,6 +49,7 @@ class SyntheticConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "rules", tuple(self.rules))
+        self.validate()
 
     def validate(self) -> None:
         if self.n_patients < 0:
@@ -111,7 +112,6 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[Dataset, Ontology]:
     trigger), and each later visit keeps chronic survivors, adds fired rule
     onsets, and tops up with fresh uniform codes to the visit size.
     """
-    cfg.validate()
     ontology = _build_ontology(cfg)
     vocab = ccs_vocabulary(cfg.n_ccs)
     rng = np.random.default_rng(cfg.seed)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import argparse
 import json
 import threading
+from dataclasses import fields, is_dataclass
 
 import pytest
 
@@ -23,14 +25,16 @@ from dxrank.cli import (
     SWEEP_KS,
     ConfigError,
     RunConfig,
+    build_parser,
     config_from_dict,
     fingerprint_config,
     main,
 )
 from dxrank.ehr import build_instances, load_dataset, load_ontology, split_patients
 from dxrank.evidence import load_cooccurrence
-from dxrank.backends import TrainedModel
-from dxrank.llm import LlmClient, LlmError, derive_seed, mock_evidence_aware
+from dxrank.backends import BACKENDS, TrainedModel
+from dxrank.llm import LLM_BACKENDS, LlmClient, LlmError, derive_seed, \
+    mock_evidence_aware
 from dxrank.metrics import load_metrics, load_run
 
 SMALL_CFG = {
@@ -141,6 +145,40 @@ class TestConfigFromDict:
     def test_defaults_construct(self):
         assert RunConfig().stage == "relational"
 
+    def test_default_fingerprint_pinned(self):
+        assert fingerprint_config(RunConfig()) == "9cb5f6da71c1e534"
+
+    def test_to_dict_keys_are_the_field_names(self):
+        def check(obj, doc):
+            if is_dataclass(obj):
+                assert set(doc) == {f.name for f in fields(obj)}, type(obj)
+                for f in fields(obj):
+                    check(getattr(obj, f.name), doc[f.name])
+            elif isinstance(obj, tuple):
+                for item, sub in zip(obj, doc, strict=True):
+                    check(item, sub)
+
+        cfg = config_from_dict({"synth": {"n_ccs": 10, "rules": [
+            {"trigger": "CCS-001", "onset": "CCS-002", "q": 0.8}]}})
+        check(cfg, cfg.to_dict())
+
+
+def _choices(command, flag):
+    parser = build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    return next(a.choices for a in commands[command]._actions
+                if flag in a.option_strings)
+
+
+class TestParserChoices:
+    def test_backend_choices_are_the_registry(self):
+        assert set(_choices("train", "--backend")) == set(BACKENDS)
+
+    @pytest.mark.parametrize("command", ["predict", "ablate", "sweep-k"])
+    def test_llm_backend_choices(self, command):
+        assert set(_choices(command, "--llm-backend")) == set(LLM_BACKENDS)
+
 
 class TestMainErrors:
     def test_missing_config_file(self, tmp_path):
@@ -187,6 +225,37 @@ class TestInputErrors:
         for command in commands:
             assert cli(command, cfg_path, out) == EXIT_OK, command
         return cfg_path, out
+
+    @pytest.mark.parametrize("command, doc", [
+        ("synth", {"synth": {"rules": [{"trigger": "CCS001"}]}}),
+        ("synth", {"eval_ks": {"novel": ["x"]}}),
+        ("synth", {"eval_ks": {"novel": ["5"]}}),
+        ("synth", {"k_candidates": "5"}),
+        ("synth", {"synth": 5}),
+        ("synth", {"train": {"epochs": "3"}}),
+        ("synth", {"split_ratios": 5}),
+        ("synth", {"synth": {"n_ccs": 0}}),
+        ("train", {"beta": -1}),
+    ])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, command, doc):
+        _, out = self._prepared(tmp_path, ("synth",))
+        bad = write_cfg(tmp_path, doc, name="bad.json")
+        capsys.readouterr()
+        assert cli(command, bad, out, "--seed", "1") == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+    def test_backend_mismatch_rejected(self, tmp_path, capsys):
+        cfg_path, out = self._prepared(tmp_path)
+        bad = write_cfg(tmp_path, dict(SMALL_CFG, backend="retain"), name="bad.json")
+        capsys.readouterr()
+        for command in ("predict", "ablate", "sweep-k"):
+            assert cli(command, bad, out) == EXIT_BAD_CONFIG, command
+            err = capsys.readouterr().err.strip()
+            assert len(err.splitlines()) == 1, err
+            assert MODEL_FILE in err and "'retain'" in err, err
+        assert not (out / RUN_FILE).exists()
+        assert not (out / "config_predict.json").exists()
 
     def test_split_ratios_must_sum_to_one(self, tmp_path, capsys):
         cfg_path, out = self._prepared(tmp_path, ("synth",))

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import dxrank.backends as backends_module
 from dxrank.backends import (
     BackendError,
     TrainConfig,
@@ -79,6 +80,34 @@ class TestTrainLoop:
         np.testing.assert_array_equal(via_model.scores, direct.scores)
 
 
+class TestRegistry:
+    @pytest.mark.parametrize("kind, kernels", [
+        ("box", ("box_forward", "box_backward", "boxlm_logits")),
+        ("retain", ("retain_forward", "retain_backward", "retain_logits")),
+    ])
+    def test_kernels_looked_up_at_call_time(self, data, monkeypatch, kind, kernels):
+        """Training and inference reach each scorer kernel through its name
+        in dxrank.backends, so a wrapper installed there sees every call."""
+        ds, onto = data
+        calls = dict.fromkeys(kernels, 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in kernels:
+            monkeypatch.setattr(backends_module, name,
+                                counted(name, getattr(backends_module, name)))
+        forward, backward, logits = kernels
+        model = train(kind, ds, onto, TrainConfig(epochs=1, d=4, seed=0))
+        assert calls[forward] > calls[backward] > 0
+        assert calls[logits] == 0
+        infer_logits(kind, model.params, build_instances(ds)[0], model.volume)
+        assert calls[logits] == 1
+
+
 class TestSerialization:
     @pytest.mark.parametrize("kind", ["box", "retain"])
     def test_round_trip_preserves_logits(self, data, tmp_path, kind):
@@ -117,13 +146,28 @@ class TestSerialization:
 
     def test_tampered_tensor_shape_rejected(self, data, tmp_path):
         ds, onto = data
-        model = train("box", ds, onto, TrainConfig(epochs=0, d=4))
+        for kind, key in (("box", "attn_query"), ("retain", "rnn_beta/b_z")):
+            model = train(kind, ds, onto, TrainConfig(epochs=0, d=4))
+            path = tmp_path / f"{kind}.json"
+            save_model(model, path)
+            doc = json.loads(path.read_text())
+            doc["tensors"][key] = [0.0, 0.0]
+            path.write_text(json.dumps(doc))
+            with pytest.raises(BackendError, match=f"tensor {key} has shape"):
+                load_model(path, onto)
+
+    @pytest.mark.parametrize("kind", ["box", "retain"])
+    def test_tampered_width_rejected(self, data, tmp_path, kind):
+        """A corrupt d is a shape mismatch; checking it allocates nothing
+        of that width."""
+        ds, onto = data
+        model = train(kind, ds, onto, TrainConfig(epochs=0, d=4))
         path = tmp_path / "m.json"
         save_model(model, path)
         doc = json.loads(path.read_text())
-        doc["tensors"]["attn_query"] = [0.0, 0.0]
+        doc["d"] = 10**12
         path.write_text(json.dumps(doc))
-        with pytest.raises(BackendError):
+        with pytest.raises(BackendError, match="has shape"):
             load_model(path, onto)
 
     def test_non_finite_tensor_rejected(self, data, tmp_path):
