@@ -336,56 +336,60 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
 
 def load_model(path: str | Path, ontology: Ontology | None = None) -> TrainedModel:
     """Load a serialized model, validating tensor shapes and values (and, if
-    an ontology is given, the vocabulary) before use."""
+    an ontology is given, the vocabulary) before use. Every defect, a value
+    of the wrong JSON type included, raises BackendError."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise BackendError(f"model file is not valid JSON: {exc}") from None
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise BackendError(f"unsupported params format {doc.get('format_version')!r}")
-    backend_kind = doc.get("backend")
-    backend = _backend(backend_kind)
-    try:
+        if doc.get("format_version") != FORMAT_VERSION:
+            raise BackendError(f"unsupported params format {doc.get('format_version')!r}")
+        backend_kind = doc.get("backend")
+        backend = _backend(backend_kind)
         vocab = tuple(doc["vocab"])
         d = int(doc["d"])
         tensors = doc["tensors"]
+        if ontology is not None and vocab != ontology.ccs_codes:
+            raise BackendError("model vocabulary does not match the ontology")
+
+        # Tensor shapes are read off an initialization at c=2, d=3 and mapped
+        # to this vocabulary and width, so a corrupt d allocates nothing.
+        probe = backend.init(("a", "b"), 3, np.random.default_rng(0))
+        expected = {k: tuple({2: len(vocab), 3: d}[n] for n in v.shape)
+                    for k, v in probe.items()}
+        if set(tensors) != set(expected):
+            missing = sorted(set(expected) - set(tensors))
+            extra = sorted(set(tensors) - set(expected))
+            raise BackendError(f"tensor keys mismatch (missing {missing}, extra {extra})")
+        flat: ParamTree = {}
+        for key, want in expected.items():
+            arr = np.asarray(tensors[key], dtype=float)
+            if arr.shape != want:
+                raise BackendError(f"tensor {key} has shape {arr.shape}, expected {want}")
+            if not np.all(np.isfinite(arr)):
+                raise BackendError(f"tensor {key} has non-finite values")
+            flat[key] = arr
+
+        tc = doc.get("train_config", {})
+        cfg = TrainConfig(
+            epochs=int(tc.get("epochs", 0)),
+            learning_rate=float(tc.get("learning_rate", 0.0)),
+            batch_size=int(tc.get("batch_size", 1)),
+            seed=int(doc.get("seed", 0)),
+            d=d,
+        )
+        vol = doc.get("volume", {})
+        volume = VolumeConfig(beta=float(vol.get("beta", 0.1)),
+                              gamma=float(vol.get("gamma", 0.5772156649)),
+                              eps=float(vol.get("eps", 1e-30)))
+        return TrainedModel(backend=backend_kind,
+                            params=backend.params_cls.from_flat(vocab, flat),
+                            losses=[float(x) for x in doc.get("losses", [])],
+                            config=cfg, volume=volume)
+    except BackendError:
+        raise
+    except json.JSONDecodeError as exc:
+        raise BackendError(f"model file is not valid JSON: {exc}") from None
     except KeyError as exc:
         raise BackendError(f"model file has no {exc.args[0]!r} entry") from None
-    if ontology is not None and vocab != ontology.ccs_codes:
-        raise BackendError("model vocabulary does not match the ontology")
-
-    # Tensor shapes are read off an initialization at c=2, d=3 and mapped to
-    # this vocabulary and width, so a corrupt d allocates nothing.
-    probe = backend.init(("a", "b"), 3, np.random.default_rng(0))
-    expected = {k: tuple({2: len(vocab), 3: d}[n] for n in v.shape)
-                for k, v in probe.items()}
-    if set(tensors) != set(expected):
-        missing = sorted(set(expected) - set(tensors))
-        extra = sorted(set(tensors) - set(expected))
-        raise BackendError(f"tensor keys mismatch (missing {missing}, extra {extra})")
-    flat: ParamTree = {}
-    for key, want in expected.items():
-        arr = np.asarray(tensors[key], dtype=float)
-        if arr.shape != want:
-            raise BackendError(f"tensor {key} has shape {arr.shape}, expected {want}")
-        if not np.all(np.isfinite(arr)):
-            raise BackendError(f"tensor {key} has non-finite values")
-        flat[key] = arr
-
-    tc = doc.get("train_config", {})
-    cfg = TrainConfig(
-        epochs=int(tc.get("epochs", 0)),
-        learning_rate=float(tc.get("learning_rate", 0.0)),
-        batch_size=int(tc.get("batch_size", 1)),
-        seed=int(doc.get("seed", 0)),
-        d=d,
-    )
-    vol = doc.get("volume", {})
-    volume = VolumeConfig(beta=float(vol.get("beta", 0.1)),
-                          gamma=float(vol.get("gamma", 0.5772156649)),
-                          eps=float(vol.get("eps", 1e-30)))
-    return TrainedModel(backend=backend_kind,
-                        params=backend.params_cls.from_flat(vocab, flat),
-                        losses=[float(x) for x in doc.get("losses", [])],
-                        config=cfg, volume=volume)
+    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
+        raise BackendError(f"malformed model file: {exc}") from None

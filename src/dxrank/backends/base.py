@@ -9,10 +9,11 @@ from typing import Sequence
 
 import numpy as np
 
+from .. import InputError
 from ..ehr import PredictionInstance
 
 
-class BackendError(ValueError):
+class BackendError(InputError):
     """Raised for shape mismatches, unknown codes, or bad backend kinds."""
 
 

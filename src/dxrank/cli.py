@@ -3,9 +3,10 @@ co-occurrence evidence, run the LLM re-ranker, and score the results.
 
 All subcommands share one output directory; each writes its resolved
 configuration next to its artifacts so a run can be reproduced from the
-directory alone. Exit codes: 0 on success, 1 when more than 10% of
-prediction instances failed, 2 for invalid configuration or a missing or
-corrupt input artifact.
+directory alone. Exit codes: 0 on success, 1 only when more than 10% of
+prediction instances failed, 2 for any config, flag or input file the
+pipeline cannot read or parse (non-UTF-8 bytes and bad prompt-template
+placeholders included).
 """
 from __future__ import annotations
 
@@ -18,19 +19,20 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Sequence, get_args, get_origin, get_type_hints
 
-from .backends import BACKENDS, BackendError, LogitVector, TrainConfig, \
-    load_model, save_model, train
+from . import InputError
+from .backends import BACKENDS, LogitVector, TrainConfig, load_model, \
+    save_model, train
 from .backends.boxes import VolumeConfig
-from .ehr import TASKS, Dataset, DatasetError, Ontology, OntologyError, \
-    PredictionInstance, SplitError, build_instances, check_split_ratios, \
-    load_dataset, load_ontology, save_dataset, save_ontology, split_patients
-from .evidence import CandidateSet, CooccurrenceMatrix, EvidenceError, \
+from .ehr import TASKS, Dataset, Ontology, PredictionInstance, \
+    build_instances, check_split_ratios, load_dataset, load_ontology, \
+    save_dataset, save_ontology, split_patients
+from .evidence import CandidateSet, CooccurrenceMatrix, PrioritizedHistory, \
     RelationalEvidence, build_cooccurrence, extract_relations, \
     load_cooccurrence, prioritize_history, propagate_to_icd, \
     save_cooccurrence, select_candidates
 from .llm import LLM_BACKENDS, LlmClient, LlmConfig, LlmError
-from .metrics import DEFAULT_KS, EvalError, MetricsReport, RunArtifact, \
-    RunRecord, compare_ablations, evaluate_run, load_run, metrics_table, \
+from .metrics import DEFAULT_KS, MetricsReport, RunArtifact, RunRecord, \
+    compare_ablations, evaluate_run, load_run, metrics_table, \
     save_comparison, save_metrics, save_run
 from .prompting import ABLATION_STAGES, DEFAULT_MAX_PROMPT_CHARS, SC_SAMPLES, \
     SC_TEMPERATURE, STRATEGIES, AblationFlags, PromptOptions, compose_prompt, \
@@ -58,8 +60,8 @@ ABLATION_FILE = "ablation.csv"
 SWEEP_FILE = "sweep_k.csv"
 
 
-class ConfigError(ValueError):
-    """Raised for malformed configs or missing input artifacts."""
+class ConfigError(InputError):
+    """Raised for malformed configs, and for unusable input files with their path."""
 
 
 # ---------------------------------------------------------------------------
@@ -105,10 +107,7 @@ class RunConfig:
             raise ConfigError("k_candidates must be at least 1")
         if self.max_prompt_chars < 1:
             raise ConfigError("max_prompt_chars must be at least 1")
-        try:
-            check_split_ratios(self.split_ratios)
-        except SplitError as exc:
-            raise ConfigError(f"split_ratios: {exc}") from None
+        check_split_ratios(self.split_ratios)
         if set(self.eval_ks) - set(TASKS):
             raise ConfigError(
                 f"unknown eval_ks tasks: {sorted(set(self.eval_ks) - set(TASKS))}")
@@ -161,8 +160,8 @@ def _build(cls, doc: dict, where: str = ""):
                       for k, v in doc.items()})
     except ConfigError:
         raise
-    except ValueError as exc:
-        raise ConfigError(f"bad {label} section: {exc}") from None
+    except InputError as exc:
+        raise ConfigError(f"{label}: {exc}") from None
 
 
 def config_from_dict(doc: dict) -> RunConfig:
@@ -214,13 +213,12 @@ def _apply_overrides(doc: dict, args: argparse.Namespace) -> None:
 def load_config(args: argparse.Namespace) -> RunConfig:
     doc: dict = {}
     if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
         try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
+            doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config {args.config}: {exc}") from None
         if not isinstance(doc, dict):
             raise ConfigError("config root must be a JSON object")
     _apply_overrides(doc, args)
@@ -241,36 +239,22 @@ def write_resolved_config(cfg: RunConfig, out_dir: Path, command: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _require(path: Path, hint: str) -> Path:
-    if not path.exists():
-        raise ConfigError(f"missing artifact {path} (run `dxrank {hint}` first)")
-    return path
-
-
-# What the artifact loaders raise for a file they cannot use.
-_ARTIFACT_ERRORS = (DatasetError, OntologyError, BackendError, EvidenceError,
-                    EvalError)
-
-
-def _load(loader, path: Path, hint: str, *args):
-    """Read one input artifact; a missing or corrupt file is an input error."""
+def _load(loader, path: Path, source: str, *args):
+    """Read one input file. A missing, unreadable or malformed file is an
+    input error that names it; `source` says where the file comes from."""
     try:
-        return loader(_require(path, hint), *args)
-    except _ARTIFACT_ERRORS as exc:
+        return loader(path, *args)
+    except FileNotFoundError:
+        raise ConfigError(f"missing {path} ({source})") from None
+    except (InputError, OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
 def _load_data(out_dir: Path) -> tuple[Dataset, Ontology]:
-    ontology = _load(load_ontology, out_dir / ONTOLOGY_FILE, "synth")
-    dataset = _load(load_dataset, out_dir / DATASET_FILE, "synth", ontology)
+    ontology = _load(load_ontology, out_dir / ONTOLOGY_FILE, "run `dxrank synth` first")
+    dataset = _load(load_dataset, out_dir / DATASET_FILE, "run `dxrank synth` first",
+                    ontology)
     return dataset, ontology
-
-
-def _splits(cfg: RunConfig, dataset: Dataset) -> tuple[Dataset, Dataset, Dataset]:
-    try:
-        return split_patients(dataset, cfg.split_ratios, cfg.seed)
-    except SplitError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _neutral_candidates(
@@ -314,13 +298,11 @@ def predict_record(
     else:
         candidates = _neutral_candidates(logits.vocab, cfg.task, history)
 
+    # Without prioritization the prompt lists raw history, not ICD groups.
+    prioritized = PrioritizedHistory(groups=())
     if flags.prioritization:
         ordered = prioritize_history(history, logits)
         prioritized = propagate_to_icd(ordered, instance.input_visits, ontology, logits)
-    else:
-        prioritized = propagate_to_icd(
-            sorted(history), instance.input_visits, ontology
-        )
     if flags.relations:
         if cooc is None:
             raise ConfigError("relational stage requires co-occurrence counts")
@@ -383,7 +365,7 @@ def load_prediction_inputs(
     only if one of them uses relational evidence."""
     dataset, ontology = _load_data(out_dir)
     model_path = out_dir / MODEL_FILE
-    model = _load(load_model, model_path, "train", ontology)
+    model = _load(load_model, model_path, "run `dxrank train` first", ontology)
     if model.backend != cfg.backend:
         raise ConfigError(f"{model_path}: model has backend {model.backend!r}, "
                           f"config has {cfg.backend!r}")
@@ -391,15 +373,13 @@ def load_prediction_inputs(
     if cfg.strategy != "plain" and any(
         AblationFlags.for_stage(stage).relations for stage in stages
     ):
-        cooc = _load(load_cooccurrence, out_dir / COOC_FILE, "cooc")
-    _, _, test_ds = _splits(cfg, dataset)
+        cooc = _load(load_cooccurrence, out_dir / COOC_FILE, "run `dxrank cooc` first")
+    _, _, test_ds = split_patients(dataset, cfg.split_ratios, cfg.seed)
     instances = tuple(build_instances(test_ds))
     if not instances:
         raise ConfigError("test split yields no prediction instances")
-    try:
-        template_text = load_template(cfg.template_path or None)
-    except OSError as exc:
-        raise ConfigError(f"cannot read prompt template: {exc}") from None
+    template_text = (_load(load_template, Path(cfg.template_path), "prompt template")
+                     if cfg.template_path else load_template())
     return PredictionInputs(
         ontology=ontology, cooc=cooc, instances=instances,
         logits=tuple(model.logit_vector(inst) for inst in instances),
@@ -470,7 +450,7 @@ def cmd_synth(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
 
 def cmd_train(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
     dataset, ontology = _load_data(out_dir)
-    train_ds, _, _ = _splits(cfg, dataset)
+    train_ds, _, _ = split_patients(dataset, cfg.split_ratios, cfg.seed)
     model = train(
         cfg.backend, train_ds, ontology, cfg.train, VolumeConfig(beta=cfg.beta)
     )
@@ -489,7 +469,7 @@ def cmd_train(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
 
 def cmd_cooc(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
     dataset, _ = _load_data(out_dir)
-    train_ds, _, _ = _splits(cfg, dataset)
+    train_ds, _, _ = split_patients(dataset, cfg.split_ratios, cfg.seed)
     matrix = build_cooccurrence(train_ds)
     save_cooccurrence(matrix, out_dir / COOC_FILE)
     write_resolved_config(cfg, out_dir, "cooc")
@@ -510,7 +490,7 @@ def cmd_predict(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
 
 def cmd_eval(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
     run_path = out_dir / (args.run or RUN_FILE)
-    artifact = _load(load_run, run_path, "predict")
+    artifact = _load(load_run, run_path, "run `dxrank predict` first")
     report = evaluate_run(artifact, cfg.eval_ks)
     save_metrics(report, out_dir / METRICS_FILE)
     write_resolved_config(cfg, out_dir, "eval")
@@ -518,43 +498,35 @@ def cmd_eval(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_ablate(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
-    inputs = load_prediction_inputs(cfg, out_dir, ABLATION_STAGES)
+def _compare(cfg: RunConfig, out_dir: Path, command: str, table_file: str,
+             variants: Sequence[tuple[str, str, int, str]]) -> int:
+    """Run, score and save each (label, stage, K, file tag) variant on
+    inputs loaded once, then write the comparison table."""
+    inputs = load_prediction_inputs(cfg, out_dir, [stage for _, stage, _, _ in variants])
     worst = EXIT_OK
     reports: list[tuple[str, MetricsReport]] = []
-    for stage in ABLATION_STAGES:
-        artifact = run_predictions(
-            cfg, out_dir, inputs, stage, cfg.k_candidates, f"run_{stage}.jsonl"
-        )
+    for label, stage, k, tag in variants:
+        artifact = run_predictions(cfg, out_dir, inputs, stage, k, f"run_{tag}.jsonl")
         worst = max(worst, _failure_exit(artifact))
         report = evaluate_run(artifact, cfg.eval_ks)
-        save_metrics(report, out_dir / f"metrics_{stage}.json")
-        reports.append((stage, report))
+        save_metrics(report, out_dir / f"metrics_{tag}.json")
+        reports.append((label, report))
     table = compare_ablations(reports)
-    save_comparison(table, out_dir / ABLATION_FILE)
-    write_resolved_config(cfg, out_dir, "ablate")
+    save_comparison(table, out_dir / table_file)
+    write_resolved_config(cfg, out_dir, command)
     print(table.text())
     return worst
+
+
+def cmd_ablate(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
+    return _compare(cfg, out_dir, "ablate", ABLATION_FILE, [
+        (stage, stage, cfg.k_candidates, stage) for stage in ABLATION_STAGES])
 
 
 def cmd_sweep_k(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
-    inputs = load_prediction_inputs(cfg, out_dir, (cfg.stage,))
-    worst = EXIT_OK
-    reports: list[tuple[str, MetricsReport]] = []
-    for k in SWEEP_KS:
-        artifact = run_predictions(
-            cfg, out_dir, inputs, cfg.stage, k, f"run_k{k}.jsonl"
-        )
-        worst = max(worst, _failure_exit(artifact))
-        report = evaluate_run(artifact, cfg.eval_ks)
-        save_metrics(report, out_dir / f"metrics_k{k}.json")
-        label = f"K={k}" + (" (default)" if k == DEFAULT_K else "")
-        reports.append((label, report))
-    table = compare_ablations(reports)
-    save_comparison(table, out_dir / SWEEP_FILE)
-    write_resolved_config(cfg, out_dir, "sweep-k")
-    print(table.text())
-    return worst
+    return _compare(cfg, out_dir, "sweep-k", SWEEP_FILE, [
+        (f"K={k}" + (" (default)" if k == DEFAULT_K else ""), cfg.stage, k, f"k{k}")
+        for k in SWEEP_KS])
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +602,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         return args.handler(cfg, out_dir, args)
-    except ConfigError as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 

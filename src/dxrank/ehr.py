@@ -15,20 +15,22 @@ from typing import Iterable
 
 import numpy as np
 
+from . import InputError
+
 # The two prediction tasks: every next-visit code, or only codes absent from
 # the history. Candidate selection uses the same names for its modes.
 TASKS = ("overall", "novel")
 
 
-class OntologyError(ValueError):
+class OntologyError(InputError):
     """Raised for malformed or inconsistent ontology inputs."""
 
 
-class DatasetError(ValueError):
+class DatasetError(InputError):
     """Raised for malformed dataset files or codes that do not resolve."""
 
 
-class SplitError(ValueError):
+class SplitError(InputError):
     """Raised when a requested patient split cannot be honored."""
 
 
@@ -237,37 +239,41 @@ def load_dataset(path: str | Path, ontology: Ontology) -> Dataset:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DatasetError(f"line {lineno}: invalid JSON ({exc})") from None
+            # A wrong JSON type anywhere in the record raises a built-in error.
             try:
-                pid = obj["patient_id"]
-                raw_visits = obj["visits"]
-            except (KeyError, TypeError):
-                raise DatasetError(
-                    f"line {lineno}: expected object with patient_id and visits"
-                ) from None
-            visits = []
-            for v in raw_visits:
-                icd = v.get("icd", [])
-                for code in icd:
-                    if code not in ontology.icd_to_ccs:
+                pid, visits = obj["patient_id"], []
+                if not isinstance(pid, str):
+                    raise TypeError(f"patient_id {pid!r} is not a string")
+                for v in obj["visits"]:
+                    icd = v.get("icd", [])
+                    for code in icd:
+                        if code not in ontology.icd_to_ccs:
+                            raise DatasetError(
+                                f"line {lineno}: patient {pid!r} has ICD code "
+                                f"{code!r} not in ontology"
+                            )
+                    derived = ontology.image(icd)
+                    if "ccs" in v:
+                        stated = frozenset(v["ccs"])
+                        if stated != derived:
+                            raise DatasetError(
+                                f"line {lineno}: patient {pid!r} visit day "
+                                f"{v.get('day')}: stored ccs does not match the "
+                                f"ontology image of its icd codes"
+                            )
+                    if "day" not in v:
                         raise DatasetError(
-                            f"line {lineno}: patient {pid!r} has ICD code "
-                            f"{code!r} not in ontology"
+                            f"line {lineno}: patient {pid!r} has a visit without a day"
                         )
-                derived = ontology.image(icd)
-                if "ccs" in v:
-                    stated = frozenset(v["ccs"])
-                    if stated != derived:
-                        raise DatasetError(
-                            f"line {lineno}: patient {pid!r} visit day "
-                            f"{v.get('day')}: stored ccs does not match the "
-                            f"ontology image of its icd codes"
-                        )
-                if "day" not in v:
-                    raise DatasetError(
-                        f"line {lineno}: patient {pid!r} has a visit without a day"
-                    )
-                visits.append(Visit(day=int(v["day"]), icd=tuple(icd), ccs=tuple(derived)))
-            patients.append(PatientRecord(patient_id=pid, visits=tuple(visits)))
+                    visits.append(Visit(day=int(v["day"]), icd=tuple(icd),
+                                        ccs=tuple(derived)))
+                patients.append(PatientRecord(patient_id=pid, visits=tuple(visits)))
+            except InputError:
+                raise
+            except KeyError as exc:
+                raise DatasetError(f"line {lineno}: missing field {exc}") from None
+            except (AttributeError, OverflowError, TypeError, ValueError) as exc:
+                raise DatasetError(f"line {lineno}: malformed record: {exc}") from None
     return Dataset(patients=tuple(patients))
 
 
@@ -293,9 +299,9 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
 def check_split_ratios(ratios: tuple[float, float, float]) -> None:
     """Raise SplitError unless the ratios are non-negative and sum to 1."""
     if any(r < 0 for r in ratios):
-        raise SplitError(f"negative ratio in {ratios}")
+        raise SplitError(f"negative ratio in split_ratios {ratios}")
     if not math.isclose(sum(ratios), 1.0, abs_tol=1e-9):
-        raise SplitError(f"ratios {ratios} do not sum to 1")
+        raise SplitError(f"split_ratios {ratios} do not sum to 1")
 
 
 def split_patients(

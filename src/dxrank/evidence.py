@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from . import InputError
 from .backends import LogitVector
 from .ehr import TASKS, Dataset, Ontology, Visit
 
@@ -17,7 +18,7 @@ UNMAPPED_GROUP = "unmapped"
 CandidateMode = str  # one of ehr.TASKS
 
 
-class EvidenceError(ValueError):
+class EvidenceError(InputError):
     """Raised for inconsistent evidence inputs."""
 
 

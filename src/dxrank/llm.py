@@ -16,6 +16,8 @@ from typing import Callable
 
 import numpy as np
 
+from . import InputError
+
 LLM_BACKENDS = ("remote", "mock_echo", "mock_evidence")
 
 # Retry schedule: base delay doubles per attempt.
@@ -49,15 +51,15 @@ class LlmConfig:
 
     def __post_init__(self):
         if self.backend not in LLM_BACKENDS:
-            raise ValueError(f"unknown llm backend {self.backend!r}")
+            raise InputError(f"unknown llm backend {self.backend!r}")
         if self.temperature < 0:
-            raise ValueError("temperature must be non-negative")
+            raise InputError("temperature must be non-negative")
         if self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be at least 1")
+            raise InputError("max_in_flight must be at least 1")
         if self.max_retries < 0 or self.timeout_ms <= 0 or self.max_tokens < 1:
-            raise ValueError("bad retry/timeout/token settings")
+            raise InputError("bad retry/timeout/token settings")
         if self.backend == "remote" and not self.endpoint_url:
-            raise ValueError("remote backend requires endpoint_url")
+            raise InputError("remote backend requires endpoint_url")
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from . import InputError
 from .ehr import TASKS
 
 METRICS = ("visit_precision", "code_accuracy")
@@ -22,7 +23,7 @@ METRICS = ("visit_precision", "code_accuracy")
 DEFAULT_KS: dict[str, tuple[int, ...]] = {"overall": (10, 20), "novel": (5, 10)}
 
 
-class EvalError(ValueError):
+class EvalError(InputError):
     """Raised for unusable artifacts or mismatched reports."""
 
 
@@ -45,7 +46,10 @@ class RunRecord:
     def __post_init__(self):
         for name in ("ranked", "candidates", "target_overall", "target_novel",
                      "history_ccs"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+            codes = tuple(getattr(self, name))
+            if not all(isinstance(c, str) for c in codes):
+                raise EvalError(f"{name} holds a code that is not a string")
+            object.__setattr__(self, name, codes)
 
 
 @dataclass(frozen=True)
@@ -82,6 +86,8 @@ def save_run(artifact: RunArtifact, path: str | Path) -> None:
 
 
 def load_run(path: str | Path) -> RunArtifact:
+    """Read a run artifact; a malformed line, a value of the wrong JSON type
+    included, raises EvalError with its line number."""
     records: list[RunRecord] = []
     meta: dict | None = None
     with open(path, encoding="utf-8") as fh:
@@ -91,12 +97,11 @@ def load_run(path: str | Path) -> RunArtifact:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise EvalError(f"line {lineno}: invalid JSON ({exc})") from None
-            if obj.get("kind") == "meta":
-                meta = obj
-                continue
-            try:
+                if obj.get("kind") == "meta":
+                    meta = dict(fingerprint=obj.get("fingerprint", ""),
+                                seed=int(obj.get("seed", 0)),
+                                task=obj.get("task", "overall"))
+                    continue
                 records.append(
                     RunRecord(
                         patient_id=obj["patient_id"],
@@ -111,16 +116,15 @@ def load_run(path: str | Path) -> RunArtifact:
                         error=obj.get("error", ""),
                     )
                 )
+            except json.JSONDecodeError as exc:
+                raise EvalError(f"line {lineno}: invalid JSON ({exc})") from None
             except KeyError as exc:
                 raise EvalError(f"line {lineno}: missing field {exc}") from None
+            except (AttributeError, OverflowError, TypeError, ValueError) as exc:
+                raise EvalError(f"line {lineno}: malformed record: {exc}") from None
     if meta is None:
         raise EvalError("run file has no meta line")
-    return RunArtifact(
-        records=tuple(records),
-        fingerprint=meta.get("fingerprint", ""),
-        seed=int(meta.get("seed", 0)),
-        task=meta.get("task", "overall"),
-    )
+    return RunArtifact(records=tuple(records), **meta)
 
 
 # ---------------------------------------------------------------------------

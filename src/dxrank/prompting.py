@@ -13,6 +13,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from . import InputError
 from .ehr import TASKS, Ontology, PredictionInstance
 from .evidence import (
     UNMAPPED_GROUP,
@@ -39,7 +40,7 @@ COT_LINE = "- Think step by step before the Answer line."
 MIN_CONTAINMENT_LEN = 4
 
 
-class PromptError(ValueError):
+class PromptError(InputError):
     """Raised for inconsistent prompt inputs or bad templates."""
 
 
@@ -229,9 +230,10 @@ def compose_prompt(
     ontology: Ontology,
     options: PromptOptions = PromptOptions(),
 ) -> str:
-    """Render the full prompt text. If it exceeds options.max_chars, history
-    groups are dropped from the tail until it fits (the history section is
-    the only unbounded part)."""
+    """Render the full prompt text. If the prioritized history makes it
+    exceed options.max_chars, history groups are dropped from the tail until
+    it fits (the history section is the only unbounded part); a raw history
+    is not truncated."""
     spec = build_prompt_spec(
         instance, prioritized, relations, candidates, ontology, options
     )
@@ -240,7 +242,7 @@ def compose_prompt(
     )
     cot = options.strategy == "cot"
     text = _render(spec, template, cot)
-    groups = prioritized.groups
+    groups = prioritized.groups if options.effective_flags.prioritization else ()
     while len(text) > options.max_chars and groups:
         groups = groups[:-1]
         spec = build_prompt_spec(

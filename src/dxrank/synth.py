@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import InputError
 from .ehr import Dataset, Ontology, PatientRecord, Visit
 
 # Probability that a patient's first visit is seeded with one rule trigger,
@@ -22,7 +23,7 @@ TRIGGER_SEED_PROB = 0.6
 DAY_GAP_RANGE = (3, 45)
 
 
-class SyntheticConfigError(ValueError):
+class SyntheticConfigError(InputError):
     """Raised for invalid synthetic-generation configs."""
 
 

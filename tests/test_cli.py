@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import threading
 from dataclasses import fields, is_dataclass
 
@@ -30,12 +31,16 @@ from dxrank.cli import (
     fingerprint_config,
     main,
 )
-from dxrank.ehr import build_instances, load_dataset, load_ontology, split_patients
-from dxrank.evidence import load_cooccurrence
-from dxrank.backends import BACKENDS, TrainedModel
-from dxrank.llm import LLM_BACKENDS, LlmClient, LlmError, derive_seed, \
+from dxrank import InputError
+from dxrank.ehr import DatasetError, OntologyError, SplitError, build_instances, \
+    load_dataset, load_ontology, split_patients
+from dxrank.evidence import EvidenceError, load_cooccurrence
+from dxrank.backends import BACKENDS, BackendError, TrainedModel
+from dxrank.llm import LLM_BACKENDS, LlmClient, LlmConfig, LlmError, derive_seed, \
     mock_evidence_aware
-from dxrank.metrics import load_metrics, load_run
+from dxrank.metrics import EvalError, load_metrics, load_run
+from dxrank.prompting import PromptError
+from dxrank.synth import SyntheticConfigError
 
 SMALL_CFG = {
     "seed": 0,
@@ -216,8 +221,120 @@ class TestMainErrors:
             main([])
 
 
+def _edit_model(edit):
+    def apply(out):
+        doc = json.loads((out / MODEL_FILE).read_text())
+        (out / MODEL_FILE).write_text(json.dumps(edit(doc)))
+    return apply
+
+
+def _add_line(name, make):
+    """Append a line built from the file's last JSON line."""
+    def apply(out):
+        last = json.loads((out / name).read_text().splitlines()[-1])
+        with open(out / name, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(make(dict(last, patient_id="zz"))) + "\n")
+    return apply
+
+
+def _set_visit(key, value):
+    def make(rec):
+        rec["visits"][0][key] = value
+        return rec
+    return make
+
+
+def _append_ff(name):
+    def apply(out):
+        with open(out / name, "ab") as fh:
+            fh.write(b"\xff")
+    return apply
+
+
+def _template(text):
+    def apply(out):
+        (out / "t.txt").write_text(text)
+        return ["--template", str(out / "t.txt")]
+    return apply
+
+
+def _model_dir(out):
+    (out / MODEL_FILE).unlink()
+    (out / MODEL_FILE).mkdir()
+
+
+def _config(make):
+    def apply(out):
+        make(out / "bad.json")
+        return ["--config", str(out / "bad.json")]
+    return apply
+
+
+# Malformed inputs: (command, edit of a synth/train/cooc/predict chain that
+# may return extra flags, text the error line must contain).
+MALFORMED_INPUTS = {
+    "model-d-string": ("predict", _edit_model(lambda d: dict(d, d="x")), MODEL_FILE),
+    "model-root-array": ("predict", _edit_model(lambda d: [1]), MODEL_FILE),
+    "model-vocab-number": ("predict", _edit_model(lambda d: dict(d, vocab=5)),
+                           MODEL_FILE),
+    "model-epochs-string": ("predict", _edit_model(
+        lambda d: dict(d, train_config={"epochs": "x"})), MODEL_FILE),
+    "dataset-visits-number": ("predict", _add_line(
+        DATASET_FILE, lambda r: dict(r, visits=5)), DATASET_FILE),
+    "dataset-visit-number": ("predict", _add_line(
+        DATASET_FILE, lambda r: dict(r, visits=[5])), DATASET_FILE),
+    "dataset-day-string": ("predict", _add_line(
+        DATASET_FILE, _set_visit("day", "x")), DATASET_FILE),
+    "dataset-icd-number": ("predict", _add_line(
+        DATASET_FILE, _set_visit("icd", 5)), DATASET_FILE),
+    "run-ranked-number": ("eval", _add_line(RUN_FILE, lambda r: dict(r, ranked=5)),
+                          RUN_FILE),
+    "run-line-array": ("eval", _add_line(RUN_FILE, lambda r: [1, 2]), RUN_FILE),
+    "template-unknown-name": ("predict", _template("{bogus}"), "template"),
+    "template-positional": ("predict", _template("{0}"), "template"),
+    "template-unclosed": ("predict", _template("{history_section"), "template"),
+    **{f"non-utf8-{name}": ("eval" if name == RUN_FILE else "predict",
+                            _append_ff(name), name)
+       for name in (MODEL_FILE, DATASET_FILE, ONTOLOGY_FILE, COOC_FILE, RUN_FILE)},
+    "model-directory": ("predict", _model_dir, MODEL_FILE),
+    "config-non-utf8": ("predict", _config(
+        lambda path: path.write_bytes(b'{"seed": 0}\xff')), "bad.json"),
+    "config-directory": ("predict", _config(lambda path: path.mkdir()), "bad.json"),
+}
+
+
 class TestInputErrors:
     """Bad config values and corrupt artifacts exit 2 with one line."""
+
+    @pytest.fixture(scope="class")
+    def chain(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("chain")
+        cfg_path = write_cfg(tmp)
+        for command in ("synth", "train", "cooc", "predict"):
+            assert cli(command, cfg_path, tmp / "runs") == EXIT_OK, command
+        return cfg_path, tmp / "runs"
+
+    def test_module_errors_are_input_errors(self):
+        for cls in (OntologyError, DatasetError, SplitError, BackendError,
+                    EvidenceError, EvalError, PromptError, SyntheticConfigError,
+                    ConfigError):
+            assert issubclass(cls, InputError), cls
+        # LLM failures become failed records, not input errors.
+        assert not issubclass(LlmError, InputError)
+        with pytest.raises(InputError, match="endpoint_url"):
+            LlmConfig(backend="remote")
+
+    @pytest.mark.parametrize("case", list(MALFORMED_INPUTS))
+    def test_malformed_input_exits_2(self, tmp_path, capsys, chain, case):
+        command, edit, needle = MALFORMED_INPUTS[case]
+        cfg_path, base = chain
+        out = shutil.copytree(base, tmp_path / "runs")
+        extra = edit(out) or []
+        capsys.readouterr()
+        assert cli(command, cfg_path, out, *extra) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert needle in err, err
 
     def _prepared(self, tmp_path, commands=("synth", "train", "cooc")):
         cfg_path = write_cfg(tmp_path)
@@ -503,6 +620,17 @@ class TestAblate:
         assert cli("ablate", cfg_path, out) == EXIT_OK
         records = load_run(out / "run_base.jsonl").records
         assert sorted(scored) == sorted(r.patient_id for r in records)
+
+    def test_icd_groups_only_for_prioritized_stages(self, tmp_path, monkeypatch):
+        cfg_path = write_cfg(tmp_path)
+        out = tmp_path / "runs"
+        for command in ("synth", "train", "cooc"):
+            assert cli(command, cfg_path, out) == EXIT_OK
+        calls = count_calls(monkeypatch, "propagate_to_icd")
+        assert cli("ablate", cfg_path, out) == EXIT_OK
+        n = len(load_run(out / "run_base.jsonl").records)
+        # Of the four stages, prioritization and relational group history.
+        assert calls["propagate_to_icd"] == 2 * n
 
 
 class TestSweepK:

@@ -1,0 +1,115 @@
+"""Seeded type mutations of the three JSON artifacts.
+
+Each case replaces the value at one random path of a valid file with a
+value of another JSON type. The loader must either accept the file or
+raise an InputError; any other exception is a leak that the command line
+would report as a crash instead of a bad input.
+"""
+from __future__ import annotations
+
+import copy
+import json
+import random
+from collections import defaultdict
+from functools import reduce
+from operator import getitem
+
+import pytest
+
+from dxrank import InputError
+from dxrank.backends import TrainConfig, load_model, save_model, train
+from dxrank.ehr import build_instances, load_dataset, save_dataset
+from dxrank.metrics import RunArtifact, RunRecord, evaluate_run, load_run, save_run
+
+CASES = 200
+REPLACEMENTS = (5, "x", [], {}, None, [1], True)
+
+
+def _json_type(value) -> str:
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    return {str: "string", list: "array", dict: "object"}.get(type(value), "null")
+
+
+def _paths(node, path=()):
+    """Every path into a JSON value, the empty path (the value) first."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _paths(child, path + (key,))
+
+
+def _check(load, write, docs, tmp_path, seed: int, cases: int = CASES) -> None:
+    """Run `cases` mutations of a file whose lines are the JSON documents
+    `docs` (a single one for a plain JSON file). Each case picks a schema
+    position (a path with array indices wildcarded) uniformly, so a long
+    tensor counts as much as a scalar, then one line and path at it."""
+    rng = random.Random(seed)
+    positions: dict[tuple, list] = defaultdict(list)
+    for i, doc in enumerate(docs):
+        for path in _paths(doc):
+            position = tuple("*" if isinstance(k, int) else k for k in path)
+            positions[position].append((i, path))
+    target = tmp_path / "mutated"
+    raised = 0
+    for case in range(cases):
+        i, path = rng.choice(positions[rng.choice(list(positions))])
+        old = reduce(getitem, path, docs[i])
+        value = rng.choice([v for v in REPLACEMENTS if _json_type(v) != _json_type(old)])
+        mutated = copy.deepcopy(docs[i])
+        if path:
+            reduce(getitem, path[:-1], mutated)[path[-1]] = copy.deepcopy(value)
+        else:
+            mutated = value
+        write(target, docs[:i] + [mutated] + docs[i + 1:])
+        try:
+            load(target)
+        except InputError:
+            raised += 1
+        except Exception as exc:  # any other exception is the leak under test
+            pytest.fail(f"case {case}: line {i + 1}, path {list(path)} = {value!r}: "
+                        f"{type(exc).__name__}: {exc}")
+    assert 0 < raised < cases
+
+
+def _write_lines(path, docs) -> None:
+    path.write_text("".join(json.dumps(d) + "\n" for d in docs), encoding="utf-8")
+
+
+def _read_lines(path) -> list:
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+@pytest.mark.parametrize("kind", ["box", "retain"])
+def test_model_type_mutations(tmp_path, dataset, ontology, kind):
+    model = train(kind, dataset, ontology, TrainConfig(epochs=0, d=2))
+    save_model(model, tmp_path / "model.json")
+    doc = json.loads((tmp_path / "model.json").read_text(encoding="utf-8"))
+    _check(lambda path: load_model(path, ontology),
+           lambda path, docs: path.write_text(json.dumps(docs[0]), encoding="utf-8"),
+           [doc], tmp_path, seed=1 if kind == "box" else 2, cases=CASES // 2)
+
+
+def test_dataset_type_mutations(tmp_path, dataset, ontology):
+    save_dataset(dataset, tmp_path / "dataset.jsonl")
+    _check(lambda path: load_dataset(path, ontology), _write_lines,
+           _read_lines(tmp_path / "dataset.jsonl"), tmp_path, seed=3)
+
+
+def test_run_type_mutations(tmp_path, dataset):
+    records = [
+        RunRecord(patient_id=inst.patient_id, prompt="p", raw_text="Answer: x",
+                  ranked=tuple(sorted(inst.target_overall)),
+                  candidates=tuple(sorted(inst.target_overall)),
+                  target_overall=tuple(sorted(inst.target_overall)),
+                  target_novel=tuple(sorted(inst.target_novel)),
+                  history_ccs=tuple(sorted(inst.history_ccs)), matched_count=1)
+        for inst in build_instances(dataset)
+    ]
+    save_run(RunArtifact(records=records, fingerprint="f", seed=0, task="novel"),
+             tmp_path / "run.jsonl")
+    # A run that loads must also score, or fail as an input error.
+    _check(lambda path: evaluate_run(load_run(path)), _write_lines,
+           _read_lines(tmp_path / "run.jsonl"), tmp_path, seed=4)

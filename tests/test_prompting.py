@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from dxrank import prompting
 from dxrank.ehr import build_instances
 from dxrank.evidence import (
     CandidateSet,
@@ -293,6 +294,27 @@ class TestComposition:
         assert "Essential Hypertension" not in cut
         assert f"{CANDIDATES_TITLE_NOVEL}:" in cut.splitlines()
         assert "Instruction:" in cut.splitlines()
+
+    def test_raw_history_is_not_truncated(
+        self, instance, prioritized, relations, novel_candidates, ontology,
+        monkeypatch,
+    ):
+        # Dropping groups cannot shorten a raw history, so an over-long
+        # raw-history prompt is built once and returned as it is.
+        builds = []
+
+        def counted(*args):
+            builds.append(args)
+            return build_prompt_spec(*args)
+
+        kw = dict(task="novel", flags=AblationFlags.for_stage("candidate"))
+        full = compose(instance, prioritized, relations, novel_candidates,
+                       ontology, **kw)
+        monkeypatch.setattr(prompting, "build_prompt_spec", counted)
+        cut = compose(instance, prioritized, relations, novel_candidates,
+                      ontology, max_chars=1, **kw)
+        assert cut == full
+        assert len(builds) == 1
 
     def test_bad_options_rejected(self):
         with pytest.raises(PromptError, match="task"):
