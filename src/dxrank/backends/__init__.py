@@ -1,19 +1,20 @@
 """Trainable scoring backends over the CCS vocabulary.
 
-Two interchangeable scorers ("box" and "retain") share a training loop
-(mini-batch Adam on mean multi-label BCE), a finite-difference gradient
-checker, a unified inference entry point, and a versioned JSON parameter
-format.
+Two interchangeable scorers ("box" and "retain") take the same packed
+ragged batches and share a training loop (mini-batch Adam on mean
+multi-label BCE), a finite-difference gradient checker, batched inference
+over a sequence of instances, and a versioned JSON parameter format.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from .. import json_value
 from ..ehr import Dataset, Ontology, PredictionInstance, build_instances
 from .base import (
     BackendError,
@@ -21,7 +22,7 @@ from .base import (
     LogitVector,
     TrainConfig,
     code_index,
-    encode_instance,
+    encode_batch,
     pack_instances,
 )
 from .boxes import (
@@ -95,53 +96,32 @@ def bce_loss(logits: LogitVector, target: Sequence[str]) -> float:
     return float(bce_with_logits(logits.scores, y))
 
 
-def _box_losses(flat: ParamTree, encoded: Sequence[EncodedInstance],
-                volume: VolumeConfig, grads: ParamTree | None = None,
-                scale: float = 1.0) -> list[float]:
-    """Each instance's mean BCE, in order. With `grads`, also accumulate the
-    gradient of `scale` times their sum. The whole chunk is one packed
-    batch."""
-    batch = pack_instances(encoded)
-    logits, cache = box_forward(flat, batch, volume)
-    if grads is not None:
-        dlogits = bce_with_logits_grad(logits, batch.targets) * scale
-        box_backward(flat, batch, cache, dlogits, volume, grads)
-    return bce_with_logits(logits, batch.targets).tolist()
-
-
-def _retain_losses(flat: ParamTree, encoded: Sequence[EncodedInstance],
-                   volume: VolumeConfig, grads: ParamTree | None = None,
-                   scale: float = 1.0) -> list[float]:
-    """As `_box_losses`, one instance at a time; retain has no volume."""
-    losses = []
-    for enc in encoded:
-        logits, cache = retain_forward(flat, enc)
-        losses.append(float(bce_with_logits(logits, enc.target)))
-        if grads is not None:
-            dlogits = bce_with_logits_grad(logits, enc.target) * scale
-            retain_backward(flat, enc, cache, dlogits, grads)
-    return losses
-
-
 @dataclass(frozen=True)
 class Backend:
     """One scorer kind: its parameter class, its seeded initializer
-    (vocab, d, rng), its per-chunk losses (and gradients), and its
-    single-instance inference (patient, params, volume)."""
+    (vocab, d, rng), and its kernels over a packed batch: the forward
+    (flat, batch, volume) to logits and a cache, the backward (flat, batch,
+    cache, dlogits, volume, grads), and inference (patients, params, volume)
+    to one LogitVector per patient."""
 
     params_cls: type[BoxLMParams] | type[RetainParams]
     init: Callable[..., ParamTree]
-    losses: Callable[..., list[float]]
-    logits: Callable[..., LogitVector]
+    forward: Callable[..., tuple[np.ndarray, dict]]
+    backward: Callable[..., None]
+    logits: Callable[..., list[LogitVector]]
 
 
-# The losses and logits functions look the scorer kernels up as module
-# globals at call time, so a wrapper installed on this module sees every call.
+# The kernels are looked up as module globals at call time, so a wrapper
+# installed on this module sees every call. Retain has no volume.
 BACKENDS: dict[str, Backend] = {
-    "box": Backend(BoxLMParams, init_box_params, _box_losses,
-                   lambda patient, params, volume: boxlm_logits(patient, params, volume)),
-    "retain": Backend(RetainParams, init_retain_params, _retain_losses,
-                      lambda patient, params, volume: retain_logits(patient, params)),
+    "box": Backend(BoxLMParams, init_box_params, lambda *args: box_forward(*args),
+                   lambda *args: box_backward(*args), lambda *args: boxlm_logits(*args)),
+    "retain": Backend(
+        RetainParams, init_retain_params,
+        lambda flat, batch, volume: retain_forward(flat, batch),
+        lambda flat, batch, cache, dlogits, volume, grads:
+            retain_backward(flat, batch, cache, dlogits, grads),
+        lambda patients, params, volume: retain_logits(patients, params)),
 }
 
 
@@ -152,33 +132,41 @@ def _backend(kind: str) -> Backend:
         raise BackendError(f"unknown backend kind {kind!r}") from None
 
 
+def _chunks(items: Sequence, size: int) -> Iterator[Sequence]:
+    """`items` in order, in consecutive slices of at most `size`."""
+    return (items[start:start + size] for start in range(0, len(items), size))
+
+
+def _losses(backend: Backend, flat: ParamTree, encoded: Sequence[EncodedInstance],
+            volume: VolumeConfig, grads: ParamTree | None = None,
+            scale: float = 1.0) -> list[float]:
+    """Each instance's mean BCE, in order, from one packed batch. With
+    `grads`, also accumulate the gradient of `scale` times their sum."""
+    batch = pack_instances(encoded)
+    logits, cache = backend.forward(flat, batch, volume)
+    if grads is not None:
+        dlogits = bce_with_logits_grad(logits, batch.targets) * scale
+        backend.backward(flat, batch, cache, dlogits, volume, grads)
+    return bce_with_logits(logits, batch.targets).tolist()
+
+
 def _batch_loss(backend: Backend, flat: ParamTree,
                 encoded: Sequence[EncodedInstance], volume: VolumeConfig,
                 chunk_size: int) -> float:
     """Mean loss over `encoded`, scored `chunk_size` instances at a time."""
     total = 0.0
-    for start in range(0, len(encoded), chunk_size):
-        for loss in backend.losses(flat, encoded[start:start + chunk_size],
-                                   volume):
+    for chunk in _chunks(encoded, chunk_size):
+        for loss in _losses(backend, flat, chunk, volume):
             total += loss
     return total / len(encoded)
 
 
-def _loss_and_grads(backend: Backend, flat: ParamTree,
-                    encoded: Sequence[EncodedInstance],
-                    volume: VolumeConfig) -> tuple[float, ParamTree]:
+def _grads(backend: Backend, flat: ParamTree, encoded: Sequence[EncodedInstance],
+           volume: VolumeConfig) -> ParamTree:
+    """Exact gradient of the mean loss over `encoded`."""
     grads = zeros_like_tree(flat)
-    total = 0.0
-    scale = 1.0 / len(encoded)
-    for loss in backend.losses(flat, encoded, volume, grads, scale):
-        total += loss
-    return total * scale, grads
-
-
-def _encode_batch(batch: Sequence[PredictionInstance],
-                  vocab: tuple[str, ...]) -> list[EncodedInstance]:
-    index = code_index(vocab)
-    return [encode_instance(inst, index) for inst in batch]
+    _losses(backend, flat, encoded, volume, grads, 1.0 / len(encoded))
+    return grads
 
 
 def gradients(backend_kind: str, params: BoxLMParams | RetainParams,
@@ -189,20 +177,20 @@ def gradients(backend_kind: str, params: BoxLMParams | RetainParams,
     backend = _backend(backend_kind)
     if not batch:
         raise BackendError("gradient batch is empty")
-    encoded = _encode_batch(batch, params.vocab)
-    _, grads = _loss_and_grads(backend, params.flat(), encoded, volume)
-    return grads
+    encoded = encode_batch(batch, params.vocab)
+    return _grads(backend, params.flat(), encoded, volume)
 
 
 def infer_logits(backend_kind: str, params: BoxLMParams | RetainParams,
-                 patient: PredictionInstance,
-                 volume: VolumeConfig = VolumeConfig()) -> LogitVector:
-    """Dispatch to the matching scorer; errors if kind and params disagree."""
+                 patients: Sequence[PredictionInstance],
+                 volume: VolumeConfig = VolumeConfig()) -> list[LogitVector]:
+    """One logit vector per patient, scored as one batch by the matching
+    scorer; errors if kind and params disagree."""
     backend = _backend(backend_kind)
     if not isinstance(params, backend.params_cls):
         raise BackendError(f"{backend_kind} backend requires "
                            f"{backend.params_cls.__name__}")
-    return backend.logits(patient, params, volume)
+    return backend.logits(patients, params, volume)
 
 
 @dataclass
@@ -221,8 +209,10 @@ class TrainedModel:
     def vocab(self) -> tuple[str, ...]:
         return self.params.vocab
 
-    def logit_vector(self, patient: PredictionInstance) -> LogitVector:
-        return infer_logits(self.backend, self.params, patient, self.volume)
+    def logits(self, patients: Sequence[PredictionInstance]) -> list[LogitVector]:
+        """One logit vector per patient, scored `config.batch_size` at a time."""
+        return [lv for chunk in _chunks(patients, self.config.batch_size)
+                for lv in infer_logits(self.backend, self.params, chunk, self.volume)]
 
 
 def train(backend_kind: str, dataset: Dataset, ontology: Ontology,
@@ -238,7 +228,7 @@ def train(backend_kind: str, dataset: Dataset, ontology: Ontology,
     if not instances:
         raise BackendError("dataset yields no trainable instances")
     vocab = ontology.ccs_codes
-    encoded = _encode_batch(instances, vocab)
+    encoded = encode_batch(instances, vocab)
 
     rng = np.random.default_rng(cfg.seed)
     flat = backend.init(vocab, cfg.d, rng)
@@ -247,10 +237,9 @@ def train(backend_kind: str, dataset: Dataset, ontology: Ontology,
     losses = [_batch_loss(backend, flat, encoded, volume, cfg.batch_size)]
     for _ in range(cfg.epochs):
         order = rng.permutation(len(encoded))
-        for start in range(0, len(order), cfg.batch_size):
-            chunk = [encoded[i] for i in order[start:start + cfg.batch_size]]
-            _, grads = _loss_and_grads(backend, flat, chunk, volume)
-            adam_step(flat, grads, state, cfg.learning_rate)
+        for picks in _chunks(order, cfg.batch_size):
+            chunk = [encoded[i] for i in picks]
+            adam_step(flat, _grads(backend, flat, chunk, volume), state, cfg.learning_rate)
         losses.append(_batch_loss(backend, flat, encoded, volume, cfg.batch_size))
 
     return TrainedModel(backend=backend_kind,
@@ -278,9 +267,9 @@ def grad_check(backend_kind: str, params: BoxLMParams | RetainParams,
     every parameter element. Relative error uses max(|a|, |fd|, floor) as
     the denominator; exactly matching zeros count as zero error."""
     backend = _backend(backend_kind)
-    encoded = _encode_batch(batch, params.vocab)
+    encoded = encode_batch(batch, params.vocab)
     flat = {k: v.copy() for k, v in params.flat().items()}
-    _, analytic = _loss_and_grads(backend, flat, encoded, volume)
+    analytic = _grads(backend, flat, encoded, volume)
 
     worst, worst_key, checked = 0.0, "", 0
     for key in sorted(flat):
@@ -346,7 +335,7 @@ def load_model(path: str | Path, ontology: Ontology | None = None) -> TrainedMod
         backend_kind = doc.get("backend")
         backend = _backend(backend_kind)
         vocab = tuple(doc["vocab"])
-        d = int(doc["d"])
+        d = json_value(int, doc["d"], "d")
         tensors = doc["tensors"]
         if ontology is not None and vocab != ontology.ccs_codes:
             raise BackendError("model vocabulary does not match the ontology")
@@ -371,10 +360,10 @@ def load_model(path: str | Path, ontology: Ontology | None = None) -> TrainedMod
 
         tc = doc.get("train_config", {})
         cfg = TrainConfig(
-            epochs=int(tc.get("epochs", 0)),
+            epochs=json_value(int, tc.get("epochs", 0), "epochs"),
             learning_rate=float(tc.get("learning_rate", 0.0)),
-            batch_size=int(tc.get("batch_size", 1)),
-            seed=int(doc.get("seed", 0)),
+            batch_size=json_value(int, tc.get("batch_size", 1), "batch_size"),
+            seed=json_value(int, doc.get("seed", 0), "seed"),
             d=d,
         )
         vol = doc.get("volume", {})

@@ -1,6 +1,6 @@
 """Shared backend plumbing: the labeled logit vector both scorers emit,
-the training configuration, and instance encoding over a fixed CCS
-vocabulary, one instance at a time or packed into a ragged batch."""
+the training configuration, and the encoding of instances over a fixed
+CCS vocabulary into the packed ragged batch both scorers take."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -98,6 +98,12 @@ def encode_instance(
             f"CCS code {exc.args[0]!r} has no trained parameters"
         ) from None
     return EncodedInstance(visit_idx=visit_idx, target=target)
+
+
+def encode_batch(patients: Sequence[PredictionInstance],
+                 vocab: tuple[str, ...]) -> list[EncodedInstance]:
+    index = vocab_index(vocab)
+    return [encode_instance(p, index) for p in patients]
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ Euler-Mascheroni constant (the Gumbel-box volume of Dasgupta et al.,
 NeurIPS 2020). The argument sign is chosen so volume grows with overlap.
 
 Training and inference score packed ragged batches (`PackedBatch`) with
-segment reductions; `boxlm_logits` scores a batch of one.
+segment reductions; `boxlm_logits` scores a sequence of instances as one.
 """
 from __future__ import annotations
 
@@ -19,15 +19,9 @@ from typing import Sequence
 import numpy as np
 
 from ..ehr import PredictionInstance
-from .base import (
-    BackendError,
-    LogitVector,
-    PackedBatch,
-    encode_instance,
-    pack_instances,
-    vocab_index,
-)
-from .numerics import ParamTree, sigmoid, softmax, softplus, softplus_inv
+from .base import BackendError, LogitVector, PackedBatch, encode_batch, pack_instances
+from .numerics import ParamTree, segment_ids, segment_softmax, segment_softmax_vjp, \
+    sigmoid, softmax, softplus, softplus_inv
 
 GAMMA = 0.5772156649
 
@@ -161,15 +155,15 @@ def patient_box(visit_boxes: Sequence[BoxEmbed], params: BoxLMParams) -> BoxEmbe
 
 
 def boxlm_logits(
-    patient: PredictionInstance,
+    patients: Sequence[PredictionInstance],
     params: BoxLMParams,
     cfg: VolumeConfig = VolumeConfig(),
-) -> LogitVector:
+) -> list[LogitVector]:
     """score(c) = log(max(eps, volume(patient box ∩ code box c))) for every
-    CCS code in the vocabulary."""
-    encoded = encode_instance(patient, vocab_index(params.vocab))
-    logits, _ = box_forward(params.flat(), pack_instances([encoded]), cfg)
-    return LogitVector(vocab=params.vocab, scores=logits[0])
+    CCS code in the vocabulary, for each patient, scored as one batch."""
+    batch = pack_instances(encode_batch(patients, params.vocab))
+    logits, _ = box_forward(params.flat(), batch, cfg)
+    return [LogitVector(vocab=params.vocab, scores=row) for row in logits]
 
 
 # ---------------------------------------------------------------------------
@@ -178,21 +172,6 @@ def boxlm_logits(
 #
 # Every per-instance result is computed by row-wise operations and segment
 # reductions, so an instance's logits do not depend on the rest of its batch.
-
-
-def _segment_ids(starts: np.ndarray, n: int) -> np.ndarray:
-    """The segment of each of n rows, given the first row of each segment."""
-    return np.repeat(np.arange(len(starts)), np.diff(starts, append=n))
-
-
-def _segment_softmax(s: np.ndarray, starts: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    e = np.exp(s - np.maximum.reduceat(s, starts)[ids])
-    return e / np.add.reduceat(e, starts)[ids]
-
-
-def _segment_softmax_vjp(y: np.ndarray, dy: np.ndarray, starts: np.ndarray,
-                         ids: np.ndarray) -> np.ndarray:
-    return y * (dy - np.add.reduceat(y * dy, starts)[ids])
 
 
 def _segment_max(x: np.ndarray, starts: np.ndarray,
@@ -262,17 +241,17 @@ def box_forward(
     center, q_code, q_visit = flat["center"], flat["attn_query"], flat["visit_weight_vec"]
     off = softplus(flat["offset_raw"])
     codes, v_starts, i_starts = batch.codes, batch.visit_starts, batch.instance_starts
-    code_visit = _segment_ids(v_starts, len(codes))
-    visit_inst = _segment_ids(i_starts, len(v_starts))
+    code_visit = segment_ids(v_starts, len(codes))
+    visit_inst = segment_ids(i_starts, len(v_starts))
 
     # Visit boxes: attention over each visit's codes, max over their offsets.
     sub_c = center[codes]
-    alpha = _segment_softmax(np.sum(sub_c * q_code, axis=1), v_starts, code_visit)
+    alpha = segment_softmax(np.sum(sub_c * q_code, axis=1), v_starts, code_visit)
     visit_centers = np.add.reduceat(alpha[:, None] * sub_c, v_starts)
     visit_offsets, visit_argmax = _segment_max(off[codes], v_starts, code_visit)
 
     # Patient boxes: attention over each instance's visits, max over offsets.
-    weights = _segment_softmax(np.sum(visit_centers * q_visit, axis=1),
+    weights = segment_softmax(np.sum(visit_centers * q_visit, axis=1),
                                i_starts, visit_inst)
     pc = np.add.reduceat(weights[:, None] * visit_centers, i_starts)
     po, po_arg = _segment_max(visit_offsets, i_starts, visit_inst)
@@ -342,7 +321,7 @@ def box_backward(
     vc, weights, visit_inst = cache["visit_centers"], cache["weights"], cache["visit_inst"]
     dpc_v = dpc[visit_inst]
     dvc = weights[:, None] * dpc_v
-    du = _segment_softmax_vjp(weights, np.sum(vc * dpc_v, axis=1), i_starts, visit_inst)
+    du = segment_softmax_vjp(weights, np.sum(vc * dpc_v, axis=1), i_starts, visit_inst)
     grads["visit_weight_vec"] += vc.T @ du
     dvc += du[:, None] * q_visit
 
@@ -350,7 +329,7 @@ def box_backward(
     sub_c, alpha, code_visit = cache["sub_c"], cache["alpha"], cache["code_visit"]
     dvc_c = dvc[code_visit]
     dsub = alpha[:, None] * dvc_c
-    ds = _segment_softmax_vjp(alpha, np.sum(sub_c * dvc_c, axis=1), v_starts, code_visit)
+    ds = segment_softmax_vjp(alpha, np.sum(sub_c * dvc_c, axis=1), v_starts, code_visit)
     grads["attn_query"] += sub_c.T @ ds
     dsub += ds[:, None] * q_code
     np.add.at(grads["center"], codes, dsub)

@@ -1,6 +1,7 @@
 """Numerically stable primitives shared by the scoring backends: sigmoid,
-softplus family, softmax with its VJP, binary cross-entropy with logits,
-and an Adam optimizer over flat parameter dicts."""
+softplus family, softmax, segment softmax over packed ragged batches with
+its VJP, binary cross-entropy with logits, and an Adam optimizer over flat
+parameter dicts."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -52,10 +53,21 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
-def softmax_vjp(y: np.ndarray, dy: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Backprop through softmax given its output y and upstream grad dy."""
-    dot = np.sum(y * dy, axis=axis, keepdims=True)
-    return y * (dy - dot)
+def segment_ids(starts: np.ndarray, n: int) -> np.ndarray:
+    """The segment of each of n rows, given the first row of each segment."""
+    return np.repeat(np.arange(len(starts)), np.diff(starts, append=n))
+
+
+def segment_softmax(s: np.ndarray, starts: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Softmax of s within each segment; `ids` is segment_ids(starts, len(s))."""
+    e = np.exp(s - np.maximum.reduceat(s, starts)[ids])
+    return e / np.add.reduceat(e, starts)[ids]
+
+
+def segment_softmax_vjp(y: np.ndarray, dy: np.ndarray, starts: np.ndarray,
+                        ids: np.ndarray) -> np.ndarray:
+    """Backprop through segment_softmax given its output y and upstream grad dy."""
+    return y * (dy - np.add.reduceat(y * dy, starts)[ids])
 
 
 def bce_with_logits(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Sequence, get_args, get_origin, get_type_hints
 
-from . import InputError
+from . import InputError, json_value
 from .backends import BACKENDS, LogitVector, TrainConfig, load_model, \
     save_model, train
 from .backends.boxes import VolumeConfig
@@ -137,10 +137,7 @@ def _parse_value(hint, value, where: str):
         if not isinstance(value, dict):
             raise ConfigError(f"{where} must be an object, got {value!r}")
         return {k: _parse_value(args[1], v, f"{where}.{k}") for k, v in value.items()}
-    allowed = (int, float) if hint is float else hint
-    if not isinstance(value, allowed) or isinstance(value, bool):
-        raise ConfigError(f"{where} must be {hint.__name__}, got {value!r}")
-    return value
+    return json_value(hint, value, where)
 
 
 def _build(cls, doc: dict, where: str = ""):
@@ -155,9 +152,10 @@ def _build(cls, doc: dict, where: str = ""):
                and f.default is MISSING and f.default_factory is MISSING]
     if missing:
         raise ConfigError(f"{label} is missing {missing}")
+    values = {k: _parse_value(hints[k], v, f"{where}.{k}" if where else k)
+              for k, v in doc.items()}
     try:
-        return cls(**{k: _parse_value(hints[k], v, f"{where}.{k}" if where else k)
-                      for k, v in doc.items()})
+        return cls(**values)
     except ConfigError:
         raise
     except InputError as exc:
@@ -382,7 +380,7 @@ def load_prediction_inputs(
                      if cfg.template_path else load_template())
     return PredictionInputs(
         ontology=ontology, cooc=cooc, instances=instances,
-        logits=tuple(model.logit_vector(inst) for inst in instances),
+        logits=tuple(model.logits(instances)),
         template_text=template_text,
     )
 
@@ -600,7 +598,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = load_config(args)
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot use --out {out_dir}: {exc}") from None
         return args.handler(cfg, out_dir, args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from . import InputError
+from . import InputError, json_value
 
 # The two prediction tasks: every next-visit code, or only codes absent from
 # the history. Candidate selection uses the same names for its modes.
@@ -265,8 +265,8 @@ def load_dataset(path: str | Path, ontology: Ontology) -> Dataset:
                         raise DatasetError(
                             f"line {lineno}: patient {pid!r} has a visit without a day"
                         )
-                    visits.append(Visit(day=int(v["day"]), icd=tuple(icd),
-                                        ccs=tuple(derived)))
+                    day = json_value(int, v["day"], f"line {lineno}: visit day")
+                    visits.append(Visit(day=day, icd=tuple(icd), ccs=tuple(derived)))
                 patients.append(PatientRecord(patient_id=pid, visits=tuple(visits)))
             except InputError:
                 raise

@@ -43,14 +43,6 @@ class RunRecord:
     matched_count: int = 0
     error: str = ""
 
-    def __post_init__(self):
-        for name in ("ranked", "candidates", "target_overall", "target_novel",
-                     "history_ccs"):
-            codes = tuple(getattr(self, name))
-            if not all(isinstance(c, str) for c in codes):
-                raise EvalError(f"{name} holds a code that is not a string")
-            object.__setattr__(self, name, codes)
-
 
 @dataclass(frozen=True)
 class RunArtifact:
@@ -85,6 +77,10 @@ def save_run(artifact: RunArtifact, path: str | Path) -> None:
             fh.write(json.dumps({"kind": "record", **obj}, sort_keys=True) + "\n")
 
 
+# RunRecord's code lists; load_run checks them, as only its records are untrusted.
+CODE_FIELDS = ("ranked", "candidates", "target_overall", "target_novel", "history_ccs")
+
+
 def load_run(path: str | Path) -> RunArtifact:
     """Read a run artifact; a malformed line, a value of the wrong JSON type
     included, raises EvalError with its line number."""
@@ -102,20 +98,22 @@ def load_run(path: str | Path) -> RunArtifact:
                                 seed=int(obj.get("seed", 0)),
                                 task=obj.get("task", "overall"))
                     continue
-                records.append(
-                    RunRecord(
-                        patient_id=obj["patient_id"],
-                        prompt=obj.get("prompt", ""),
-                        raw_text=obj.get("raw_text", ""),
-                        ranked=tuple(obj["ranked"]),
-                        candidates=tuple(obj.get("candidates", [])),
-                        target_overall=tuple(obj["target_overall"]),
-                        target_novel=tuple(obj["target_novel"]),
-                        history_ccs=tuple(obj["history_ccs"]),
-                        matched_count=int(obj.get("matched_count", 0)),
-                        error=obj.get("error", ""),
-                    )
+                record = RunRecord(
+                    patient_id=obj["patient_id"],
+                    prompt=obj.get("prompt", ""),
+                    raw_text=obj.get("raw_text", ""),
+                    ranked=tuple(obj["ranked"]),
+                    candidates=tuple(obj.get("candidates", [])),
+                    target_overall=tuple(obj["target_overall"]),
+                    target_novel=tuple(obj["target_novel"]),
+                    history_ccs=tuple(obj["history_ccs"]),
+                    matched_count=int(obj.get("matched_count", 0)),
+                    error=obj.get("error", ""),
                 )
+                for name in CODE_FIELDS:
+                    if not all(isinstance(c, str) for c in getattr(record, name)):
+                        raise EvalError(f"{name} holds a code that is not a string")
+                records.append(record)
             except json.JSONDecodeError as exc:
                 raise EvalError(f"line {lineno}: invalid JSON ({exc})") from None
             except KeyError as exc:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from dxrank.ehr import Dataset, Ontology, PatientRecord, Visit
@@ -48,6 +49,13 @@ def make_patient(pid: str, visits: list[tuple[int, list[str]]]) -> PatientRecord
             for day, icds in visits
         ),
     )
+
+
+def softmax_vjp(y: np.ndarray, dy: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Backprop through softmax given its output y and upstream grad dy; the
+    per-instance oracles' counterpart of numerics.segment_softmax_vjp."""
+    dot = np.sum(y * dy, axis=axis, keepdims=True)
+    return y * (dy - dot)
 
 
 @pytest.fixture

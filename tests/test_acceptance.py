@@ -336,7 +336,7 @@ def test_criterion_9_echo_round_trip(tmp_path):
         vals = []
         for rec in run.records:
             inst = instances[rec.patient_id]
-            cands = select_candidates(model.logit_vector(inst), K=10,
+            cands = select_candidates(model.logits([inst])[0], K=10,
                                       mode="overall")
             assert cands.codes == rec.candidates, rec.patient_id
             vals.append(visit_precision_at_k(list(cands.codes),

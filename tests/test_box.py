@@ -172,7 +172,7 @@ class TestBoxLogits:
         params = BoxLMParams.from_flat(vocab, init_box_params(vocab, 3, rng))
         inst = _instance([["C00", "C02"], ["C01", "C04", "C05"], ["C03"]])
         cfg = VolumeConfig()
-        got = boxlm_logits(inst, params, cfg)
+        got = boxlm_logits([inst], params, cfg)[0]
         want = dense_reference_logits(inst, params, cfg)
         np.testing.assert_allclose(got.scores, want, rtol=1e-10)
         assert got.vocab == vocab
@@ -187,7 +187,7 @@ class TestBoxLogits:
             visit_weight_vec=np.array([0.0]),
         )
         inst = _instance([["C00"]])
-        lv = boxlm_logits(inst, params)
+        lv = boxlm_logits([inst], params)[0]
         assert lv.score("C01") == pytest.approx(math.log(1e-30))
         assert lv.score("C00") > lv.score("C01")
 
@@ -195,7 +195,7 @@ class TestBoxLogits:
         params = two_code_params()
         inst = _instance([["C01", "C09"]])
         with pytest.raises(BackendError, match="C09"):
-            boxlm_logits(inst, params)
+            boxlm_logits([inst], params)
 
     def test_gamma_constant(self):
         assert GAMMA == pytest.approx(0.5772156649, abs=1e-10)

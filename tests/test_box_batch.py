@@ -30,11 +30,12 @@ from dxrank.backends.numerics import (
     log_softplus,
     sigmoid,
     softmax,
-    softmax_vjp,
     softplus,
     zeros_like_tree,
 )
 from dxrank.ehr import PredictionInstance, Visit
+
+from .conftest import softmax_vjp
 
 
 def loop_forward(flat, enc: EncodedInstance, cfg: VolumeConfig):
@@ -251,7 +252,7 @@ def test_boxlm_logits_is_a_batch_of_one():
     params = BoxLMParams.from_flat(
         vocab, init_box_params(vocab, 3, np.random.default_rng(2)))
     inst = _instance([["C1", "C2"], ["C4"]])
-    got = boxlm_logits(inst, params)
+    got = boxlm_logits([inst], params)[0]
     assert isinstance(got, LogitVector)
     enc = EncodedInstance(visit_idx=(np.array([1, 2]), np.array([4])),
                           target=np.eye(5)[0])

@@ -270,6 +270,11 @@ def _config(make):
     return apply
 
 
+def _out_file(out):
+    (out / "taken").write_text("")
+    return ["--out", str(out / "taken")]
+
+
 # Malformed inputs: (command, edit of a synth/train/cooc/predict chain that
 # may return extra flags, text the error line must contain).
 MALFORMED_INPUTS = {
@@ -300,6 +305,7 @@ MALFORMED_INPUTS = {
     "config-non-utf8": ("predict", _config(
         lambda path: path.write_bytes(b'{"seed": 0}\xff')), "bad.json"),
     "config-directory": ("predict", _config(lambda path: path.mkdir()), "bad.json"),
+    "out-is-a-file": ("synth", _out_file, "--out"),
 }
 
 
@@ -610,13 +616,13 @@ class TestAblate:
         for command in ("synth", "train", "cooc"):
             assert cli(command, cfg_path, out) == EXIT_OK
         scored = []
-        real = TrainedModel.logit_vector
+        real = TrainedModel.logits
 
-        def counted(model, patient):
-            scored.append(patient.patient_id)
-            return real(model, patient)
+        def counted(model, patients):
+            scored.extend(patient.patient_id for patient in patients)
+            return real(model, patients)
 
-        monkeypatch.setattr(TrainedModel, "logit_vector", counted)
+        monkeypatch.setattr(TrainedModel, "logits", counted)
         assert cli("ablate", cfg_path, out) == EXIT_OK
         records = load_run(out / "run_base.jsonl").records
         assert sorted(scored) == sorted(r.patient_id for r in records)

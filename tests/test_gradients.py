@@ -13,12 +13,13 @@ from dxrank.backends.numerics import (
     dlog_softplus,
     log_softplus,
     softmax,
-    softmax_vjp,
     softplus,
     softplus_inv,
 )
 from dxrank.backends.retain import RetainParams, init_retain_params
 from dxrank.ehr import PredictionInstance, Visit
+
+from .conftest import softmax_vjp
 
 
 def _instance(visits: list[list[str]], target: set[str]) -> PredictionInstance:
@@ -97,7 +98,7 @@ class TestNumerics:
 
 def _batch_loss_public(kind: str, params, volume: VolumeConfig) -> float:
     vals = [
-        bce_loss(infer_logits(kind, params, inst, volume),
+        bce_loss(infer_logits(kind, params, [inst], volume)[0],
                  sorted(inst.target_overall))
         for inst in BATCH
     ]

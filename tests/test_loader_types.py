@@ -41,11 +41,13 @@ def _paths(node, path=()):
             yield from _paths(child, path + (key,))
 
 
-def _check(load, write, docs, tmp_path, seed: int, cases: int = CASES) -> None:
+def _check(load, write, docs, tmp_path, seed: int, cases: int = CASES,
+           all_raise: bool = False) -> None:
     """Run `cases` mutations of a file whose lines are the JSON documents
     `docs` (a single one for a plain JSON file). Each case picks a schema
     position (a path with array indices wildcarded) uniformly, so a long
-    tensor counts as much as a scalar, then one line and path at it."""
+    tensor counts as much as a scalar, then one line and path at it. Some
+    cases must load and some raise, or with `all_raise` every case raise."""
     rng = random.Random(seed)
     positions: dict[tuple, list] = defaultdict(list)
     for i, doc in enumerate(docs):
@@ -53,6 +55,9 @@ def _check(load, write, docs, tmp_path, seed: int, cases: int = CASES) -> None:
             position = tuple("*" if isinstance(k, int) else k for k in path)
             positions[position].append((i, path))
     target = tmp_path / "mutated"
+    # Unmutated, the file loads, so each rejection below is its mutation's.
+    write(target, docs)
+    load(target)
     raised = 0
     for case in range(cases):
         i, path = rng.choice(positions[rng.choice(list(positions))])
@@ -71,7 +76,7 @@ def _check(load, write, docs, tmp_path, seed: int, cases: int = CASES) -> None:
         except Exception as exc:  # any other exception is the leak under test
             pytest.fail(f"case {case}: line {i + 1}, path {list(path)} = {value!r}: "
                         f"{type(exc).__name__}: {exc}")
-    assert 0 < raised < cases
+    assert raised == cases if all_raise else 0 < raised < cases
 
 
 def _write_lines(path, docs) -> None:
@@ -94,8 +99,31 @@ def test_model_type_mutations(tmp_path, dataset, ontology, kind):
 
 def test_dataset_type_mutations(tmp_path, dataset, ontology):
     save_dataset(dataset, tmp_path / "dataset.jsonl")
+    # Every field of a dataset line has one JSON type, so every case raises.
     _check(lambda path: load_dataset(path, ontology), _write_lines,
-           _read_lines(tmp_path / "dataset.jsonl"), tmp_path, seed=3)
+           _read_lines(tmp_path / "dataset.jsonl"), tmp_path, seed=3, all_raise=True)
+
+
+@pytest.mark.parametrize("kind, path, value", [
+    ("dataset", ("visits", 0, "day"), True),
+    ("dataset", ("visits", 0, "day"), 1.5),
+    ("model", ("d",), "16"),
+    ("model", ("seed",), True),
+    ("model", ("train_config", "epochs"), 2.9),
+])
+def test_int_fields_take_json_integers_only(tmp_path, dataset, ontology, kind, path, value):
+    target = tmp_path / "file"
+    if kind == "dataset":
+        save_dataset(dataset, target)
+        load = lambda p: load_dataset(p, ontology)
+    else:
+        save_model(train("box", dataset, ontology, TrainConfig(epochs=0, d=2)), target)
+        load = lambda p: load_model(p, ontology)
+    docs = _read_lines(target)
+    reduce(getitem, path[:-1], docs[0])[path[-1]] = value
+    _write_lines(target, docs)
+    with pytest.raises(InputError, match="must be int"):
+        load(target)
 
 
 def test_run_type_mutations(tmp_path, dataset):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dxrank.backends.base import BackendError, code_index, encode_instance
+from dxrank.backends.base import BackendError, code_index, encode_instance, pack_instances
 from dxrank.backends.retain import (
     GruParams,
     RetainParams,
@@ -96,7 +96,7 @@ class TestRetainForward:
         vocab = tuple(f"C{i}" for i in range(5))
         params = _params(vocab, 4, seed=3)
         inst = _instance([["C0", "C2"], ["C1"], ["C3", "C4", "C0"]])
-        got = retain_logits(inst, params)
+        got = retain_logits([inst], params)[0]
         want = reference_logits(inst, params)
         np.testing.assert_allclose(got.scores, want, rtol=1e-10, atol=1e-12)
         assert got.vocab == vocab
@@ -106,7 +106,7 @@ class TestRetainForward:
         params = _params(vocab, 3, seed=1)
         inst = _instance([["C1", "C2"]])
         encoded = encode_instance(inst, code_index(vocab))
-        _, cache = retain_forward(params.flat(), encoded)
+        _, cache = retain_forward(params.flat(), pack_instances([encoded]))
         np.testing.assert_allclose(cache["alpha"], [1.0])
 
     def test_zero_output_layer_yields_bias(self):
@@ -116,20 +116,20 @@ class TestRetainForward:
         flat["W_o"] = np.zeros_like(flat["W_o"])
         flat["b_o"] = np.array([0.25, -1.5])
         params = RetainParams.from_flat(vocab, flat)
-        lv = retain_logits(_instance([["C0"], ["C1"]]), params)
+        lv = retain_logits([_instance([["C0"], ["C1"]])], params)[0]
         np.testing.assert_allclose(lv.scores, [0.25, -1.5])
 
     def test_visit_order_matters(self):
         vocab = tuple(f"C{i}" for i in range(4))
         params = _params(vocab, 4, seed=5)
-        fwd = retain_logits(_instance([["C0"], ["C1"], ["C2", "C3"]]), params)
-        rev = retain_logits(_instance([["C2", "C3"], ["C1"], ["C0"]]), params)
+        fwd = retain_logits([_instance([["C0"], ["C1"], ["C2", "C3"]])], params)[0]
+        rev = retain_logits([_instance([["C2", "C3"], ["C1"], ["C0"]])], params)[0]
         assert not np.allclose(fwd.scores, rev.scores)
 
     def test_unknown_code_rejected(self):
         params = _params(("C0", "C1"), 2, seed=0)
         with pytest.raises(BackendError, match="C9"):
-            retain_logits(_instance([["C0", "C9"]]), params)
+            retain_logits([_instance([["C0", "C9"]])], params)
 
 
 class TestParamShapes:

@@ -75,9 +75,21 @@ class TestTrainLoop:
         ds, onto = data
         model = train("box", ds, onto, TrainConfig(epochs=1, d=4, seed=2))
         inst = build_instances(ds)[0]
-        via_model = model.logit_vector(inst)
-        direct = infer_logits("box", model.params, inst, model.volume)
+        via_model = model.logits([inst])[0]
+        direct = infer_logits("box", model.params, [inst], model.volume)[0]
         np.testing.assert_array_equal(via_model.scores, direct.scores)
+
+    @pytest.mark.parametrize("kind", ["box", "retain"])
+    def test_logits_in_chunks_match_each_scored_alone(self, data, kind):
+        ds, onto = data
+        model = train(kind, ds, onto, TrainConfig(epochs=1, d=4, seed=2, batch_size=3))
+        insts = build_instances(ds)[:10]
+        got = model.logits(insts)
+        assert len(got) == len(insts)
+        for inst, lv in zip(insts, got):
+            alone = infer_logits(kind, model.params, [inst], model.volume)[0].scores
+            np.testing.assert_allclose(lv.scores, alone, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(alone)))
 
 
 class TestRegistry:
@@ -104,7 +116,7 @@ class TestRegistry:
         model = train(kind, ds, onto, TrainConfig(epochs=1, d=4, seed=0))
         assert calls[forward] > calls[backward] > 0
         assert calls[logits] == 0
-        infer_logits(kind, model.params, build_instances(ds)[0], model.volume)
+        infer_logits(kind, model.params, build_instances(ds)[:1], model.volume)
         assert calls[logits] == 1
 
 
@@ -122,7 +134,7 @@ class TestSerialization:
         assert again.volume == model.volume
         inst = build_instances(ds)[0]
         np.testing.assert_array_equal(
-            again.logit_vector(inst).scores, model.logit_vector(inst).scores
+            again.logits([inst])[0].scores, model.logits([inst])[0].scores
         )
 
     def test_save_is_deterministic(self, data, tmp_path):
