@@ -8,7 +8,7 @@ over a sequence of instances, and a versioned JSON parameter format.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -361,15 +361,16 @@ def load_model(path: str | Path, ontology: Ontology | None = None) -> TrainedMod
         tc = doc.get("train_config", {})
         cfg = TrainConfig(
             epochs=json_value(int, tc.get("epochs", 0), "epochs"),
-            learning_rate=float(tc.get("learning_rate", 0.0)),
+            learning_rate=float(json_value(float, tc.get("learning_rate", 0.0),
+                                           "learning_rate")),
             batch_size=json_value(int, tc.get("batch_size", 1), "batch_size"),
             seed=json_value(int, doc.get("seed", 0), "seed"),
             d=d,
         )
         vol = doc.get("volume", {})
-        volume = VolumeConfig(beta=float(vol.get("beta", 0.1)),
-                              gamma=float(vol.get("gamma", 0.5772156649)),
-                              eps=float(vol.get("eps", 1e-30)))
+        volume = VolumeConfig(**{
+            f.name: float(json_value(float, vol.get(f.name, f.default), f"volume.{f.name}"))
+            for f in fields(VolumeConfig)})
         return TrainedModel(backend=backend_kind,
                             params=backend.params_cls.from_flat(vocab, flat),
                             losses=[float(x) for x in doc.get("losses", [])],

@@ -44,9 +44,6 @@ class LogitVector:
         except KeyError:
             raise BackendError(f"CCS code {code!r} not in logit vector") from None
 
-    def as_dict(self) -> dict[str, float]:
-        return dict(zip(self.vocab, self.scores.tolist()))
-
 
 @dataclass(frozen=True)
 class TrainConfig:

@@ -11,9 +11,8 @@ import numpy as np
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    pos = 1.0 / (1.0 + np.exp(-np.maximum(x, 0.0)))
-    ex = np.exp(np.minimum(x, 0.0))
-    return np.where(x >= 0, pos, ex / (1.0 + ex))
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def softplus(x: np.ndarray) -> np.ndarray:

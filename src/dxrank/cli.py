@@ -19,6 +19,8 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Sequence, get_args, get_origin, get_type_hints
 
+import numpy as np
+
 from . import InputError, json_value
 from .backends import BACKENDS, LogitVector, TrainConfig, load_model, \
     save_model, train
@@ -26,10 +28,9 @@ from .backends.boxes import VolumeConfig
 from .ehr import TASKS, Dataset, Ontology, PredictionInstance, \
     build_instances, check_split_ratios, load_dataset, load_ontology, \
     save_dataset, save_ontology, split_patients
-from .evidence import CandidateSet, CooccurrenceMatrix, PrioritizedHistory, \
-    RelationalEvidence, build_cooccurrence, extract_relations, \
-    load_cooccurrence, prioritize_history, propagate_to_icd, \
-    save_cooccurrence, select_candidates
+from .evidence import CooccurrenceMatrix, PrioritizedHistory, RelationalEvidence, \
+    build_cooccurrence, extract_relations, load_cooccurrence, prioritize_history, \
+    propagate_to_icd, save_cooccurrence, select_candidates
 from .llm import LLM_BACKENDS, LlmClient, LlmConfig, LlmError
 from .metrics import DEFAULT_KS, MetricsReport, RunArtifact, RunRecord, \
     compare_ablations, evaluate_run, load_run, metrics_table, \
@@ -255,17 +256,6 @@ def _load_data(out_dir: Path) -> tuple[Dataset, Ontology]:
     return dataset, ontology
 
 
-def _neutral_candidates(
-    vocab: Sequence[str], mode: str, history: frozenset[str]
-) -> CandidateSet:
-    """Full-vocabulary candidate set for the no-candidate-selection stage:
-    every eligible code at logit 0.0 in code order."""
-    pool = sorted(c for c in vocab if mode == "overall" or c not in history)
-    return CandidateSet(
-        entries=tuple((c, 0.0) for c in pool), K=max(1, len(pool)), mode=mode
-    )
-
-
 def predict_record(
     instance: PredictionInstance,
     logits: LogitVector,
@@ -291,10 +281,11 @@ def predict_record(
     flags = options.effective_flags
     history = instance.history_ccs
 
-    if flags.candidates:
-        candidates = select_candidates(logits, k, cfg.task, history)
-    else:
-        candidates = _neutral_candidates(logits.vocab, cfg.task, history)
+    # Without candidate selection every eligible code is a candidate, in
+    # code order: the top |vocab| of all-zero logits.
+    scored, size = (logits, k) if flags.candidates else (
+        LogitVector(logits.vocab, np.zeros(len(logits.vocab))), len(logits.vocab))
+    candidates = select_candidates(scored, size, cfg.task, history)
 
     # Without prioritization the prompt lists raw history, not ICD groups.
     prioritized = PrioritizedHistory(groups=())
@@ -371,7 +362,8 @@ def load_prediction_inputs(
     if cfg.strategy != "plain" and any(
         AblationFlags.for_stage(stage).relations for stage in stages
     ):
-        cooc = _load(load_cooccurrence, out_dir / COOC_FILE, "run `dxrank cooc` first")
+        cooc = _load(load_cooccurrence, out_dir / COOC_FILE, "run `dxrank cooc` first",
+                     ontology.ccs_codes)
     _, _, test_ds = split_patients(dataset, cfg.split_ratios, cfg.seed)
     instances = tuple(build_instances(test_ds))
     if not instances:
@@ -466,12 +458,13 @@ def cmd_train(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
 
 
 def cmd_cooc(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
-    dataset, _ = _load_data(out_dir)
+    dataset, ontology = _load_data(out_dir)
     train_ds, _, _ = split_patients(dataset, cfg.split_ratios, cfg.seed)
-    matrix = build_cooccurrence(train_ds)
+    matrix = build_cooccurrence(train_ds, ontology.ccs_codes)
     save_cooccurrence(matrix, out_dir / COOC_FILE)
     write_resolved_config(cfg, out_dir, "cooc")
-    print(f"counted {len(matrix.counts)} code pairs over {matrix.n_patients} patients")
+    pairs = np.count_nonzero(np.triu(matrix.counts))
+    print(f"counted {pairs} code pairs over {matrix.n_patients} patients")
     return EXIT_OK
 
 

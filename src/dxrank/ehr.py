@@ -128,7 +128,6 @@ class PatientRecord:
 @dataclass(frozen=True)
 class Dataset:
     patients: tuple[PatientRecord, ...]
-    ontology_ref: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "patients", tuple(self.patients))
@@ -336,30 +335,23 @@ def split_patients(
     parts = []
     for i in range(3):
         chosen = sorted(order[bounds[i] : bounds[i + 1]])
-        parts.append(
-            Dataset(
-                patients=tuple(dataset.patients[j] for j in chosen),
-                ontology_ref=dataset.ontology_ref,
-            )
-        )
+        parts.append(Dataset(patients=tuple(dataset.patients[j] for j in chosen)))
     return parts[0], parts[1], parts[2]
 
 
 def build_instances(
-    dataset: Dataset, min_visits: int = 2, all_prefixes: bool = False
+    dataset: Dataset, all_prefixes: bool = False
 ) -> list[PredictionInstance]:
-    """Turn each eligible patient into next-visit prediction instances.
+    """Turn each patient with at least two visits into next-visit
+    prediction instances.
 
     Default is one instance per patient (all but the last visit as input,
     the last as target). `all_prefixes=True` emits one instance for every
-    visit transition instead. Patients with fewer than `min_visits` visits
-    are skipped.
+    visit transition instead.
     """
-    if min_visits < 2:
-        raise DatasetError("min_visits must be at least 2")
     instances: list[PredictionInstance] = []
     for p in dataset.patients:
-        if len(p.visits) < min_visits:
+        if len(p.visits) < 2:
             continue
         cut_points = range(1, len(p.visits)) if all_prefixes else [len(p.visits) - 1]
         for t in cut_points:

@@ -9,8 +9,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from . import InputError
 from .backends import LogitVector
+from .backends.base import vocab_index
 from .ehr import TASKS, Dataset, Ontology, Visit
 
 UNMAPPED_GROUP = "unmapped"
@@ -29,72 +32,78 @@ class EvidenceError(InputError):
 
 @dataclass(frozen=True)
 class CooccurrenceMatrix:
-    """Symmetric patient-level co-occurrence counts over CCS codes.
+    """Symmetric patient-level co-occurrence counts over a sorted CCS
+    vocabulary.
 
-    counts[(i, j)] is the number of patients carrying both i and j in any
-    of their visits (binary per patient); the diagonal is the per-code
-    patient count.
+    counts[i, j] is the number of patients carrying both vocab[i] and
+    vocab[j] in any of their visits (binary per patient); the diagonal is
+    the per-code patient count.
     """
 
-    counts: dict[tuple[str, str], int]
+    vocab: tuple[str, ...]
+    counts: np.ndarray
     n_patients: int
 
     def __post_init__(self):
-        n = self.n_patients
+        n, counts = self.n_patients, self.counts
         if n < 0:
             raise EvidenceError("negative n_patients")
-        diagonal = {i: int(v) for (i, j), v in self.counts.items() if i == j}
-        canon: dict[tuple[str, str], int] = {}
-        for (i, j), v in self.counts.items():
-            key = (i, j) if i <= j else (j, i)
-            v = int(v)
-            if canon.setdefault(key, v) != v:
-                raise EvidenceError(f"asymmetric counts for pair {key}")
-            if not 0 <= v <= n or (
-                i != j and (v > diagonal.get(i, 0) or v > diagonal.get(j, 0))
-            ):
-                raise EvidenceError(_bound_error(*key, v, n, diagonal))
-        object.__setattr__(self, "counts", canon)
-
-    def count(self, i: str, j: str) -> int:
-        key = (i, j) if i <= j else (j, i)
-        return self.counts.get(key, 0)
+        diagonal = np.diagonal(counts)
+        bad = (counts < 0) | (counts > n) | (counts > diagonal) | (counts > diagonal[:, None])
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise EvidenceError(_bound_error(self.vocab[i], self.vocab[j], counts[i, j],
+                                             n, min(diagonal[i], diagonal[j])))
 
 
-def _bound_error(i: str, j: str, v: int, n_patients: int,
-                 diagonal: dict[str, int]) -> str:
+def _bound_error(i: str, j: str, v: int, n_patients: int, diagonal: int) -> str:
     if v < 0:
         return f"negative count for ({i}, {j})"
-    if i != j and v > min(diagonal.get(i, 0), diagonal.get(j, 0)):
+    if i != j and v > diagonal:
         return f"count({i},{j})={v} exceeds a diagonal entry"
     return f"count({i},{j})={v} exceeds n_patients"
 
 
-def build_cooccurrence(train_dataset: Dataset) -> CooccurrenceMatrix:
-    """counts(i, j) = number of patients diagnosed with both i and j."""
-    counts: dict[tuple[str, str], int] = {}
-    for patient in train_dataset.patients:
-        codes = sorted(patient.all_ccs())
-        for a_pos, a in enumerate(codes):
-            for b in codes[a_pos:]:
-                counts[(a, b)] = counts.get((a, b), 0) + 1
-    return CooccurrenceMatrix(counts=counts, n_patients=len(train_dataset))
+def _positions(index: dict[str, int], codes: Iterable[str]) -> list[int]:
+    try:
+        return [index[c] for c in codes]
+    except KeyError as exc:
+        raise EvidenceError(f"CCS code {exc.args[0]!r} is not in the vocabulary") from None
+
+
+def build_cooccurrence(train_dataset: Dataset, vocab: tuple[str, ...]) -> CooccurrenceMatrix:
+    """counts(i, j) = number of patients diagnosed with both i and j, as
+    XᵀX over one multi-hot row of codes per patient."""
+    index = vocab_index(vocab)
+    hot = np.zeros((len(train_dataset), len(vocab)))
+    for row, patient in zip(hot, train_dataset.patients):
+        row[_positions(index, patient.all_ccs())] = 1.0
+    # Float products are exact integers far beyond any patient count.
+    counts = (hot.T @ hot).astype(np.int64)
+    return CooccurrenceMatrix(vocab=vocab, counts=counts, n_patients=len(train_dataset))
 
 
 COOC_COLUMNS = ["ccs_i", "ccs_j", "count"]
 
 
 def save_cooccurrence(matrix: CooccurrenceMatrix, path: str | Path) -> None:
-    """CSV triples (i <= j) under a comment line carrying n_patients."""
+    """CSV triples of the nonzero upper triangle (i <= j) in row-major
+    order, under a comment line carrying n_patients."""
+    upper = np.triu(matrix.counts)
+    rows, cols = np.nonzero(upper)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# n_patients={matrix.n_patients}\n")
         writer = csv.writer(fh)
         writer.writerow(COOC_COLUMNS)
-        for (i, j) in sorted(matrix.counts):
-            writer.writerow([i, j, matrix.counts[(i, j)]])
+        for i, j, v in zip(rows.tolist(), cols.tolist(), upper[rows, cols].tolist()):
+            writer.writerow([matrix.vocab[i], matrix.vocab[j], v])
 
 
-def load_cooccurrence(path: str | Path) -> CooccurrenceMatrix:
+def load_cooccurrence(path: str | Path, vocab: tuple[str, ...]) -> CooccurrenceMatrix:
+    """Read counts over `vocab`; each row names two of its codes with
+    ccs_i <= ccs_j, and the lower triangle mirrors the upper one."""
+    index = vocab_index(vocab)
+    counts = np.zeros((len(vocab), len(vocab)), dtype=np.int64)
     with open(path, newline="", encoding="utf-8") as fh:
         first = fh.readline().strip()
         if not first.startswith("# n_patients="):
@@ -107,15 +116,20 @@ def load_cooccurrence(path: str | Path) -> CooccurrenceMatrix:
         header = next(reader, None)
         if header != COOC_COLUMNS:
             raise EvidenceError(f"co-occurrence columns {header!r}, expected {COOC_COLUMNS!r}")
-        counts: dict[tuple[str, str], int] = {}
         for row in reader:
             if not row:  # blank lines carry no row, as csv.DictReader treats them
                 continue
             try:
-                counts[(row[0], row[1])] = int(row[2])
+                v = int(row[2])
             except (IndexError, ValueError):
                 raise EvidenceError(f"bad co-occurrence row {_row_fields(row)!r}") from None
-    return CooccurrenceMatrix(counts=counts, n_patients=n_patients)
+            if not 0 <= v <= n_patients:  # checked here, as int64 cannot hold every int
+                raise EvidenceError(_bound_error(row[0], row[1], v, n_patients, n_patients))
+            i, j = _positions(index, row[:2])
+            if i > j:
+                raise EvidenceError(f"co-occurrence row ({row[0]}, {row[1]}) has ccs_i > ccs_j")
+            counts[i, j] = counts[j, i] = v
+    return CooccurrenceMatrix(vocab=vocab, counts=counts, n_patients=n_patients)
 
 
 def _row_fields(row: list[str]) -> dict:
@@ -172,12 +186,15 @@ def select_candidates(
         raise EvidenceError("K must be at least 1")
     if mode not in TASKS:
         raise EvidenceError(f"unknown candidate mode {mode!r}")
-    scores = logits.as_dict()
-    pool = logits.vocab
+    # The vocabulary is sorted, so a stable sort breaks logit ties by code.
+    order = np.argsort(-logits.scores, kind="stable")
     if mode == "novel":
-        pool = tuple(c for c in pool if c not in history_ccs)
-    ranked = sorted(pool, key=lambda c: (-scores[c], c))
-    entries = tuple((c, scores[c]) for c in ranked[:K])
+        index = vocab_index(logits.vocab)
+        keep = np.ones(len(order), dtype=bool)
+        keep[[index[c] for c in history_ccs if c in index]] = False
+        order = order[keep[order]]
+    top = order[:K]
+    entries = tuple(zip([logits.vocab[i] for i in top], logits.scores[top].tolist()))
     return CandidateSet(entries=entries, K=K, mode=mode)
 
 
@@ -284,19 +301,18 @@ def extract_relations(
     """Link each candidate outside the history to its most co-occurring
     historical code; ties go to the lexicographically smaller history code,
     and zero co-occurrence yields no link."""
-    history = sorted(set(history_ccs))
-    links: list[RelationLink] = []
-    for cand in candidates.codes:
-        if cand in history:
-            continue
-        best_code, best_count = "", 0
-        for h in history:
-            c = G.count(h, cand)
-            if c > best_count:
-                best_code, best_count = h, c
-        if best_count > 0:
-            links.append(
-                RelationLink(history_ccs=best_code, candidate_ccs=cand,
-                             count=best_count)
-            )
-    return RelationalEvidence(links=tuple(links))
+    listed = set(history_ccs)
+    history = sorted(listed)
+    novel = [c for c in candidates.codes if c not in listed]
+    if not history:
+        return RelationalEvidence(links=())
+    index = vocab_index(G.vocab)
+    # Rows follow the sorted history, so argmax's first maximum is the
+    # smallest history code.
+    block = G.counts[np.ix_(_positions(index, history), _positions(index, novel))]
+    best = block.argmax(axis=0)
+    counts = block[best, np.arange(len(novel))].tolist()
+    return RelationalEvidence(links=tuple(
+        RelationLink(history_ccs=history[b], candidate_ccs=c, count=n)
+        for b, c, n in zip(best.tolist(), novel, counts) if n > 0
+    ))

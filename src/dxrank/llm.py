@@ -17,6 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import InputError
+from .prompting import CANDIDATES_TITLE_OVERALL, HISTORY_TITLE_PRIORITIZED
 
 LLM_BACKENDS = ("remote", "mock_echo", "mock_evidence")
 
@@ -188,11 +189,6 @@ def _extract_choice(raw: bytes) -> str:
         raise LlmProtocolError("response has no usable choice") from None
 
 
-def complete(prompt: str, cfg: LlmConfig) -> CompletionResult:
-    """One-shot completion with a fresh client."""
-    return LlmClient(cfg).complete(prompt)
-
-
 # ---------------------------------------------------------------------------
 # Mocks
 # ---------------------------------------------------------------------------
@@ -207,7 +203,8 @@ def derive_seed(seed: int, prompt: str, sample_tag: str = "") -> int:
 def _candidate_names(prompt: str) -> list[str]:
     lines = prompt.splitlines()
     for i, line in enumerate(lines):
-        if line.startswith("Candidate CCS Codes"):
+        # The overall title is a prefix of the novel one.
+        if line.startswith(CANDIDATES_TITLE_OVERALL):
             for body in lines[i + 1:]:
                 if body.strip():
                     return re.findall(r'"([^"]+)"', body)
@@ -226,12 +223,7 @@ def mock_echo(prompt: str) -> str:
     return "Answer: " + ", ".join(_candidate_names(prompt))
 
 
-def mock_evidence_aware(
-    prompt: str,
-    seed: int,
-    swap_prob: float = 0.1,
-    shuffle_unprioritized: bool = True,
-) -> str:
+def mock_evidence_aware(prompt: str, seed: int, swap_prob: float = 0.1) -> str:
     """Deterministic stand-in for the re-ranker.
 
     Candidates named on the right side of a relational line are promoted
@@ -244,14 +236,13 @@ def mock_evidence_aware(
     names = _candidate_names(prompt)
     supported_set = _supported_names(prompt)
     prioritized = any(
-        line.startswith("Patient Historical Diagnoses (Prioritized)")
-        for line in prompt.splitlines()
+        line.startswith(HISTORY_TITLE_PRIORITIZED) for line in prompt.splitlines()
     )
     supported = [n for n in names if n in supported_set]
     rest = [n for n in names if n not in supported_set]
 
     rng = np.random.default_rng(seed)
-    if not prioritized and shuffle_unprioritized:
+    if not prioritized:
         rest = [rest[i] for i in rng.permutation(len(rest))]
     else:
         for i in range(len(rest) - 1):

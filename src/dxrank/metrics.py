@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from . import InputError
+from . import InputError, json_value
 from .ehr import TASKS
 
 METRICS = ("visit_precision", "code_accuracy")
@@ -95,7 +95,7 @@ def load_run(path: str | Path) -> RunArtifact:
                 obj = json.loads(line)
                 if obj.get("kind") == "meta":
                     meta = dict(fingerprint=obj.get("fingerprint", ""),
-                                seed=int(obj.get("seed", 0)),
+                                seed=json_value(int, obj.get("seed", 0), "seed"),
                                 task=obj.get("task", "overall"))
                     continue
                 record = RunRecord(
@@ -107,7 +107,8 @@ def load_run(path: str | Path) -> RunArtifact:
                     target_overall=tuple(obj["target_overall"]),
                     target_novel=tuple(obj["target_novel"]),
                     history_ccs=tuple(obj["history_ccs"]),
-                    matched_count=int(obj.get("matched_count", 0)),
+                    matched_count=json_value(int, obj.get("matched_count", 0),
+                                             "matched_count"),
                     error=obj.get("error", ""),
                 )
                 for name in CODE_FIELDS:

@@ -1,9 +1,9 @@
 """Prompt composition and answer parsing for the LLM re-ranker.
 
-A prompt is a fixed-order sequence of titled sections (recent visit,
-history, relational links, candidates, instruction). Ablation flags gate
-the evidence sections independently so incremental configurations can be
-compared. Answers are parsed leniently back into a full permutation of the
+A prompt fills the template's slots with titled sections (recent visit,
+history, relational links, candidates) and an optional reasoning line.
+Ablation flags gate the evidence sections independently so incremental
+configurations can be compared. Answers are parsed leniently back into a full permutation of the
 candidate codes.
 """
 from __future__ import annotations
@@ -93,18 +93,6 @@ class PromptOptions:
 
 
 @dataclass(frozen=True)
-class PromptSpec:
-    """A composed prompt before rendering: ordered titled sections plus the
-    parsing-relevant context."""
-
-    task: str
-    strategy: str
-    sections: tuple[tuple[str, str], ...]
-    candidate_names: tuple[str, ...]
-    days_since_last_visit: int
-
-
-@dataclass(frozen=True)
 class ParsedPrediction:
     ranked: tuple[str, ...]
     matched_count: int
@@ -138,87 +126,14 @@ def _render_group(icd_names: Sequence[str], ccs_name: str) -> str:
     return f'[{{{inner}}} BELONG TO "{ccs_name}"]'
 
 
-def build_prompt_spec(
-    instance: PredictionInstance,
-    prioritized: PrioritizedHistory,
-    relations: RelationalEvidence,
-    candidates: CandidateSet,
-    ontology: Ontology,
-    options: PromptOptions = PromptOptions(),
-) -> PromptSpec:
-    """Assemble the ordered sections for one instance.
-
-    The novel task requires novel-mode candidates (and vice versa); history
-    is rendered grouped and logit-ordered only when prioritization is on.
-    """
-    flags = options.effective_flags
-    if candidates.mode != options.task:
-        raise PromptError(
-            f"task {options.task!r} given {candidates.mode!r}-mode candidates"
-        )
-
-    sections: list[tuple[str, str]] = []
-    if options.task == "novel":
-        last = instance.input_visits[-1]
-        title = f"Last Diagnostic Visit ({instance.days_to_target} days ago)"
-        sections.append((title, _quote_join(ontology.icd_name(i) for i in last.icd)))
-
-    if flags.prioritization:
-        groups = [
-            _render_group(
-                [ontology.icd_name(i) for i in g.icds],
-                g.ccs if g.ccs == UNMAPPED_GROUP else ontology.ccs_name(g.ccs),
-            )
-            for g in prioritized.groups
-        ]
-        sections.append((HISTORY_TITLE_PRIORITIZED, ", ".join(groups)))
-    else:
-        names = [ontology.ccs_name(c) for c in sorted(instance.history_ccs)]
-        sections.append((HISTORY_TITLE_RAW, _quote_join(names)))
-
-    if flags.relations:
-        lines = [
-            f'"{ontology.ccs_name(link.history_ccs)}" ⇒ "{ontology.ccs_name(link.candidate_ccs)}"'
-            for link in relations.links
-        ]
-        sections.append((RELATIONS_TITLE, "\n".join(lines) if lines else "None"))
-
-    cand_title = (
-        CANDIDATES_TITLE_NOVEL if options.task == "novel" else CANDIDATES_TITLE_OVERALL
-    )
-    candidate_names = tuple(ontology.ccs_name(c) for c in candidates.codes)
-    sections.append((cand_title, _quote_join(candidate_names)))
-
-    return PromptSpec(
-        task=options.task,
-        strategy=options.strategy,
-        sections=tuple(sections),
-        candidate_names=candidate_names,
-        days_since_last_visit=instance.days_to_target,
-    )
+def _section(title: str, body: str) -> str:
+    return f"{title}:\n{body}\n\n"
 
 
-def _render(spec: PromptSpec, template: str, cot: bool) -> str:
-    values = {
-        "last_visit_section": "",
-        "history_section": "",
-        "relations_section": "",
-        "candidates_section": "",
-        "cot_line": f"\n{COT_LINE}" if cot else "",
-    }
-    for title, body in spec.sections:
-        block = f"{title}:\n{body}\n\n"
-        if title.startswith("Last Diagnostic Visit"):
-            values["last_visit_section"] = block
-        elif title.startswith(RELATIONS_TITLE):
-            values["relations_section"] = block
-        elif title.startswith(HISTORY_TITLE_RAW):
-            values["history_section"] = block
-        else:
-            values["candidates_section"] = block
+def _render(template: str, values: Mapping[str, str]) -> str:
     try:
         return template.format(**values)
-    except (KeyError, IndexError, ValueError) as exc:
+    except (AttributeError, KeyError, IndexError, ValueError) as exc:
         raise PromptError(f"bad template: {exc}") from None
 
 
@@ -230,30 +145,57 @@ def compose_prompt(
     ontology: Ontology,
     options: PromptOptions = PromptOptions(),
 ) -> str:
-    """Render the full prompt text. If the prioritized history makes it
-    exceed options.max_chars, history groups are dropped from the tail until
-    it fits (the history section is the only unbounded part); a raw history
-    is not truncated."""
-    spec = build_prompt_spec(
-        instance, prioritized, relations, candidates, ontology, options
+    """Render the full prompt text by filling the template's slots.
+
+    The novel task requires novel-mode candidates (and vice versa); history
+    is rendered grouped and logit-ordered only when prioritization is on.
+    If the prioritized history makes the prompt exceed options.max_chars,
+    history groups are dropped from the tail until it fits (the history
+    section is the only unbounded part); a raw history is not truncated.
+    """
+    flags = options.effective_flags
+    if candidates.mode != options.task:
+        raise PromptError(
+            f"task {options.task!r} given {candidates.mode!r}-mode candidates"
+        )
+    novel = options.task == "novel"
+    links = "\n".join(
+        f'"{ontology.ccs_name(link.history_ccs)}" ⇒ "{ontology.ccs_name(link.candidate_ccs)}"'
+        for link in relations.links
     )
+    last_visit = _section(
+        f"Last Diagnostic Visit ({instance.days_to_target} days ago)",
+        _quote_join(ontology.icd_name(i) for i in instance.input_visits[-1].icd),
+    )
+    values = {
+        "last_visit_section": last_visit if novel else "",
+        "relations_section": _section(RELATIONS_TITLE, links or "None") if flags.relations else "",
+        "candidates_section": _section(
+            CANDIDATES_TITLE_NOVEL if novel else CANDIDATES_TITLE_OVERALL,
+            _quote_join(ontology.ccs_name(c) for c in candidates.codes),
+        ),
+        "cot_line": f"\n{COT_LINE}" if options.strategy == "cot" else "",
+    }
     template = (
         options.template_text if options.template_text is not None else load_template()
     )
-    cot = options.strategy == "cot"
-    text = _render(spec, template, cot)
-    groups = prioritized.groups if options.effective_flags.prioritization else ()
-    while len(text) > options.max_chars and groups:
-        groups = groups[:-1]
-        spec = build_prompt_spec(
-            instance,
-            PrioritizedHistory(groups=groups),
-            relations,
-            candidates,
-            ontology,
-            options,
+    if not flags.prioritization:
+        names = (ontology.ccs_name(c) for c in sorted(instance.history_ccs))
+        values["history_section"] = _section(HISTORY_TITLE_RAW, _quote_join(names))
+        return _render(template, values)
+    groups = [
+        _render_group(
+            [ontology.icd_name(i) for i in g.icds],
+            g.ccs if g.ccs == UNMAPPED_GROUP else ontology.ccs_name(g.ccs),
         )
-        text = _render(spec, template, cot)
+        for g in prioritized.groups
+    ]
+    # The longest prefix of the groups that fits, or none.
+    for n in range(len(groups), -1, -1):
+        values["history_section"] = _section(HISTORY_TITLE_PRIORITIZED, ", ".join(groups[:n]))
+        text = _render(template, values)
+        if len(text) <= options.max_chars:
+            break
     return text
 
 

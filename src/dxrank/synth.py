@@ -152,7 +152,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[Dataset, Ontology]:
             day += int(rng.integers(DAY_GAP_RANGE[0], DAY_GAP_RANGE[1] + 1))
         patients.append(PatientRecord(patient_id=pid, visits=tuple(visits)))
 
-    return Dataset(patients=tuple(patients), ontology_ref="synthetic"), ontology
+    return Dataset(patients=tuple(patients)), ontology
 
 
 def _fresh_codes(

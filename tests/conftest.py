@@ -51,6 +51,17 @@ def make_patient(pid: str, visits: list[tuple[int, list[str]]]) -> PatientRecord
     )
 
 
+def dense_counts(pairs: dict[tuple[str, str], int],
+                 vocab: tuple[str, ...]) -> np.ndarray:
+    """Pair counts keyed by code, in either order, as the symmetric (C, C)
+    array a CooccurrenceMatrix over `vocab` holds; absent pairs are 0."""
+    index = {c: i for i, c in enumerate(vocab)}
+    counts = np.zeros((len(vocab), len(vocab)), dtype=np.int64)
+    for (a, b), v in pairs.items():
+        counts[index[a], index[b]] = counts[index[b], index[a]] = v
+    return counts
+
+
 def softmax_vjp(y: np.ndarray, dy: np.ndarray, axis: int = -1) -> np.ndarray:
     """Backprop through softmax given its output y and upstream grad dy; the
     per-instance oracles' counterpart of numerics.segment_softmax_vjp."""
@@ -66,4 +77,4 @@ def dataset(ontology: Ontology) -> Dataset:
         make_patient("pC", [(0, ["I04a", "I01a"]), (30, ["I05a"])]),
         make_patient("pD", [(0, ["I03a"])]),
     )
-    return Dataset(patients=patients, ontology_ref="tiny")
+    return Dataset(patients=patients)

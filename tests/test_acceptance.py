@@ -37,6 +37,7 @@ from dxrank.metrics import (
     visit_precision_at_k,
 )
 from dxrank.synth import SyntheticConfig, generate_synthetic
+from tests.conftest import dense_counts
 from tests.test_metrics import EXPECTED, KS_123, fixture_artifact
 
 
@@ -156,15 +157,15 @@ def test_criterion_3_cooccurrence_oracle():
                 n_ccs=4 + (seed * 3) % 17,
                 seed=seed,
             )
-            ds, _ = generate_synthetic(cfg)
-            got = build_cooccurrence(ds)
+            ds, ontology = generate_synthetic(cfg)
+            got = build_cooccurrence(ds, ontology.ccs_codes)
             want: dict[tuple[str, str], int] = {}
             for p in ds.patients:
                 codes = sorted(p.all_ccs())
                 for i, a in enumerate(codes):
                     for b in codes[i:]:
                         want[(a, b)] = want.get((a, b), 0) + 1
-            assert got.counts == want
+            assert np.array_equal(got.counts, dense_counts(want, ontology.ccs_codes))
             assert got.n_patients == len(ds)
         assert time.perf_counter() - t0 < 10.0
 

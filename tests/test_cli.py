@@ -258,6 +258,13 @@ def _template(text):
     return apply
 
 
+def _cooc_row(row):
+    def apply(out):
+        with open(out / COOC_FILE, "a", encoding="utf-8") as fh:
+            fh.write(row + "\n")
+    return apply
+
+
 def _model_dir(out):
     (out / MODEL_FILE).unlink()
     (out / MODEL_FILE).mkdir()
@@ -298,6 +305,7 @@ MALFORMED_INPUTS = {
     "template-unknown-name": ("predict", _template("{bogus}"), "template"),
     "template-positional": ("predict", _template("{0}"), "template"),
     "template-unclosed": ("predict", _template("{history_section"), "template"),
+    "template-attribute": ("predict", _template("{history_section.title_}"), "template"),
     **{f"non-utf8-{name}": ("eval" if name == RUN_FILE else "predict",
                             _append_ff(name), name)
        for name in (MODEL_FILE, DATASET_FILE, ONTOLOGY_FILE, COOC_FILE, RUN_FILE)},
@@ -306,6 +314,10 @@ MALFORMED_INPUTS = {
         lambda path: path.write_bytes(b'{"seed": 0}\xff')), "bad.json"),
     "config-directory": ("predict", _config(lambda path: path.mkdir()), "bad.json"),
     "out-is-a-file": ("synth", _out_file, "--out"),
+    "cooc-code-off-ontology": ("predict", _cooc_row("CCS-001,CCS-999,1"),
+                               "'CCS-999' is not in the vocabulary"),
+    "cooc-descending-pair": ("predict", _cooc_row("CCS-002,CCS-001,1"),
+                             "has ccs_i > ccs_j"),
 }
 
 
@@ -493,7 +505,7 @@ class TestPipeline:
         ontology = load_ontology(out / ONTOLOGY_FILE)
         dataset = load_dataset(out / DATASET_FILE, ontology)
         train_ds, _, _ = split_patients(dataset, (0.7, 0.1, 0.2), 0)
-        matrix = load_cooccurrence(out / COOC_FILE)
+        matrix = load_cooccurrence(out / COOC_FILE, ontology.ccs_codes)
         assert matrix.n_patients == len(train_ds.patients)
 
     def test_chain_is_reproducible(self, tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dxrank.backends.base import BackendError, LogitVector
-from dxrank.ehr import Visit
+from dxrank.ehr import Visit, build_instances
 from dxrank.evidence import (
     UNMAPPED_GROUP,
     CandidateSet,
@@ -22,6 +22,10 @@ from dxrank.evidence import (
 )
 from dxrank.synth import SyntheticConfig, generate_synthetic
 
+from .conftest import CCS_NAMES, dense_counts
+
+VOCAB = tuple(sorted(CCS_NAMES))
+
 
 def brute_force_counts(dataset) -> dict[tuple[str, str], int]:
     """Quadratic double loop over patient code sets; the oracle for
@@ -35,6 +39,10 @@ def brute_force_counts(dataset) -> dict[tuple[str, str], int]:
     return counts
 
 
+def count(matrix: CooccurrenceMatrix, i: str, j: str) -> int:
+    return matrix.counts[matrix.vocab.index(i), matrix.vocab.index(j)]
+
+
 class TestCooccurrence:
     def test_matches_brute_force_on_random_data(self):
         for seed in range(10):
@@ -42,38 +50,63 @@ class TestCooccurrence:
                 n_patients=int(np.random.default_rng(seed).integers(5, 60)),
                 n_ccs=15, seed=seed,
             )
-            ds, _ = generate_synthetic(cfg)
-            got = build_cooccurrence(ds)
+            ds, ontology = generate_synthetic(cfg)
+            got = build_cooccurrence(ds, ontology.ccs_codes)
             want = brute_force_counts(ds)
-            assert got.counts == want
+            assert np.array_equal(got.counts, dense_counts(want, ontology.ccs_codes))
             assert got.n_patients == len(ds)
 
     def test_symmetric_lookup(self, dataset):
-        m = build_cooccurrence(dataset)
-        assert m.count("C01", "C02") == m.count("C02", "C01")
+        m = build_cooccurrence(dataset, VOCAB)
+        assert count(m, "C01", "C02") == count(m, "C02", "C01")
+        assert np.array_equal(m.counts, m.counts.T)
 
     def test_diagonal_counts_patients_with_code(self, dataset):
-        m = build_cooccurrence(dataset)
+        m = build_cooccurrence(dataset, VOCAB)
         # C01 appears in pA and pC; C03 in pA and pD.
-        assert m.count("C01", "C01") == 2
-        assert m.count("C03", "C03") == 2
-        assert m.count("C01", "C02") == 1  # only pA
-        assert m.count("C02", "C05") == 0
+        assert count(m, "C01", "C01") == 2
+        assert count(m, "C03", "C03") == 2
+        assert count(m, "C01", "C02") == 1  # only pA
+        assert count(m, "C02", "C05") == 0
 
     def test_round_trip(self, dataset, tmp_path):
-        m = build_cooccurrence(dataset)
+        m = build_cooccurrence(dataset, VOCAB)
         path = tmp_path / "cooc.csv"
         save_cooccurrence(m, path)
-        again = load_cooccurrence(path)
-        assert again.counts == m.counts
+        again = load_cooccurrence(path, VOCAB)
+        assert np.array_equal(again.counts, m.counts)
         assert again.n_patients == m.n_patients
         assert path.read_text().startswith("# n_patients=4\n")
+
+    def test_file_holds_nonzero_upper_triangle_in_row_major_order(self, dataset, tmp_path):
+        path = tmp_path / "cooc.csv"
+        save_cooccurrence(build_cooccurrence(dataset, VOCAB), path)
+        assert path.read_text().splitlines() == [
+            "# n_patients=4", "ccs_i,ccs_j,count",
+            "C01,C01,2", "C01,C02,1", "C01,C03,1", "C01,C04,1", "C01,C05,1",
+            "C02,C02,2", "C02,C03,1", "C03,C03,2", "C04,C04,1", "C04,C05,1",
+            "C05,C05,1",
+        ]
+
+    @pytest.mark.parametrize("row,message", [
+        ("C01,C09,1", "CCS code 'C09' is not in the vocabulary"),
+        ("C02,C01,1", "co-occurrence row (C02, C01) has ccs_i > ccs_j"),
+        ("C01,C01,99999999999999999999999",
+         "count(C01,C01)=99999999999999999999999 exceeds n_patients"),
+        ("C01,C02,-1", "negative count for (C01, C02)"),
+    ])
+    def test_rows_off_the_vocabulary_order_or_range_rejected(self, tmp_path, row, message):
+        path = tmp_path / "cooc.csv"
+        path.write_text(f"# n_patients=3\nccs_i,ccs_j,count\nC01,C01,2\n{row}\n")
+        with pytest.raises(EvidenceError) as info:
+            load_cooccurrence(path, VOCAB)
+        assert str(info.value) == message
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "cooc.csv"
         path.write_text("ccs_i,ccs_j,count\nC01,C01,1\n")
         with pytest.raises(EvidenceError):
-            load_cooccurrence(path)
+            load_cooccurrence(path, VOCAB)
 
     @pytest.mark.parametrize("body,message", [
         ("ccs_j,ccs_i,count\nC01,C01,1\n", "co-occurrence columns"),
@@ -88,33 +121,36 @@ class TestCooccurrence:
         path = tmp_path / "cooc.csv"
         path.write_text("# n_patients=3\n" + body)
         with pytest.raises(EvidenceError) as info:
-            load_cooccurrence(path)
+            load_cooccurrence(path, VOCAB)
         assert str(info.value).startswith(message)
 
     def test_blank_lines_and_extra_fields_are_read_as_before(self, tmp_path):
         path = tmp_path / "cooc.csv"
         path.write_text("# n_patients=3\nccs_i,ccs_j,count\nC01,C01,2\n\nC01,C02,1,\n"
                         "C02,C02,1\n")
-        m = load_cooccurrence(path)
-        assert m.counts == {("C01", "C01"): 2, ("C01", "C02"): 1, ("C02", "C02"): 1}
+        m = load_cooccurrence(path, VOCAB)
+        want = {("C01", "C01"): 2, ("C01", "C02"): 1, ("C02", "C02"): 1}
+        assert np.array_equal(m.counts, dense_counts(want, VOCAB))
 
     @pytest.mark.parametrize("counts,n,message", [
         ({("a", "b"): -1}, 3, "negative count for (a, b)"),
         ({("b", "b"): 2, ("b", "a"): 1}, 3, "count(a,b)=1 exceeds a diagonal entry"),
         ({("a", "a"): 4}, 3, "count(a,a)=4 exceeds n_patients"),
-        ({("a", "a"): 1, ("b", "b"): 1, ("a", "b"): 1, ("b", "a"): 0}, 3,
-         "asymmetric counts for pair ('a', 'b')"),
+        # Of several bad entries, the first in row-major order is reported.
+        ({("b", "b"): 5, ("a", "a"): -1}, 3, "negative count for (a, a)"),
         ({}, -1, "negative n_patients"),
     ])
     def test_bad_counts_messages(self, counts, n, message):
         with pytest.raises(EvidenceError) as info:
-            CooccurrenceMatrix(counts=counts, n_patients=n)
+            CooccurrenceMatrix(vocab=("a", "b"), counts=dense_counts(counts, ("a", "b")),
+                               n_patients=n)
         assert str(info.value) == message
 
     def test_off_diagonal_bounded_by_diagonal(self):
         with pytest.raises(EvidenceError):
             CooccurrenceMatrix(
-                counts={("a", "a"): 1, ("b", "b"): 5, ("a", "b"): 3},
+                vocab=("a", "b"),
+                counts=dense_counts({("a", "a"): 1, ("b", "b"): 5, ("a", "b"): 3}, ("a", "b")),
                 n_patients=10,
             )
 
@@ -149,7 +185,7 @@ class TestSelectCandidates:
 
     def test_order_invariant_to_monotone_transform(self):
         doubled = _logits(
-            {c: 2.0 * s + 3.0 for c, s in self.LOGITS.as_dict().items()}
+            {c: 2.0 * s + 3.0 for c, s in zip(self.LOGITS.vocab, self.LOGITS.scores)}
         )
         a = select_candidates(self.LOGITS, K=5, mode="overall")
         b = select_candidates(doubled, K=5, mode="overall")
@@ -173,6 +209,16 @@ class TestSelectCandidates:
             got = select_candidates(logits, K=10, mode="novel", history_ccs=history)
             assert got.codes == tuple(want)
             assert got.entries == tuple((c, logits.score(c)) for c in want)
+
+    def test_zero_logits_list_every_eligible_code_in_code_order(self):
+        # The no-selection stage: all-zero logits with K = |vocab|.
+        vocab = self.LOGITS.vocab
+        zero = LogitVector(vocab=vocab, scores=np.zeros(len(vocab)))
+        history = frozenset({"C02", "C04"})
+        for mode in ("overall", "novel"):
+            got = select_candidates(zero, K=len(vocab), mode=mode, history_ccs=history)
+            pool = sorted(c for c in vocab if mode == "overall" or c not in history)
+            assert got.entries == tuple((c, 0.0) for c in pool)
 
     def test_candidate_set_validates_order(self):
         with pytest.raises(EvidenceError):
@@ -235,7 +281,8 @@ class TestExtractRelations:
             ("C01", "C04"): 3, ("C02", "C04"): 3,
             ("C01", "C05"): 2,
         }
-        return CooccurrenceMatrix(counts=counts, n_patients=10)
+        return CooccurrenceMatrix(vocab=VOCAB, counts=dense_counts(counts, VOCAB),
+                                  n_patients=10)
 
     def _candidates(self, codes: list[str]) -> CandidateSet:
         entries = tuple((c, float(len(codes) - i)) for i, c in enumerate(codes))
@@ -266,6 +313,42 @@ class TestExtractRelations:
             {"C01"}, self._candidates(["C05", "C04"]), self._matrix()
         )
         assert [link.candidate_ccs for link in rel.links] == ["C05", "C04"]
+
+    def test_matches_loop_over_history(self):
+        """The argmax over history rows links exactly as a loop that keeps
+        the first strictly larger count over the sorted history."""
+        linked = 0
+        for seed in range(10):
+            ds, ontology = generate_synthetic(SyntheticConfig(n_patients=40, n_ccs=15,
+                                                              seed=seed))
+            vocab = ontology.ccs_codes
+            G = build_cooccurrence(ds, vocab)
+            pairs = brute_force_counts(ds)
+            rng = np.random.default_rng(seed)
+            for inst in build_instances(ds):
+                logits = LogitVector(vocab=vocab, scores=rng.integers(-2, 2, len(vocab)))
+                for mode in ("overall", "novel"):
+                    cands = select_candidates(logits, 8, mode, inst.history_ccs)
+                    want = []
+                    history = sorted(inst.history_ccs)
+                    for cand in cands.codes:
+                        if cand in history:
+                            continue
+                        best_code, best = "", 0
+                        for h in history:
+                            c = pairs.get((min(h, cand), max(h, cand)), 0)
+                            if c > best:
+                                best_code, best = h, c
+                        if best > 0:
+                            want.append(RelationLink(best_code, cand, best))
+                    got = extract_relations(inst.history_ccs, cands, G)
+                    assert got.links == tuple(want)
+                    linked += len(want)
+        assert linked > 100
+
+    def test_code_outside_vocabulary_rejected(self):
+        with pytest.raises(EvidenceError, match="C09"):
+            extract_relations({"C09"}, self._candidates(["C05"]), self._matrix())
 
     def test_duplicate_candidate_links_rejected(self):
         with pytest.raises(EvidenceError):

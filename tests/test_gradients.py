@@ -12,6 +12,7 @@ from dxrank.backends.numerics import (
     bce_with_logits_grad,
     dlog_softplus,
     log_softplus,
+    sigmoid,
     softmax,
     softplus,
     softplus_inv,
@@ -67,6 +68,22 @@ class TestNumerics:
         y = np.array([0.0, 1.0])
         val = bce_with_logits(z, y)
         assert np.isfinite(val) and val > 100
+
+    def test_sigmoid_bitwise_equals_two_exp_form(self):
+        """One exp(-|x|) for both branches gives the same bits as taking
+        exp(-max(x, 0)) and exp(min(x, 0)) apart, so trained models keep
+        their bytes."""
+        rng = np.random.default_rng(6)
+        x = np.concatenate([
+            rng.normal(0.0, scale, size=20000) for scale in (1.0, 10.0, 100.0, 1000.0)
+        ] + [np.array([0.0, -0.0, np.inf, -np.inf, 710.0, -710.0, 745.0, -745.0,
+                       1e-300, -1e-300])])
+        pos = 1.0 / (1.0 + np.exp(-np.maximum(x, 0.0)))
+        ex = np.exp(np.minimum(x, 0.0))
+        want = np.where(x >= 0, pos, ex / (1.0 + ex))
+        got = sigmoid(x)
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(sigmoid(np.array([-800.0, 0.0, 800.0])), [0.0, 0.5, 1.0])
 
     def test_softplus_inverse(self):
         x = np.array([1e-6, 0.5, 3.0, 40.0])

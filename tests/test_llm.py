@@ -20,7 +20,6 @@ from dxrank.llm import (
     LlmConfig,
     LlmProtocolError,
     LlmTransportError,
-    complete,
     derive_seed,
     mock_echo,
     mock_evidence_aware,
@@ -259,7 +258,7 @@ class TestMockEcho:
             mock_echo("Instruction:\n- guess")
 
     def test_via_client(self):
-        got = complete(prompt_text(NAMES), LlmConfig(backend="mock_echo"))
+        got = LlmClient(LlmConfig(backend="mock_echo")).complete(prompt_text(NAMES))
         assert got.text == "Answer: A, B, C, D, E, F"
         assert got.backend_tag == "mock_echo"
         assert got.attempt_count == 1
@@ -284,12 +283,6 @@ class TestMockEvidence:
         text = prompt_text(NAMES, prioritized=False)
         got = mock_evidence_aware(text, 1)
         assert got == "Answer: E, A, C, B, F, D"
-
-    def test_shuffle_can_be_disabled(self):
-        text = prompt_text(NAMES, prioritized=False)
-        got = mock_evidence_aware(text, 1, swap_prob=0.0,
-                                  shuffle_unprioritized=False)
-        assert got == "Answer: A, B, C, D, E, F"
 
     def test_deterministic_per_seed(self):
         text = prompt_text(NAMES, prioritized=False)

@@ -104,29 +104,44 @@ def test_dataset_type_mutations(tmp_path, dataset, ontology):
            _read_lines(tmp_path / "dataset.jsonl"), tmp_path, seed=3, all_raise=True)
 
 
+FLOAT_FIELDS = ("learning_rate", "beta")
+
+
 @pytest.mark.parametrize("kind, path, value", [
     ("dataset", ("visits", 0, "day"), True),
     ("dataset", ("visits", 0, "day"), 1.5),
     ("model", ("d",), "16"),
     ("model", ("seed",), True),
     ("model", ("train_config", "epochs"), 2.9),
+    ("run", ("seed",), 2.7),
+    ("run", ("matched_count",), True),
+    ("model", ("train_config", "learning_rate"), True),
+    ("model", ("volume", "beta"), True),
 ])
 def test_int_fields_take_json_integers_only(tmp_path, dataset, ontology, kind, path, value):
+    """Integer fields take JSON integers only, and float fields JSON numbers
+    only: a bool is neither."""
     target = tmp_path / "file"
     if kind == "dataset":
         save_dataset(dataset, target)
         load = lambda p: load_dataset(p, ontology)
+    elif kind == "run":
+        _save_run(dataset, target)
+        load = load_run
     else:
         save_model(train("box", dataset, ontology, TrainConfig(epochs=0, d=2)), target)
         load = lambda p: load_model(p, ontology)
     docs = _read_lines(target)
-    reduce(getitem, path[:-1], docs[0])[path[-1]] = value
+    # The first line that has the field: a run's meta line holds its seed.
+    doc = next(d for d in docs if path[0] in d)
+    reduce(getitem, path[:-1], doc)[path[-1]] = value
     _write_lines(target, docs)
-    with pytest.raises(InputError, match="must be int"):
+    hint = "float" if path[-1] in FLOAT_FIELDS else "int"
+    with pytest.raises(InputError, match=f"{path[-1]} must be {hint}"):
         load(target)
 
 
-def test_run_type_mutations(tmp_path, dataset):
+def _save_run(dataset, path) -> None:
     records = [
         RunRecord(patient_id=inst.patient_id, prompt="p", raw_text="Answer: x",
                   ranked=tuple(sorted(inst.target_overall)),
@@ -136,8 +151,11 @@ def test_run_type_mutations(tmp_path, dataset):
                   history_ccs=tuple(sorted(inst.history_ccs)), matched_count=1)
         for inst in build_instances(dataset)
     ]
-    save_run(RunArtifact(records=records, fingerprint="f", seed=0, task="novel"),
-             tmp_path / "run.jsonl")
+    save_run(RunArtifact(records=records, fingerprint="f", seed=0, task="novel"), path)
+
+
+def test_run_type_mutations(tmp_path, dataset):
+    _save_run(dataset, tmp_path / "run.jsonl")
     # A run that loads must also score, or fail as an input error.
     _check(lambda path: evaluate_run(load_run(path)), _write_lines,
            _read_lines(tmp_path / "run.jsonl"), tmp_path, seed=4)

@@ -26,7 +26,6 @@ from dxrank.prompting import (
     ParsedPrediction,
     PromptError,
     PromptOptions,
-    build_prompt_spec,
     compose_prompt,
     load_template,
     parse_answer,
@@ -300,17 +299,18 @@ class TestComposition:
         monkeypatch,
     ):
         # Dropping groups cannot shorten a raw history, so an over-long
-        # raw-history prompt is built once and returned as it is.
+        # raw-history prompt is rendered once and returned as it is.
         builds = []
+        render = prompting._render
 
         def counted(*args):
             builds.append(args)
-            return build_prompt_spec(*args)
+            return render(*args)
 
         kw = dict(task="novel", flags=AblationFlags.for_stage("candidate"))
         full = compose(instance, prioritized, relations, novel_candidates,
                        ontology, **kw)
-        monkeypatch.setattr(prompting, "build_prompt_spec", counted)
+        monkeypatch.setattr(prompting, "_render", counted)
         cut = compose(instance, prioritized, relations, novel_candidates,
                       ontology, max_chars=1, **kw)
         assert cut == full
@@ -339,18 +339,6 @@ class TestComposition:
         assert AblationFlags.for_stage("relational") == AblationFlags(
             True, True, True
         )
-
-    def test_spec_candidate_names(
-        self, instance, prioritized, relations, novel_candidates, ontology
-    ):
-        spec = build_prompt_spec(
-            instance, prioritized, relations, novel_candidates, ontology,
-            PromptOptions(task="novel"),
-        )
-        assert spec.candidate_names == (
-            "Anemia", "Cardiac Dysrhythmias", "Conduction Disorders"
-        )
-        assert spec.days_since_last_visit == 5
 
 
 class TestTemplates:
