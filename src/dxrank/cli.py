@@ -28,7 +28,7 @@ from .backends.boxes import VolumeConfig
 from .ehr import TASKS, Dataset, Ontology, PredictionInstance, \
     build_instances, check_split_ratios, load_dataset, load_ontology, \
     save_dataset, save_ontology, split_patients
-from .evidence import CooccurrenceMatrix, PrioritizedHistory, RelationalEvidence, \
+from .evidence import CooccurrenceMatrix, RelationalEvidence, \
     build_cooccurrence, extract_relations, load_cooccurrence, prioritize_history, \
     propagate_to_icd, save_cooccurrence, select_candidates
 from .llm import LLM_BACKENDS, LlmClient, LlmConfig, LlmError
@@ -112,6 +112,10 @@ class RunConfig:
         if set(self.eval_ks) - set(TASKS):
             raise ConfigError(
                 f"unknown eval_ks tasks: {sorted(set(self.eval_ks) - set(TASKS))}")
+        for task, ks in self.eval_ks.items():
+            if min(ks, default=1) < 1 or len(set(ks)) != len(ks):
+                raise ConfigError(f"eval_ks.{task} must hold distinct integers >= 1, "
+                                  f"got {list(ks)}")
 
     to_dict = asdict
 
@@ -261,37 +265,31 @@ def predict_record(
     logits: LogitVector,
     cooc: CooccurrenceMatrix | None,
     ontology: Ontology,
-    cfg: RunConfig,
+    options: PromptOptions,
     client: LlmClient,
-    template_text: str,
-    stage: str,
     k: int,
 ) -> RunRecord:
     """Run the evidence pipeline and the LLM re-ranker for one instance,
-    given the scorer's logits for it.
+    given the scorer's logits for it. An instance with no eligible
+    candidate gets an empty ranking without an LLM call.
 
     LLM failures become an error record; any other exception is a bug and
     propagates.
     """
-    options = PromptOptions(
-        task=cfg.task, strategy=cfg.strategy, flags=AblationFlags.for_stage(stage),
-        template_text=template_text, max_chars=cfg.max_prompt_chars,
-    )
-    # The plain strategy disables every evidence mechanism regardless of stage.
-    flags = options.effective_flags
+    flags = options.flags
     history = instance.history_ccs
 
     # Without candidate selection every eligible code is a candidate, in
     # code order: the top |vocab| of all-zero logits.
     scored, size = (logits, k) if flags.candidates else (
         LogitVector(logits.vocab, np.zeros(len(logits.vocab))), len(logits.vocab))
-    candidates = select_candidates(scored, size, cfg.task, history)
+    candidates = select_candidates(scored, size, options.task, history)
 
     # Without prioritization the prompt lists raw history, not ICD groups.
-    prioritized = PrioritizedHistory(groups=())
+    groups = ()
     if flags.prioritization:
-        ordered = prioritize_history(history, logits)
-        prioritized = propagate_to_icd(ordered, instance.input_visits, ontology, logits)
+        groups = propagate_to_icd(prioritize_history(history, logits),
+                                  instance.input_visits, ontology)
     if flags.relations:
         if cooc is None:
             raise ConfigError("relational stage requires co-occurrence counts")
@@ -299,10 +297,7 @@ def predict_record(
     else:
         relations = RelationalEvidence(links=())
 
-    prompt = compose_prompt(
-        instance, prioritized, relations, candidates, ontology, options
-    )
-    names = {c: ontology.ccs_name(c) for c in candidates.codes}
+    prompt = compose_prompt(instance, groups, relations, candidates, ontology, options)
     base = dict(
         patient_id=instance.patient_id,
         prompt=prompt,
@@ -311,21 +306,24 @@ def predict_record(
         target_novel=tuple(sorted(instance.target_novel)),
         history_ccs=tuple(sorted(instance.history_ccs)),
     )
+    if not candidates.codes:
+        return RunRecord(raw_text="", ranked=(), **base)
     try:
-        if cfg.strategy == "sc":
+        if options.strategy == "sc":
             parsed = [
                 parse_answer(
                     client.complete(
                         prompt, temperature=SC_TEMPERATURE, sample_tag=f"sc{i}"
                     ).text,
                     candidates,
-                    names,
+                    ontology.ccs_names,
                 )
                 for i in range(SC_SAMPLES)
             ]
             pred = sc_aggregate(parsed)
         else:
-            pred = parse_answer(client.complete(prompt).text, candidates, names)
+            pred = parse_answer(client.complete(prompt).text, candidates,
+                                ontology.ccs_names)
     except LlmError as exc:
         return RunRecord(raw_text="", ranked=(), error=str(exc), **base)
     return RunRecord(
@@ -338,13 +336,14 @@ def predict_record(
 class PredictionInputs:
     """What every prediction run of one command reads: loaded and scored
     once, then shared by every stage and K. `logits[i]` is the scorer's
-    output for `instances[i]`."""
+    output for `instances[i]`; `options[stage]` is how to prompt in a run of
+    that stage."""
 
     ontology: Ontology
     cooc: CooccurrenceMatrix | None
     instances: tuple[PredictionInstance, ...]
     logits: tuple[LogitVector, ...]
-    template_text: str
+    options: dict[str, PromptOptions]
 
 
 def load_prediction_inputs(
@@ -358,22 +357,23 @@ def load_prediction_inputs(
     if model.backend != cfg.backend:
         raise ConfigError(f"{model_path}: model has backend {model.backend!r}, "
                           f"config has {cfg.backend!r}")
+    template_text = (_load(load_template, Path(cfg.template_path), "prompt template")
+                     if cfg.template_path else load_template())
+    options = {stage: PromptOptions(
+        task=cfg.task, strategy=cfg.strategy, flags=AblationFlags.for_stage(stage),
+        template_text=template_text, max_chars=cfg.max_prompt_chars,
+    ) for stage in stages}
     cooc = None
-    if cfg.strategy != "plain" and any(
-        AblationFlags.for_stage(stage).relations for stage in stages
-    ):
+    if any(o.flags.relations for o in options.values()):
         cooc = _load(load_cooccurrence, out_dir / COOC_FILE, "run `dxrank cooc` first",
                      ontology.ccs_codes)
     _, _, test_ds = split_patients(dataset, cfg.split_ratios, cfg.seed)
     instances = tuple(build_instances(test_ds))
     if not instances:
         raise ConfigError("test split yields no prediction instances")
-    template_text = (_load(load_template, Path(cfg.template_path), "prompt template")
-                     if cfg.template_path else load_template())
     return PredictionInputs(
         ontology=ontology, cooc=cooc, instances=instances,
-        logits=tuple(model.logits(instances)),
-        template_text=template_text,
+        logits=tuple(model.logits(instances)), options=options,
     )
 
 
@@ -394,12 +394,11 @@ def run_predictions(
     bytes do not depend on completion order.
     """
     client = LlmClient(cfg.llm)
+    options = inputs.options[stage]
 
     def one(instance: PredictionInstance, logits: LogitVector) -> RunRecord:
         return predict_record(
-            instance, logits, inputs.cooc, inputs.ontology, cfg, client,
-            inputs.template_text, stage, k,
-        )
+            instance, logits, inputs.cooc, inputs.ontology, options, client, k)
 
     if cfg.llm.backend == "remote":
         with ThreadPoolExecutor(max_workers=cfg.llm.max_in_flight) as pool:

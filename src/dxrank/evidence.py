@@ -148,30 +148,15 @@ def _row_fields(row: list[str]) -> dict:
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Top-K candidates as (code, logit), descending by logit with code-id
-    ascending tie-break; in novel mode no entry comes from the history."""
+    """Top-K candidate codes, descending by logit with code-id ascending
+    tie-break; in novel mode no code comes from the history."""
 
-    entries: tuple[tuple[str, float], ...]
-    K: int
+    codes: tuple[str, ...]
     mode: CandidateMode
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "entries", tuple((c, float(s)) for c, s in self.entries)
-        )
         if self.mode not in TASKS:
             raise EvidenceError(f"unknown candidate mode {self.mode!r}")
-        if self.K < 1:
-            raise EvidenceError("K must be at least 1")
-        if len(self.entries) > self.K:
-            raise EvidenceError("more entries than K")
-        for (c1, s1), (c2, s2) in zip(self.entries, self.entries[1:]):
-            if s1 < s2 or (s1 == s2 and c1 >= c2):
-                raise EvidenceError("entries not in descending logit order")
-
-    @property
-    def codes(self) -> tuple[str, ...]:
-        return tuple(c for c, _ in self.entries)
 
 
 def select_candidates(
@@ -193,9 +178,7 @@ def select_candidates(
         keep = np.ones(len(order), dtype=bool)
         keep[[index[c] for c in history_ccs if c in index]] = False
         order = order[keep[order]]
-    top = order[:K]
-    entries = tuple(zip([logits.vocab[i] for i in top], logits.scores[top].tolist()))
-    return CandidateSet(entries=entries, K=K, mode=mode)
+    return CandidateSet(codes=tuple(logits.vocab[i] for i in order[:K].tolist()), mode=mode)
 
 
 def prioritize_history(
@@ -214,20 +197,13 @@ def prioritize_history(
 class HistoryGroup:
     ccs: str
     icds: tuple[str, ...]
-    logit: float
-
-
-@dataclass(frozen=True)
-class PrioritizedHistory:
-    groups: tuple[HistoryGroup, ...]
 
 
 def propagate_to_icd(
     ordered_ccs: Sequence[str],
     input_visits: Sequence[Visit],
     ontology: Ontology,
-    logits: LogitVector | None = None,
-) -> PrioritizedHistory:
+) -> tuple[HistoryGroup, ...]:
     """Group the input visits' ICD codes under the ordered CCS list.
 
     Each group collects the distinct ICDs mapping to its CCS in first
@@ -251,18 +227,10 @@ def propagate_to_icd(
                 buckets[parent].append(icd)
             else:
                 unmapped.append(icd)
-    groups = [
-        HistoryGroup(
-            ccs=c,
-            icds=tuple(buckets[c]),
-            logit=logits.score(c) if logits is not None else 0.0,
-        )
-        for c in ordered_ccs
-    ]
+    groups = [HistoryGroup(ccs=c, icds=tuple(buckets[c])) for c in ordered_ccs]
     if unmapped:
-        # Trailing group; the logit slot is unused for ordering.
-        groups.append(HistoryGroup(ccs=UNMAPPED_GROUP, icds=tuple(unmapped), logit=0.0))
-    return PrioritizedHistory(groups=tuple(groups))
+        groups.append(HistoryGroup(ccs=UNMAPPED_GROUP, icds=tuple(unmapped)))
+    return tuple(groups)
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import InputError
 from .ehr import TASKS, Ontology, PredictionInstance
-from .evidence import (
-    UNMAPPED_GROUP,
-    CandidateSet,
-    PrioritizedHistory,
-    RelationalEvidence,
-)
+from .evidence import UNMAPPED_GROUP, CandidateSet, HistoryGroup, RelationalEvidence
 
 STRATEGIES = ("evidence", "plain", "cot", "sc")
 
@@ -70,6 +65,9 @@ ABLATION_STAGES = ("base", "candidate", "prioritization", "relational")
 
 @dataclass(frozen=True)
 class PromptOptions:
+    """How to prompt for one run. The plain strategy turns every evidence
+    mechanism off, whatever the stage's flags say."""
+
     task: str = "overall"
     strategy: str = "evidence"
     flags: AblationFlags = AblationFlags()
@@ -83,13 +81,9 @@ class PromptOptions:
             raise PromptError(f"unknown strategy {self.strategy!r}")
         if self.max_chars < 1:
             raise PromptError("max_chars must be positive")
-
-    @property
-    def effective_flags(self) -> AblationFlags:
         if self.strategy == "plain":
-            return AblationFlags(candidates=False, prioritization=False,
-                                 relations=False)
-        return self.flags
+            object.__setattr__(self, "flags", AblationFlags(
+                candidates=False, prioritization=False, relations=False))
 
 
 @dataclass(frozen=True)
@@ -139,7 +133,7 @@ def _render(template: str, values: Mapping[str, str]) -> str:
 
 def compose_prompt(
     instance: PredictionInstance,
-    prioritized: PrioritizedHistory,
+    groups: Sequence[HistoryGroup],
     relations: RelationalEvidence,
     candidates: CandidateSet,
     ontology: Ontology,
@@ -153,7 +147,7 @@ def compose_prompt(
     history groups are dropped from the tail until it fits (the history
     section is the only unbounded part); a raw history is not truncated.
     """
-    flags = options.effective_flags
+    flags = options.flags
     if candidates.mode != options.task:
         raise PromptError(
             f"task {options.task!r} given {candidates.mode!r}-mode candidates"
@@ -183,16 +177,16 @@ def compose_prompt(
         names = (ontology.ccs_name(c) for c in sorted(instance.history_ccs))
         values["history_section"] = _section(HISTORY_TITLE_RAW, _quote_join(names))
         return _render(template, values)
-    groups = [
+    rendered = [
         _render_group(
             [ontology.icd_name(i) for i in g.icds],
             g.ccs if g.ccs == UNMAPPED_GROUP else ontology.ccs_name(g.ccs),
         )
-        for g in prioritized.groups
+        for g in groups
     ]
     # The longest prefix of the groups that fits, or none.
-    for n in range(len(groups), -1, -1):
-        values["history_section"] = _section(HISTORY_TITLE_PRIORITIZED, ", ".join(groups[:n]))
+    for n in range(len(rendered), -1, -1):
+        values["history_section"] = _section(HISTORY_TITLE_PRIORITIZED, ", ".join(rendered[:n]))
         text = _render(template, values)
         if len(text) <= options.max_chars:
             break
@@ -246,7 +240,7 @@ def parse_answer(
     text in order of first mention. Unmentioned candidates are backfilled
     in candidate (logit) order.
     """
-    if not candidates.entries:
+    if not candidates.codes:
         raise PromptError("cannot parse against an empty candidate set")
     codes = candidates.codes
     names = [ccs_names.get(c, c) if ccs_names else c for c in codes]

@@ -371,6 +371,10 @@ class TestInputErrors:
         ("synth", {"split_ratios": 5}),
         ("synth", {"synth": {"n_ccs": 0}}),
         ("train", {"beta": -1}),
+        # Appended after the rows above so their parameter ids stay put.
+        ("synth", {"eval_ks": {"overall": [0]}}),
+        ("synth", {"eval_ks": {"novel": [-1]}}),
+        ("synth", {"eval_ks": {"overall": [3, 3]}}),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, command, doc):
         _, out = self._prepared(tmp_path, ("synth",))
@@ -573,6 +577,42 @@ class TestFailureHandling:
         artifact = load_run(out / RUN_FILE)
         assert len(artifact.failed) == len(artifact.records)
         assert "endpoint down" in artifact.failed[0].error
+
+    @pytest.mark.parametrize("backend", ["mock_evidence", "remote"])
+    def test_instance_without_candidates_skips_the_llm(self, tmp_path, monkeypatch,
+                                                       backend):
+        # Three codes and long histories: most histories cover the whole
+        # vocabulary, leaving no novel candidate.
+        doc = dict(SMALL_CFG, synth={"n_patients": 60, "n_ccs": 3, "visits_range": [3, 5],
+                                     "codes_per_visit_range": [2, 3]},
+                   llm={"backend": backend, "endpoint_url": "http://127.0.0.1:9"})
+        cfg_path = write_cfg(tmp_path, doc)
+        out = tmp_path / "runs"
+        for command in ("synth", "train", "cooc"):
+            assert cli(command, cfg_path, out) == EXIT_OK
+
+        def transport(url, body, headers):
+            # An endpoint answers whatever it is sent.
+            reply = {"choices": [{"message": {"content": "Answer: none"}}]}
+            return 200, json.dumps(reply).encode()
+
+        prompts = []
+        real = LlmClient.complete
+
+        def spy(client, prompt, *args, **kwargs):
+            prompts.append(prompt)
+            return real(client, prompt, *args, **kwargs)
+
+        monkeypatch.setattr(cli_module, "LlmClient",
+                            lambda cfg: LlmClient(cfg, transport=transport))
+        monkeypatch.setattr(LlmClient, "complete", spy)
+        assert cli("predict", cfg_path, out) == EXIT_OK
+        records = load_run(out / RUN_FILE).records
+        empty = [r for r in records if not r.candidates]
+        assert empty and len(prompts) == len(records) - len(empty)
+        for r in empty:
+            assert (r.ranked, r.matched_count, r.error) == ((), 0, "")
+            assert r.prompt not in prompts
 
 
 class TestAblate:

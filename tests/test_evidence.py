@@ -208,7 +208,6 @@ class TestSelectCandidates:
                           key=lambda c: (-scores[vocab.index(c)], c))[:10]
             got = select_candidates(logits, K=10, mode="novel", history_ccs=history)
             assert got.codes == tuple(want)
-            assert got.entries == tuple((c, logits.score(c)) for c in want)
 
     def test_zero_logits_list_every_eligible_code_in_code_order(self):
         # The no-selection stage: all-zero logits with K = |vocab|.
@@ -218,11 +217,7 @@ class TestSelectCandidates:
         for mode in ("overall", "novel"):
             got = select_candidates(zero, K=len(vocab), mode=mode, history_ccs=history)
             pool = sorted(c for c in vocab if mode == "overall" or c not in history)
-            assert got.entries == tuple((c, 0.0) for c in pool)
-
-    def test_candidate_set_validates_order(self):
-        with pytest.raises(EvidenceError):
-            CandidateSet(entries=(("C01", 0.0), ("C02", 1.0)), K=5, mode="overall")
+            assert got.codes == tuple(pool)
 
 
 class TestPrioritizeHistory:
@@ -243,28 +238,28 @@ class TestPropagateToIcd:
             Visit(day=0, icd=("I01b", "I02a"), ccs=("C01", "C02")),
             Visit(day=5, icd=("I01a", "I01b"), ccs=("C01",)),
         )
-        ph = propagate_to_icd(["C02", "C01"], visits, ontology)
-        assert [g.ccs for g in ph.groups] == ["C02", "C01"]
-        assert ph.groups[0].icds == ("I02a",)
+        groups = propagate_to_icd(["C02", "C01"], visits, ontology)
+        assert [g.ccs for g in groups] == ["C02", "C01"]
+        assert groups[0].icds == ("I02a",)
         # I01b seen on day 0 before I01a on day 5.
-        assert ph.groups[1].icds == ("I01b", "I01a")
+        assert groups[1].icds == ("I01b", "I01a")
 
     def test_unlisted_parent_goes_to_unmapped(self, ontology):
         visits = (Visit(day=0, icd=("I01a", "I03a"), ccs=("C01", "C03")),)
-        ph = propagate_to_icd(["C01"], visits, ontology)
-        assert [g.ccs for g in ph.groups] == ["C01", UNMAPPED_GROUP]
-        assert ph.groups[-1].icds == ("I03a",)
+        groups = propagate_to_icd(["C01"], visits, ontology)
+        assert [g.ccs for g in groups] == ["C01", UNMAPPED_GROUP]
+        assert groups[-1].icds == ("I03a",)
 
     def test_no_unmapped_group_when_everything_is_listed(self, ontology):
         visits = (Visit(day=0, icd=("I01a",), ccs=("C01",)),)
-        ph = propagate_to_icd(["C01"], visits, ontology)
-        assert [g.ccs for g in ph.groups] == ["C01"]
+        groups = propagate_to_icd(["C01"], visits, ontology)
+        assert [g.ccs for g in groups] == ["C01"]
 
     def test_every_input_icd_lands_exactly_once(self, ontology, dataset):
         for p in dataset.patients:
             ordered = sorted({c for v in p.visits for c in v.ccs})
-            ph = propagate_to_icd(ordered, p.visits, ontology)
-            spread = [icd for g in ph.groups for icd in g.icds]
+            groups = propagate_to_icd(ordered, p.visits, ontology)
+            spread = [icd for g in groups for icd in g.icds]
             assert sorted(spread) == sorted({i for v in p.visits for i in v.icd})
 
     def test_duplicate_order_rejected(self, ontology):
@@ -285,8 +280,7 @@ class TestExtractRelations:
                                   n_patients=10)
 
     def _candidates(self, codes: list[str]) -> CandidateSet:
-        entries = tuple((c, float(len(codes) - i)) for i, c in enumerate(codes))
-        return CandidateSet(entries=entries, K=len(codes), mode="overall")
+        return CandidateSet(codes=tuple(codes), mode="overall")
 
     def test_argmax_history_code_wins(self):
         rel = extract_relations({"C01", "C02"}, self._candidates(["C05"]), self._matrix())

@@ -11,7 +11,6 @@ from dxrank.evidence import (
     UNMAPPED_GROUP,
     CandidateSet,
     HistoryGroup,
-    PrioritizedHistory,
     RelationalEvidence,
     RelationLink,
 )
@@ -26,21 +25,19 @@ INSTANCE = build_instances(Dataset(patients=(
     make_patient("pA", [(0, ["I01a"]), (7, ["I01b", "I02a"]), (12, ["I03a"])]),
 )))[0]
 RELATIONS = RelationalEvidence(links=(RelationLink("C01", "C03", 2),))
-CANDIDATES = {mode: CandidateSet(entries=(("C03", 1.2), ("C04", 0.7), ("C05", 0.1)),
-                                 K=3, mode=mode) for mode in TASKS}
+CANDIDATES = {mode: CandidateSet(codes=("C03", "C04", "C05"), mode=mode) for mode in TASKS}
 NO_LIMIT = 10**9
 
 groups = st.lists(
     st.builds(HistoryGroup,
               ccs=st.sampled_from(sorted(CCS_NAMES) + [UNMAPPED_GROUP]),
               icds=st.lists(st.sampled_from(sorted(ICD_NAMES)), min_size=1, max_size=4,
-                            unique=True).map(tuple),
-              logit=st.just(0.0)),
+                            unique=True).map(tuple)),
     max_size=8)
 
 
 def _compose(prefix, max_chars: int, task: str, strategy: str) -> str:
-    return compose_prompt(INSTANCE, PrioritizedHistory(groups=tuple(prefix)), RELATIONS,
+    return compose_prompt(INSTANCE, tuple(prefix), RELATIONS,
                           CANDIDATES[task], ONTOLOGY,
                           PromptOptions(task=task, strategy=strategy, max_chars=max_chars))
 
@@ -76,8 +73,7 @@ def replies(draw, candidate_names):
 @given(data=st.data(), candidate_names=names)
 def test_any_reply_parses_to_a_permutation(data, candidate_names):
     codes = [f"C{i:02d}" for i in range(len(candidate_names))]
-    cands = CandidateSet(entries=tuple((c, float(-i)) for i, c in enumerate(codes)),
-                         K=len(codes), mode="overall")
+    cands = CandidateSet(codes=tuple(codes), mode="overall")
     text = data.draw(replies(candidate_names))
     got = parse_answer(text, cands, dict(zip(codes, candidate_names)))
     assert sorted(got.ranked) == codes

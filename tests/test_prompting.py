@@ -10,7 +10,6 @@ from dxrank.ehr import build_instances
 from dxrank.evidence import (
     CandidateSet,
     HistoryGroup,
-    PrioritizedHistory,
     RelationalEvidence,
     RelationLink,
 )
@@ -42,12 +41,10 @@ def instance(dataset):
 
 
 @pytest.fixture
-def prioritized() -> PrioritizedHistory:
-    return PrioritizedHistory(
-        groups=(
-            HistoryGroup(ccs="C01", icds=("I01a", "I01b"), logit=1.5),
-            HistoryGroup(ccs="C02", icds=("I02a",), logit=0.5),
-        )
+def prioritized() -> tuple[HistoryGroup, ...]:
+    return (
+        HistoryGroup(ccs="C01", icds=("I01a", "I01b")),
+        HistoryGroup(ccs="C02", icds=("I02a",)),
     )
 
 
@@ -60,16 +57,12 @@ def relations() -> RelationalEvidence:
 
 @pytest.fixture
 def novel_candidates() -> CandidateSet:
-    return CandidateSet(
-        entries=(("C03", 1.2), ("C04", 0.7), ("C05", 0.1)), K=3, mode="novel"
-    )
+    return CandidateSet(codes=("C03", "C04", "C05"), mode="novel")
 
 
 @pytest.fixture
 def overall_candidates() -> CandidateSet:
-    return CandidateSet(
-        entries=(("C01", 2.0), ("C03", 1.2), ("C02", 0.9)), K=3, mode="overall"
-    )
+    return CandidateSet(codes=("C01", "C03", "C02"), mode="overall")
 
 
 def compose(instance, prioritized, relations, candidates, ontology, **kw):
@@ -219,7 +212,7 @@ class TestComposition:
 
     def test_effective_flags_plain(self):
         opts = PromptOptions(strategy="plain")
-        assert opts.effective_flags == AblationFlags(
+        assert opts.flags == AblationFlags(
             candidates=False, prioritization=False, relations=False
         )
 
@@ -391,9 +384,7 @@ class TestTemplates:
 
 # Candidate set used for the parsing fixtures: Anemia ranked above
 # Hypertension above Diabetes.
-PARSE_CANDIDATES = CandidateSet(
-    entries=(("C03", 3.0), ("C01", 2.0), ("C02", 1.0)), K=3, mode="overall"
-)
+PARSE_CANDIDATES = CandidateSet(codes=("C03", "C01", "C02"), mode="overall")
 
 
 def parse(text: str) -> ParsedPrediction:
@@ -440,18 +431,14 @@ class TestParseAnswer:
         assert got.matched_count == 2
 
     def test_longest_contained_name_wins(self):
-        cands = CandidateSet(
-            entries=(("CARD", 2.0), ("CARDIO", 1.0)), K=2, mode="overall"
-        )
+        cands = CandidateSet(codes=("CARD", "CARDIO"), mode="overall")
         got = parse_answer("Answer: cardiovascular", cands, None)
         assert got.ranked == ("CARDIO", "CARD")
         assert got.matched_count == 1
 
     def test_token_inside_name_prefers_shortest(self):
         names = {"C01": "Hypertension", "C02": "Hypertensive Heart Disease"}
-        cands = CandidateSet(
-            entries=(("C02", 2.0), ("C01", 1.0)), K=2, mode="overall"
-        )
+        cands = CandidateSet(codes=("C02", "C01"), mode="overall")
         got = parse_answer("Answer: Hyperten", cands, names)
         assert got.ranked == ("C01", "C02")
         assert got.matched_count == 1
@@ -467,7 +454,7 @@ class TestParseAnswer:
         assert got.ranked == ("C03", "C01", "C02")
 
     def test_empty_candidates_raise(self):
-        empty = CandidateSet(entries=(), K=1, mode="overall")
+        empty = CandidateSet(codes=(), mode="overall")
         with pytest.raises(PromptError, match="empty"):
             parse_answer("Answer: Anemia", empty, None)
 
@@ -509,10 +496,7 @@ class TestParseAnswer:
 
     def test_duplicate_folded_names_first_index_wins(self):
         names = {"C01": "Anemia", "C02": "ANEMIA", "C03": "Diabetes"}
-        cands = CandidateSet(
-            entries=(("C01", 3.0), ("C02", 2.0), ("C03", 1.0)), K=3,
-            mode="overall",
-        )
+        cands = CandidateSet(codes=("C01", "C02", "C03"), mode="overall")
         got = parse_answer("Answer: anemia, Diabetes, ANEMIA", cands, names)
         assert got.ranked == ("C01", "C03", "C02")
         assert got.matched_count == 2
@@ -533,10 +517,7 @@ class TestParseAnswer:
             size = rng.randint(1, 6)
             codes = [f"C{i:02d}" for i in range(size)]
             names = {c: rng.choice(pool) for c in codes}
-            cands = CandidateSet(
-                entries=tuple((c, float(size - i)) for i, c in enumerate(codes)),
-                K=size, mode="overall",
-            )
+            cands = CandidateSet(codes=tuple(codes), mode="overall")
             tokens = [rng.choice(pool + extras) for _ in range(rng.randint(0, 8))]
             body = ", ".join(t.upper() if rng.random() < 0.3 else t for t in tokens)
             text = f"Answer: {body}" if rng.random() < 0.7 else f"I think {body}"
