@@ -371,9 +371,15 @@ def load_prediction_inputs(
     instances = tuple(build_instances(test_ds))
     if not instances:
         raise ConfigError("test split yields no prediction instances")
+    # Logits only select candidates and order history; runs that do neither
+    # read an all-zero vector, so the scorer need not run.
+    if any(o.flags.candidates or o.flags.prioritization for o in options.values()):
+        logits = tuple(model.logits(instances))
+    else:
+        logits = (LogitVector(model.vocab, np.zeros(len(model.vocab))),) * len(instances)
     return PredictionInputs(
-        ontology=ontology, cooc=cooc, instances=instances,
-        logits=tuple(model.logits(instances)), options=options,
+        ontology=ontology, cooc=cooc, instances=instances, logits=logits,
+        options=options,
     )
 
 
@@ -381,19 +387,21 @@ def run_predictions(
     cfg: RunConfig,
     out_dir: Path,
     inputs: PredictionInputs,
+    client: LlmClient,
     stage: str,
     k: int,
     run_name: str,
 ) -> RunArtifact:
     """Predict over the test split and write one JSONL artifact.
 
-    With the remote LLM, instances run on a worker pool sized to its
-    concurrency cap, so requests overlap. The mocks do no I/O, and threads
-    would only contend for the interpreter lock, so they run in order on
-    the calling thread. The artifact is sorted by patient id, so output
-    bytes do not depend on completion order.
+    With the remote LLM, instances run on a pool of twice as many workers
+    as the client has request slots: while up to half of them sleep out a
+    retry backoff or build and parse prompts, the rest keep every slot
+    busy. The mocks do no I/O, and threads would only contend for the
+    interpreter lock, so they run in order on the calling thread. The
+    artifact is sorted by patient id, so output bytes do not depend on
+    completion order.
     """
-    client = LlmClient(cfg.llm)
     options = inputs.options[stage]
 
     def one(instance: PredictionInstance, logits: LogitVector) -> RunRecord:
@@ -401,7 +409,7 @@ def run_predictions(
             instance, logits, inputs.cooc, inputs.ontology, options, client, k)
 
     if cfg.llm.backend == "remote":
-        with ThreadPoolExecutor(max_workers=cfg.llm.max_in_flight) as pool:
+        with ThreadPoolExecutor(max_workers=2 * cfg.llm.max_in_flight) as pool:
             records = list(pool.map(one, inputs.instances, inputs.logits))
     else:
         records = list(map(one, inputs.instances, inputs.logits))
@@ -469,9 +477,9 @@ def cmd_cooc(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
 
 def cmd_predict(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
     inputs = load_prediction_inputs(cfg, out_dir, (cfg.stage,))
-    artifact = run_predictions(
-        cfg, out_dir, inputs, cfg.stage, cfg.k_candidates, RUN_FILE
-    )
+    with LlmClient(cfg.llm) as client:
+        artifact = run_predictions(
+            cfg, out_dir, inputs, client, cfg.stage, cfg.k_candidates, RUN_FILE)
     write_resolved_config(cfg, out_dir, "predict")
     failed = len(artifact.failed)
     print(f"wrote {len(artifact.records)} records ({failed} failed)")
@@ -491,16 +499,18 @@ def cmd_eval(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
 def _compare(cfg: RunConfig, out_dir: Path, command: str, table_file: str,
              variants: Sequence[tuple[str, str, int, str]]) -> int:
     """Run, score and save each (label, stage, K, file tag) variant on
-    inputs loaded once, then write the comparison table."""
+    inputs loaded once and one LLM client, then write the comparison table."""
     inputs = load_prediction_inputs(cfg, out_dir, [stage for _, stage, _, _ in variants])
     worst = EXIT_OK
     reports: list[tuple[str, MetricsReport]] = []
-    for label, stage, k, tag in variants:
-        artifact = run_predictions(cfg, out_dir, inputs, stage, k, f"run_{tag}.jsonl")
-        worst = max(worst, _failure_exit(artifact))
-        report = evaluate_run(artifact, cfg.eval_ks)
-        save_metrics(report, out_dir / f"metrics_{tag}.json")
-        reports.append((label, report))
+    with LlmClient(cfg.llm) as client:
+        for label, stage, k, tag in variants:
+            artifact = run_predictions(cfg, out_dir, inputs, client, stage, k,
+                                       f"run_{tag}.jsonl")
+            worst = max(worst, _failure_exit(artifact))
+            report = evaluate_run(artifact, cfg.eval_ks)
+            save_metrics(report, out_dir / f"metrics_{tag}.json")
+            reports.append((label, report))
     table = compare_ablations(reports)
     save_comparison(table, out_dir / table_file)
     write_resolved_config(cfg, out_dir, command)

@@ -1,18 +1,19 @@
 """Completion interface: a remote chat-completions client with retries,
-backoff, and a concurrency bound, plus two deterministic offline mocks
-(an echo that preserves candidate order, and an evidence-aware ranker used
-for desk-scale end-to-end runs).
+backoff, and one kept-alive connection per in-flight slot, plus two
+deterministic offline mocks (an echo that preserves candidate order, and an
+evidence-aware ranker used for desk-scale end-to-end runs).
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import os
+import queue
 import re
-import threading
 import time
 from dataclasses import dataclass
 from typing import Callable
+from urllib.parse import urlsplit
 
 import numpy as np
 
@@ -59,8 +60,21 @@ class LlmConfig:
             raise InputError("max_in_flight must be at least 1")
         if self.max_retries < 0 or self.timeout_ms <= 0 or self.max_tokens < 1:
             raise InputError("bad retry/timeout/token settings")
-        if self.backend == "remote" and not self.endpoint_url:
-            raise InputError("remote backend requires endpoint_url")
+        if self.backend == "remote":
+            _check_endpoint(self.endpoint_url)
+
+
+def _check_endpoint(url: str) -> None:
+    if not url:
+        raise InputError("remote backend requires endpoint_url")
+    parts = urlsplit(url)
+    try:
+        parts.port
+    except ValueError:
+        raise InputError(f"endpoint_url {url!r} has a bad port") from None
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise InputError(f"endpoint_url {url!r} is not an http:// or https:// "
+                         "URL with a host")
 
 
 @dataclass(frozen=True)
@@ -85,23 +99,17 @@ def request_body(prompt: str, cfg: LlmConfig, temperature: float | None = None) 
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def _default_transport_factory(timeout_ms: int) -> Transport:
-    import requests
-
-    def post(url: str, body: bytes, headers: dict) -> tuple[int, bytes]:
-        resp = requests.post(
-            url, data=body, headers=headers, timeout=timeout_ms / 1000.0
-        )
-        return resp.status_code, resp.content
-
-    return post
-
-
 class LlmClient:
-    """Thread-safe completion client enforcing cfg.max_in_flight.
+    """Thread-safe completion client with at most cfg.max_in_flight remote
+    requests in flight.
 
-    The transport is injectable for tests; it must return (status, body)
-    or raise TimeoutError/ConnectionError for retryable failures.
+    A request holds one of cfg.max_in_flight slots from sending to reading
+    its response. Each slot owns one kept-alive connection, opened on first
+    use, so requests in flight and open connections are one number. The
+    transport is injectable for tests: it then serves every slot, and must
+    return (status, body) or raise an OSError (TimeoutError,
+    ConnectionError) for a retryable failure. Closing the client, or leaving
+    its `with` block, closes its connections.
     """
 
     def __init__(
@@ -111,13 +119,31 @@ class LlmClient:
         sleeper: Callable[[float], None] = time.sleep,
     ):
         self.cfg = cfg
-        # Only the remote backend sends requests, so only it pays for
-        # importing the HTTP library.
-        if transport is None and cfg.backend == "remote":
-            transport = _default_transport_factory(cfg.timeout_ms)
-        self._transport = transport
         self._sleep = sleeper
-        self._gate = threading.BoundedSemaphore(cfg.max_in_flight)
+        self._connections = ()
+        self._slots: queue.SimpleQueue[Transport] = queue.SimpleQueue()
+        if cfg.backend != "remote":
+            return
+        if transport is None:
+            # Only the remote backend sends requests, so only it pays for
+            # importing the HTTP modules.
+            from .connection import connections
+
+            self._connections = connections(
+                cfg.endpoint_url, cfg.timeout_ms / 1000.0, cfg.max_in_flight)
+        for slot in self._connections or (transport,) * cfg.max_in_flight:
+            self._slots.put(slot)
+
+    def close(self) -> None:
+        """Close every connection; call it with no request in flight."""
+        for connection in self._connections:
+            connection.close()
+
+    def __enter__(self) -> LlmClient:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def complete(self, prompt: str, temperature: float | None = None,
                  sample_tag: str = "") -> CompletionResult:
@@ -154,21 +180,26 @@ class LlmClient:
         start = time.monotonic()
         last_failure = ""
         for attempt in range(1, cfg.max_retries + 2):
+            # The slot goes back before the answer is parsed or a backoff
+            # slept, so another request can use it meanwhile.
+            slot = self._slots.get()
             try:
-                with self._gate:
-                    status, raw = self._transport(url, body, headers)
-            except (TimeoutError, ConnectionError, OSError) as exc:
+                status, raw = slot(url, body, headers)
+            except OSError as exc:
                 last_failure = f"{type(exc).__name__}: {exc}"
                 status = None
-            else:
-                if status == 200:
-                    text = _extract_choice(raw)
-                    latency = int((time.monotonic() - start) * 1000)
-                    return CompletionResult(
-                        text=text, latency_ms=latency, attempt_count=attempt,
-                        backend_tag="remote",
-                    )
-                if status < 500:
+            finally:
+                self._slots.put(slot)
+            if status == 200:
+                text = _extract_choice(raw)
+                latency = int((time.monotonic() - start) * 1000)
+                return CompletionResult(
+                    text=text, latency_ms=latency, attempt_count=attempt,
+                    backend_tag="remote",
+                )
+            if status is not None:
+                # 429 Too Many Requests and 5xx are worth another attempt.
+                if status < 500 and status != 429:
                     raise LlmTransportError(f"endpoint returned status {status}")
                 last_failure = f"status {status}"
             if attempt <= cfg.max_retries:

@@ -42,6 +42,8 @@ from dxrank.metrics import EvalError, load_metrics, load_run
 from dxrank.prompting import PromptError
 from dxrank.synth import SyntheticConfigError
 
+from .loopback import LoopbackLlm
+
 SMALL_CFG = {
     "seed": 0,
     "k_candidates": 5,
@@ -277,6 +279,11 @@ def _config(make):
     return apply
 
 
+def _remote_endpoint(url):
+    return _config(lambda path: path.write_text(json.dumps(
+        dict(SMALL_CFG, llm={"backend": "remote", "endpoint_url": url}))))
+
+
 def _out_file(out):
     (out / "taken").write_text("")
     return ["--out", str(out / "taken")]
@@ -318,6 +325,9 @@ MALFORMED_INPUTS = {
                                "'CCS-999' is not in the vocabulary"),
     "cooc-descending-pair": ("predict", _cooc_row("CCS-002,CCS-001,1"),
                              "has ccs_i > ccs_j"),
+    **{f"endpoint-{name}": ("predict", _remote_endpoint(url), f"endpoint_url {url!r}")
+       for name, url in (("bad-scheme", "htp://127.0.0.1:9"), ("no-scheme", "127.0.0.1:9"),
+                         ("no-host", "http:///v1"), ("bad-port", "http://127.0.0.1:x"))},
 }
 
 
@@ -565,10 +575,7 @@ class TestFailureHandling:
         for command in ("synth", "train", "cooc"):
             assert cli(command, cfg_path, out) == EXIT_OK
 
-        class DownClient:
-            def __init__(self, cfg):
-                pass
-
+        class DownClient(LlmClient):
             def complete(self, prompt, temperature=None, sample_tag=""):
                 raise LlmError("endpoint down")
 
@@ -679,6 +686,24 @@ class TestAblate:
         records = load_run(out / "run_base.jsonl").records
         assert sorted(scored) == sorted(r.patient_id for r in records)
 
+    @pytest.mark.parametrize("extra", [("--strategy", "plain"), ("--stage", "base")])
+    def test_runs_that_read_no_logit_score_nothing(self, tmp_path, monkeypatch, extra):
+        cfg_path = write_cfg(tmp_path)
+        out = tmp_path / "runs"
+        for command in ("synth", "train", "cooc"):
+            assert cli(command, cfg_path, out) == EXIT_OK
+        scored = []
+        real = TrainedModel.logits
+
+        def counted(model, patients):
+            scored.extend(patients)
+            return real(model, patients)
+
+        monkeypatch.setattr(TrainedModel, "logits", counted)
+        assert cli("predict", cfg_path, out, *extra) == EXIT_OK
+        assert scored == []
+        assert load_run(out / RUN_FILE).records
+
     def test_icd_groups_only_for_prioritized_stages(self, tmp_path, monkeypatch):
         cfg_path = write_cfg(tmp_path)
         out = tmp_path / "runs"
@@ -729,6 +754,31 @@ def _stub_remote_client(cfg):
         return 200, json.dumps({"choices": [{"message": {"content": text}}]}).encode()
 
     return LlmClient(cfg, transport=transport)
+
+
+class TestLoopbackEndpoint:
+    def test_ablate_keeps_one_connection_per_slot(self, tmp_path):
+        """A remote ablate matches a mock_evidence one record for record and
+        opens no more connections than it has request slots."""
+        out = tmp_path / "runs"
+        mock_path = write_cfg(tmp_path, dict(SMALL_CFG, llm={"backend": "mock_evidence"}),
+                              "mock.json")
+        for command in ("synth", "train", "cooc", "ablate"):
+            assert cli(command, mock_path, out) == EXIT_OK
+        stages = ("base", "candidate", "prioritization", "relational")
+        mocked = {s: (out / f"run_{s}.jsonl").read_bytes().splitlines() for s in stages}
+        with LoopbackLlm() as endpoint:
+            llm = {"backend": "remote", "endpoint_url": endpoint.url, "max_in_flight": 2,
+                   "timeout_ms": 5000}
+            assert cli("ablate", write_cfg(tmp_path, dict(SMALL_CFG, llm=llm)), out) == EXIT_OK
+        asked = 0
+        for stage in stages:
+            lines = (out / f"run_{stage}.jsonl").read_bytes().splitlines()
+            assert lines[1:] == mocked[stage][1:], stage
+            asked += sum(1 for r in load_run(out / f"run_{stage}.jsonl").records
+                         if r.candidates)
+        assert endpoint.requests == asked
+        assert 1 <= endpoint.connections <= 2
 
 
 class TestRunThreads:

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import http.client
 import json
 import os
+import ssl
 import subprocess
 import sys
 import textwrap
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import dxrank
+from dxrank import InputError
 from dxrank.llm import (
     BACKOFF_BASE_S,
     CompletionResult,
@@ -25,6 +28,8 @@ from dxrank.llm import (
     mock_evidence_aware,
     request_body,
 )
+
+from .loopback import LoopbackLlm
 
 REMOTE = dict(backend="remote", endpoint_url="http://h/v1", model_name="m")
 
@@ -95,6 +100,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="endpoint_url"):
             LlmConfig(backend="remote")
 
+    @pytest.mark.parametrize("url", ["htp://127.0.0.1:9", "127.0.0.1:9", "http://",
+                                     "http:///v1", "http://127.0.0.1:x"])
+    def test_malformed_endpoint_rejected(self, url):
+        with pytest.raises(InputError, match="endpoint_url"):
+            LlmConfig(backend="remote", endpoint_url=url)
+
     def test_bad_numbers_rejected(self):
         with pytest.raises(ValueError):
             LlmConfig(temperature=-0.1)
@@ -158,6 +169,14 @@ class TestRemote:
     def test_5xx_is_retried(self):
         client, transport, sleeps = make_client(
             [(503, b"busy"), (200, ok_body("ok"))], max_retries=1
+        )
+        got = client.complete("p")
+        assert got.attempt_count == 2
+        assert sleeps == [0.25]
+
+    def test_429_is_retried(self):
+        client, transport, sleeps = make_client(
+            [(429, b"slow down"), (200, ok_body("ok"))], max_retries=2
         )
         got = client.complete("p")
         assert got.attempt_count == 2
@@ -323,21 +342,122 @@ class TestCompletionResult:
         assert (got.text, got.latency_ms, got.attempt_count) == ("x", 1, 2)
 
 
-def test_only_remote_client_imports_requests():
-    """Mock runs never load the HTTP library; the remote client does."""
-    code = textwrap.dedent("""
+class TestConnections:
+    """The default transport against an HTTP/1.1 server on 127.0.0.1."""
+
+    def _client(self, endpoint, max_in_flight):
+        cfg = LlmConfig(backend="remote", endpoint_url=endpoint.url, seed=endpoint.seed,
+                        timeout_ms=5000, max_in_flight=max_in_flight)
+        sleeps: list[float] = []
+        return LlmClient(cfg, sleeper=sleeps.append), sleeps
+
+    def _run(self, client, n, workers):
+        prompts = [prompt_text(NAMES, prioritized=False) + f"\n{i}" for i in range(n)]
+        with client, ThreadPoolExecutor(max_workers=workers) as pool:
+            return prompts, list(pool.map(client.complete, prompts))
+
+    def test_slots_keep_their_connections(self):
+        # More workers than slots and cores, switching threads often: two
+        # requests sharing one connection would fail and show as a retry.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with LoopbackLlm(seed=3) as endpoint:
+                client, sleeps = self._client(endpoint, 2)
+                prompts, got = self._run(client, 24, 6)
+        finally:
+            sys.setswitchinterval(interval)
+        assert endpoint.requests == 24 and endpoint.connections <= 2
+        assert sleeps == [] and {r.attempt_count for r in got} == {1}
+        assert [r.text for r in got] == [
+            mock_evidence_aware(p, derive_seed(3, p)) for p in prompts]
+
+    def test_server_that_hangs_up_costs_no_attempt(self):
+        # The server closes after every response without `Connection:
+        # close`, so every request after a slot's first finds its connection
+        # closed, at the probe or on sending.
+        with LoopbackLlm(close_each=True) as endpoint:
+            client, sleeps = self._client(endpoint, 2)
+            _, got = self._run(client, 16, 4)
+        assert endpoint.requests == endpoint.connections == 16
+        assert sleeps == [] and {r.attempt_count for r in got} == {1}
+
+    def test_probe_replaces_a_connection_the_server_closed(self, monkeypatch):
+        sent = []
+        real = http.client.HTTPConnection.request
+
+        def request(conn, *args, **kwargs):
+            sent.append(conn)
+            return real(conn, *args, **kwargs)
+
+        monkeypatch.setattr(http.client.HTTPConnection, "request", request)
+        with LoopbackLlm(close_each=True) as endpoint:
+            client, sleeps = self._client(endpoint, 1)
+            with client:
+                for i in range(4):
+                    time.sleep(0.02)  # long enough for the server's FIN to arrive
+                    client.complete(prompt_text(NAMES) + f"\n{i}")
+        # No request went out on a closed connection.
+        assert len(sent) == endpoint.requests == endpoint.connections == 4
+        assert sleeps == []
+
+    def test_https_endpoint_checks_the_host_name(self, monkeypatch):
+        # No TLS handshake runs offline; this checks what the connection is
+        # opened with.
+        opened = []
+
+        def refused(conn):
+            opened.append(conn)
+            raise ConnectionRefusedError("offline")
+
+        monkeypatch.setattr(http.client.HTTPSConnection, "connect", refused)
+        cfg = LlmConfig(backend="remote", endpoint_url="https://llm.example/v1",
+                        max_retries=0)
+        with LlmClient(cfg) as client, pytest.raises(LlmTransportError):
+            client.complete("p")
+        (conn,) = opened
+        assert (conn.host, conn.port) == ("llm.example", 443)
+        assert conn._context.check_hostname
+        assert conn._context.verify_mode == ssl.CERT_REQUIRED
+
+
+def _python(code: str) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter that imports this checkout's dxrank."""
+    src = str(Path(dxrank.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_only_remote_client_imports_http_client():
+    """Mock runs never load an HTTP module; the remote client loads only
+    the standard library's."""
+    out = _python("""
         import sys
         import dxrank.cli
         from dxrank.llm import LlmClient, LlmConfig
         prompt = 'Candidate CCS Codes\\n"Anemia"\\n'
         LlmClient(LlmConfig(backend="mock_evidence")).complete(prompt)
-        print("requests" in sys.modules)
+        print("http.client" in sys.modules)
         LlmClient(LlmConfig(backend="remote", endpoint_url="http://unused"))
-        print("requests" in sys.modules)
+        print("http.client" in sys.modules, "requests" in sys.modules)
     """)
-    src = str(Path(dxrank.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=dict(os.environ, PYTHONPATH=path))
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["False", "True"]
+    assert out.stdout.split() == ["False", "True", "False"]
+
+
+def test_remote_path_runs_without_requests():
+    with LoopbackLlm(seed=4) as endpoint:
+        out = _python(f"""
+            import sys
+            sys.modules["requests"] = None  # any import of it now fails
+            from dxrank.llm import LlmClient, LlmConfig
+            cfg = LlmConfig(backend="remote", endpoint_url={endpoint.url!r}, seed=4,
+                            timeout_ms=5000)
+            with LlmClient(cfg) as client:
+                print(client.complete({prompt_text(NAMES)!r}).text)
+        """)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == mock_evidence_aware(
+        prompt_text(NAMES), derive_seed(4, prompt_text(NAMES)))
