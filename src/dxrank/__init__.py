@@ -11,9 +11,9 @@ class InputError(ValueError):
 
 
 def json_value(hint: type, value, where: str):
-    """`value` if it has the JSON type `hint` (int, float or str), else an
-    InputError: a bool is not a number, a float is not an int, and an int is
-    a valid float."""
+    """`value` if it has the JSON type `hint` (int, float, str or list),
+    else an InputError: a bool is not a number, a float is not an int, and an
+    int is a valid float."""
     allowed = (int, float) if hint is float else hint
     if not isinstance(value, allowed) or isinstance(value, bool):
         raise InputError(f"{where} must be {hint.__name__}, got {value!r}")

@@ -4,6 +4,10 @@ Two interchangeable scorers ("box" and "retain") take the same packed
 ragged batches and share a training loop (mini-batch Adam on mean
 multi-label BCE), a finite-difference gradient checker, batched inference
 over a sequence of instances, and a versioned JSON parameter format.
+
+A model is its kind, its vocabulary and one flat tree of named tensors
+(`ParamTree`). The tensor names and shapes come from the kind's seeded
+initializer alone; `load_model` checks a file against them.
 """
 from __future__ import annotations
 
@@ -25,18 +29,7 @@ from .base import (
     encode_batch,
     pack_instances,
 )
-from .boxes import (
-    BoxEmbed,
-    BoxLMParams,
-    VolumeConfig,
-    box_backward,
-    box_forward,
-    boxlm_logits,
-    init_box_params,
-    intersection_volume,
-    patient_box,
-    visit_box,
-)
+from .boxes import VolumeConfig, box_backward, box_forward, boxlm_logits, init_box_params
 from .numerics import (
     ADAM_BETAS,
     ADAM_EPS,
@@ -47,41 +40,7 @@ from .numerics import (
     bce_with_logits_grad,
     zeros_like_tree,
 )
-from .retain import (
-    GruParams,
-    RetainParams,
-    init_retain_params,
-    retain_backward,
-    retain_forward,
-    retain_logits,
-)
-
-__all__ = [
-    "BACKENDS",
-    "Backend",
-    "BackendError",
-    "BoxEmbed",
-    "BoxLMParams",
-    "GradCheckReport",
-    "GruParams",
-    "LogitVector",
-    "RetainParams",
-    "TrainConfig",
-    "TrainedModel",
-    "VolumeConfig",
-    "bce_loss",
-    "boxlm_logits",
-    "grad_check",
-    "gradients",
-    "infer_logits",
-    "intersection_volume",
-    "load_model",
-    "patient_box",
-    "retain_logits",
-    "save_model",
-    "train",
-    "visit_box",
-]
+from .retain import init_retain_params, retain_backward, retain_forward, retain_logits
 
 
 def bce_loss(logits: LogitVector, target: Sequence[str]) -> float:
@@ -98,13 +57,12 @@ def bce_loss(logits: LogitVector, target: Sequence[str]) -> float:
 
 @dataclass(frozen=True)
 class Backend:
-    """One scorer kind: its parameter class, its seeded initializer
-    (vocab, d, rng), and its kernels over a packed batch: the forward
+    """One scorer kind: its seeded initializer (vocab, d, rng), which names
+    and shapes its tensors, and its kernels over a packed batch: the forward
     (flat, batch, volume) to logits and a cache, the backward (flat, batch,
-    cache, dlogits, volume, grads), and inference (patients, params, volume)
-    to one LogitVector per patient."""
+    cache, dlogits, volume, grads), and inference (patients, vocab, flat,
+    volume) to one LogitVector per patient."""
 
-    params_cls: type[BoxLMParams] | type[RetainParams]
     init: Callable[..., ParamTree]
     forward: Callable[..., tuple[np.ndarray, dict]]
     backward: Callable[..., None]
@@ -114,14 +72,14 @@ class Backend:
 # The kernels are looked up as module globals at call time, so a wrapper
 # installed on this module sees every call. Retain has no volume.
 BACKENDS: dict[str, Backend] = {
-    "box": Backend(BoxLMParams, init_box_params, lambda *args: box_forward(*args),
+    "box": Backend(init_box_params, lambda *args: box_forward(*args),
                    lambda *args: box_backward(*args), lambda *args: boxlm_logits(*args)),
     "retain": Backend(
-        RetainParams, init_retain_params,
+        init_retain_params,
         lambda flat, batch, volume: retain_forward(flat, batch),
         lambda flat, batch, cache, dlogits, volume, grads:
             retain_backward(flat, batch, cache, dlogits, grads),
-        lambda patients, params, volume: retain_logits(patients, params)),
+        lambda patients, vocab, flat, volume: retain_logits(patients, vocab, flat)),
 }
 
 
@@ -169,50 +127,43 @@ def _grads(backend: Backend, flat: ParamTree, encoded: Sequence[EncodedInstance]
     return grads
 
 
-def gradients(backend_kind: str, params: BoxLMParams | RetainParams,
+def gradients(backend_kind: str, vocab: tuple[str, ...], tensors: ParamTree,
               batch: Sequence[PredictionInstance],
               volume: VolumeConfig = VolumeConfig()) -> ParamTree:
     """Exact gradient of the mean BCE loss over the batch, keyed like
-    params.flat()."""
+    tensors."""
     backend = _backend(backend_kind)
     if not batch:
         raise BackendError("gradient batch is empty")
-    encoded = encode_batch(batch, params.vocab)
-    return _grads(backend, params.flat(), encoded, volume)
+    return _grads(backend, tensors, encode_batch(batch, vocab), volume)
 
 
-def infer_logits(backend_kind: str, params: BoxLMParams | RetainParams,
+def infer_logits(backend_kind: str, vocab: tuple[str, ...], tensors: ParamTree,
                  patients: Sequence[PredictionInstance],
                  volume: VolumeConfig = VolumeConfig()) -> list[LogitVector]:
-    """One logit vector per patient, scored as one batch by the matching
-    scorer; errors if kind and params disagree."""
-    backend = _backend(backend_kind)
-    if not isinstance(params, backend.params_cls):
-        raise BackendError(f"{backend_kind} backend requires "
-                           f"{backend.params_cls.__name__}")
-    return backend.logits(patients, params, volume)
+    """One logit vector per patient, scored as one batch by the kind's
+    scorer."""
+    return _backend(backend_kind).logits(patients, vocab, tensors, volume)
 
 
 @dataclass
 class TrainedModel:
-    """A trained backend plus everything needed to reuse it: parameters,
-    per-epoch loss history (epochs+1 entries, first is pre-training), and
-    the configs that produced it."""
+    """A trained backend plus everything needed to reuse it: its vocabulary
+    and tensors, per-epoch loss history (epochs+1 entries, first is
+    pre-training), and the configs that produced it."""
 
     backend: str
-    params: BoxLMParams | RetainParams
+    vocab: tuple[str, ...]
+    tensors: ParamTree
     losses: list[float]
     config: TrainConfig
     volume: VolumeConfig = VolumeConfig()
 
-    @property
-    def vocab(self) -> tuple[str, ...]:
-        return self.params.vocab
-
     def logits(self, patients: Sequence[PredictionInstance]) -> list[LogitVector]:
         """One logit vector per patient, scored `config.batch_size` at a time."""
         return [lv for chunk in _chunks(patients, self.config.batch_size)
-                for lv in infer_logits(self.backend, self.params, chunk, self.volume)]
+                for lv in infer_logits(self.backend, self.vocab, self.tensors, chunk,
+                                       self.volume)]
 
 
 def train(backend_kind: str, dataset: Dataset, ontology: Ontology,
@@ -242,8 +193,7 @@ def train(backend_kind: str, dataset: Dataset, ontology: Ontology,
             adam_step(flat, _grads(backend, flat, chunk, volume), state, cfg.learning_rate)
         losses.append(_batch_loss(backend, flat, encoded, volume, cfg.batch_size))
 
-    return TrainedModel(backend=backend_kind,
-                        params=backend.params_cls.from_flat(vocab, flat),
+    return TrainedModel(backend=backend_kind, vocab=vocab, tensors=flat,
                         losses=losses, config=cfg, volume=volume)
 
 
@@ -259,7 +209,7 @@ class GradCheckReport:
     n_checked: int
 
 
-def grad_check(backend_kind: str, params: BoxLMParams | RetainParams,
+def grad_check(backend_kind: str, vocab: tuple[str, ...], tensors: ParamTree,
                batch: Sequence[PredictionInstance],
                volume: VolumeConfig = VolumeConfig(),
                h: float = 1e-4, floor: float = 1e-6) -> GradCheckReport:
@@ -267,8 +217,8 @@ def grad_check(backend_kind: str, params: BoxLMParams | RetainParams,
     every parameter element. Relative error uses max(|a|, |fd|, floor) as
     the denominator; exactly matching zeros count as zero error."""
     backend = _backend(backend_kind)
-    encoded = encode_batch(batch, params.vocab)
-    flat = {k: v.copy() for k, v in params.flat().items()}
+    encoded = encode_batch(batch, vocab)
+    flat = {k: v.copy() for k, v in tensors.items()}
     analytic = _grads(backend, flat, encoded, volume)
 
     worst, worst_key, checked = 0.0, "", 0
@@ -309,14 +259,14 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
     doc = {
         "format_version": FORMAT_VERSION,
         "backend": model.backend,
-        "d": model.params.d,
+        "d": model.config.d,
         "seed": model.config.seed,
         "vocab": list(model.vocab),
         "losses": [float(x) for x in model.losses],
         "train_config": {**asdict(model.config), "adam_betas": list(ADAM_BETAS),
                          "adam_eps": ADAM_EPS},
         "volume": asdict(model.volume),
-        "tensors": {k: v.tolist() for k, v in sorted(model.params.flat().items())},
+        "tensors": {k: v.tolist() for k, v in sorted(model.tensors.items())},
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
@@ -330,8 +280,9 @@ def load_model(path: str | Path, ontology: Ontology | None = None) -> TrainedMod
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        if doc.get("format_version") != FORMAT_VERSION:
-            raise BackendError(f"unsupported params format {doc.get('format_version')!r}")
+        version = json_value(int, doc["format_version"], "format_version")
+        if version != FORMAT_VERSION:
+            raise BackendError(f"unsupported params format {version!r}")
         backend_kind = doc.get("backend")
         backend = _backend(backend_kind)
         vocab = tuple(doc["vocab"])
@@ -371,10 +322,10 @@ def load_model(path: str | Path, ontology: Ontology | None = None) -> TrainedMod
         volume = VolumeConfig(**{
             f.name: float(json_value(float, vol.get(f.name, f.default), f"volume.{f.name}"))
             for f in fields(VolumeConfig)})
-        return TrainedModel(backend=backend_kind,
-                            params=backend.params_cls.from_flat(vocab, flat),
-                            losses=[float(x) for x in doc.get("losses", [])],
-                            config=cfg, volume=volume)
+        losses = [float(json_value(float, x, f"losses[{i}]"))
+                  for i, x in enumerate(json_value(list, doc.get("losses", []), "losses"))]
+        return TrainedModel(backend=backend_kind, vocab=vocab, tensors=flat,
+                            losses=losses, config=cfg, volume=volume)
     except BackendError:
         raise
     except json.JSONDecodeError as exc:

@@ -25,9 +25,6 @@ from .numerics import ParamTree, segment_ids, segment_softmax, segment_softmax_v
 
 GAMMA = 0.5772156649
 
-# BoxLMParams' tensors, named as in its flat parameter tree.
-BOX_TENSORS = ("center", "offset_raw", "attn_query", "visit_weight_vec")
-
 
 @dataclass(frozen=True)
 class VolumeConfig:
@@ -75,45 +72,6 @@ class BoxEmbed:
         return self.center + self.offset
 
 
-@dataclass(frozen=True)
-class BoxLMParams:
-    """All box-backend parameters over a fixed CCS vocabulary."""
-
-    vocab: tuple[str, ...]
-    center: np.ndarray
-    offset_raw: np.ndarray
-    attn_query: np.ndarray
-    visit_weight_vec: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "vocab", tuple(self.vocab))
-        for name in BOX_TENSORS:
-            object.__setattr__(self, name, np.asarray(getattr(self, name), float))
-        c, d = len(self.vocab), self.attn_query.shape[-1]
-        if self.center.shape != (c, d) or self.offset_raw.shape != (c, d):
-            raise BackendError("code box arrays do not match vocabulary and d")
-        if self.attn_query.shape != (d,) or self.visit_weight_vec.shape != (d,):
-            raise BackendError("query vectors do not match d")
-
-    @property
-    def d(self) -> int:
-        return int(self.attn_query.shape[0])
-
-    @property
-    def code_boxes(self) -> dict[str, BoxEmbed]:
-        return {
-            c: BoxEmbed(center=self.center[i], offset_raw=self.offset_raw[i])
-            for i, c in enumerate(self.vocab)
-        }
-
-    def flat(self) -> ParamTree:
-        return {name: getattr(self, name) for name in BOX_TENSORS}
-
-    @classmethod
-    def from_flat(cls, vocab: Sequence[str], flat: ParamTree) -> BoxLMParams:
-        return cls(vocab=tuple(vocab), **{name: flat[name] for name in BOX_TENSORS})
-
-
 # ---------------------------------------------------------------------------
 # Public box operations
 # ---------------------------------------------------------------------------
@@ -143,27 +101,34 @@ def _aggregate(boxes: Sequence[BoxEmbed], query: np.ndarray, what: str) -> BoxEm
     return BoxEmbed.with_width(center=alpha @ centers, offset=offsets.max(axis=0))
 
 
-def visit_box(code_boxes: Sequence[BoxEmbed], params: BoxLMParams) -> BoxEmbed:
+def code_boxes(vocab: Sequence[str], tensors: ParamTree) -> dict[str, BoxEmbed]:
+    """Each vocabulary code's box, by code."""
+    return {c: BoxEmbed(center=tensors["center"][i], offset_raw=tensors["offset_raw"][i])
+            for i, c in enumerate(vocab)}
+
+
+def visit_box(boxes: Sequence[BoxEmbed], tensors: ParamTree) -> BoxEmbed:
     """Attention-weighted center over the visit's code boxes; offset is the
     elementwise max of effective offsets."""
-    return _aggregate(code_boxes, params.attn_query, "visit")
+    return _aggregate(boxes, tensors["attn_query"], "visit")
 
 
-def patient_box(visit_boxes: Sequence[BoxEmbed], params: BoxLMParams) -> BoxEmbed:
+def patient_box(visit_boxes: Sequence[BoxEmbed], tensors: ParamTree) -> BoxEmbed:
     """Temporal pooling of visit boxes with the visit weight vector."""
-    return _aggregate(visit_boxes, params.visit_weight_vec, "patient")
+    return _aggregate(visit_boxes, tensors["visit_weight_vec"], "patient")
 
 
 def boxlm_logits(
     patients: Sequence[PredictionInstance],
-    params: BoxLMParams,
+    vocab: tuple[str, ...],
+    tensors: ParamTree,
     cfg: VolumeConfig = VolumeConfig(),
 ) -> list[LogitVector]:
     """score(c) = log(max(eps, volume(patient box ∩ code box c))) for every
     CCS code in the vocabulary, for each patient, scored as one batch."""
-    batch = pack_instances(encode_batch(patients, params.vocab))
-    logits, _ = box_forward(params.flat(), batch, cfg)
-    return [LogitVector(vocab=params.vocab, scores=row) for row in logits]
+    batch = pack_instances(encode_batch(patients, vocab))
+    logits, _ = box_forward(tensors, batch, cfg)
+    return [LogitVector(vocab=vocab, scores=row) for row in logits]
 
 
 # ---------------------------------------------------------------------------

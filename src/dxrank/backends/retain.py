@@ -9,108 +9,23 @@ box scorer does.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from ..ehr import PredictionInstance
-from .base import BackendError, LogitVector, PackedBatch, encode_batch, pack_instances
+from .base import LogitVector, PackedBatch, encode_batch, pack_instances
 from .numerics import ParamTree, segment_ids, segment_softmax, segment_softmax_vjp, \
     sigmoid
 
-GRU_FIELDS = ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h")
-GRU_BLOCKS = ("rnn_alpha", "rnn_beta")
-# RetainParams' tensors outside its GRU blocks, named as in its flat tree.
-RETAIN_TENSORS = ("embed", "w_alpha", "W_beta", "W_o", "b_o")
 
-
-@dataclass(frozen=True)
-class GruParams:
-    """One GRU cell; w_* act on the input, u_* on the hidden state."""
-
-    w_z: np.ndarray
-    u_z: np.ndarray
-    b_z: np.ndarray
-    w_r: np.ndarray
-    u_r: np.ndarray
-    b_r: np.ndarray
-    w_h: np.ndarray
-    u_h: np.ndarray
-    b_h: np.ndarray
-
-    def __post_init__(self):
-        for name in GRU_FIELDS:
-            object.__setattr__(self, name, np.asarray(getattr(self, name), float))
-        d = self.b_z.shape[0]
-        for name in GRU_FIELDS:
-            want = (d,) if name.startswith("b") else (d, d)
-            if getattr(self, name).shape != want:
-                raise BackendError(f"GRU block {name} has shape "
-                                   f"{getattr(self, name).shape}, expected {want}")
-
-
-@dataclass(frozen=True)
-class RetainParams:
-    """Sequence-scorer parameters over a fixed CCS vocabulary (r = |CCS|)."""
-
-    vocab: tuple[str, ...]
-    embed: np.ndarray
-    rnn_alpha: GruParams
-    rnn_beta: GruParams
-    w_alpha: np.ndarray
-    W_beta: np.ndarray
-    W_o: np.ndarray
-    b_o: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "vocab", tuple(self.vocab))
-        for name in RETAIN_TENSORS:
-            object.__setattr__(self, name, np.asarray(getattr(self, name), float))
-        r = len(self.vocab)
-        d = self.w_alpha.shape[0]
-        checks = {
-            "embed": (r, d),
-            "w_alpha": (d,),
-            "W_beta": (d, d),
-            "W_o": (r, d),
-            "b_o": (r,),
-        }
-        for name, want in checks.items():
-            if getattr(self, name).shape != want:
-                raise BackendError(f"{name} has shape {getattr(self, name).shape}, "
-                                   f"expected {want}")
-        if self.rnn_alpha.b_z.shape != (d,) or self.rnn_beta.b_z.shape != (d,):
-            raise BackendError("GRU hidden size does not match d")
-
-    @property
-    def d(self) -> int:
-        return int(self.w_alpha.shape[0])
-
-    def flat(self) -> ParamTree:
-        out: ParamTree = {name: getattr(self, name) for name in RETAIN_TENSORS}
-        for prefix in GRU_BLOCKS:
-            for name in GRU_FIELDS:
-                out[f"{prefix}/{name}"] = getattr(getattr(self, prefix), name)
-        return out
-
-    @classmethod
-    def from_flat(cls, vocab: Sequence[str], flat: ParamTree) -> RetainParams:
-        blocks = {
-            prefix: GruParams(**{n: flat[f"{prefix}/{n}"] for n in GRU_FIELDS})
-            for prefix in GRU_BLOCKS
-        }
-        return cls(vocab=tuple(vocab), **blocks,
-                   **{name: flat[name] for name in RETAIN_TENSORS})
-
-
-def retain_logits(patients: Sequence[PredictionInstance],
-                  params: RetainParams) -> list[LogitVector]:
+def retain_logits(patients: Sequence[PredictionInstance], vocab: tuple[str, ...],
+                  tensors: ParamTree) -> list[LogitVector]:
     """Logits over the CCS vocabulary for each prediction instance, scored
     as one batch."""
-    batch = pack_instances(encode_batch(patients, params.vocab))
-    logits, _ = retain_forward(params.flat(), batch)
-    return [LogitVector(vocab=params.vocab, scores=row) for row in logits]
+    batch = pack_instances(encode_batch(patients, vocab))
+    logits, _ = retain_forward(tensors, batch)
+    return [LogitVector(vocab=vocab, scores=row) for row in logits]
 
 
 # ---------------------------------------------------------------------------
@@ -226,15 +141,15 @@ def retain_backward(flat: ParamTree, batch: PackedBatch, cache: dict,
 def init_retain_params(
     vocab: Sequence[str], d: int, rng: np.random.Generator
 ) -> ParamTree:
-    """Seeded init: weights normal(0, 0.1), biases zero."""
+    """Seeded init: weights normal(0, 0.1), biases zero. Each GRU's w_*
+    act on the input and u_* on the hidden state."""
     r = len(vocab)
     flat: ParamTree = {"embed": rng.normal(0.0, 0.1, size=(r, d))}
-    for prefix in GRU_BLOCKS:
-        for name in GRU_FIELDS:
-            if name.startswith("b"):
-                flat[f"{prefix}/{name}"] = np.zeros(d)
-            else:
-                flat[f"{prefix}/{name}"] = rng.normal(0.0, 0.1, size=(d, d))
+    for prefix in ("rnn_alpha", "rnn_beta"):
+        for gate in "zrh":
+            flat[f"{prefix}/w_{gate}"] = rng.normal(0.0, 0.1, size=(d, d))
+            flat[f"{prefix}/u_{gate}"] = rng.normal(0.0, 0.1, size=(d, d))
+            flat[f"{prefix}/b_{gate}"] = np.zeros(d)
     flat["w_alpha"] = rng.normal(0.0, 0.1, size=d)
     flat["W_beta"] = rng.normal(0.0, 0.1, size=(d, d))
     flat["W_o"] = rng.normal(0.0, 0.1, size=(r, d))

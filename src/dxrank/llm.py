@@ -109,7 +109,9 @@ class LlmClient:
     transport is injectable for tests: it then serves every slot, and must
     return (status, body) or raise an OSError (TimeoutError,
     ConnectionError) for a retryable failure. Closing the client, or leaving
-    its `with` block, closes its connections.
+    its `with` block, closes its connections. A remote client reads the
+    token that cfg.api_key_env names once, here; a named variable that is
+    unset or empty is an InputError.
     """
 
     def __init__(
@@ -122,8 +124,15 @@ class LlmClient:
         self._sleep = sleeper
         self._connections = ()
         self._slots: queue.SimpleQueue[Transport] = queue.SimpleQueue()
+        self._headers = {"Content-Type": "application/json"}
         if cfg.backend != "remote":
             return
+        if cfg.api_key_env:
+            token = os.environ.get(cfg.api_key_env)
+            if not token:
+                raise InputError(f"llm: api_key_env names {cfg.api_key_env!r}, "
+                                 "which is not set in the environment")
+            self._headers["Authorization"] = f"Bearer {token}"
         if transport is None:
             # Only the remote backend sends requests, so only it pays for
             # importing the HTTP modules.
@@ -168,15 +177,6 @@ class LlmClient:
         cfg = self.cfg
         url = cfg.endpoint_url.rstrip("/") + "/chat/completions"
         body = request_body(prompt, cfg, temperature)
-        headers = {"Content-Type": "application/json"}
-        if cfg.api_key_env:
-            token = os.environ.get(cfg.api_key_env)
-            if not token:
-                raise LlmTransportError(
-                    f"api_key_env {cfg.api_key_env!r} is not set in the environment"
-                )
-            headers["Authorization"] = f"Bearer {token}"
-
         start = time.monotonic()
         last_failure = ""
         for attempt in range(1, cfg.max_retries + 2):
@@ -184,7 +184,7 @@ class LlmClient:
             # slept, so another request can use it meanwhile.
             slot = self._slots.get()
             try:
-                status, raw = slot(url, body, headers)
+                status, raw = slot(url, body, self._headers)
             except OSError as exc:
                 last_failure = f"{type(exc).__name__}: {exc}"
                 status = None

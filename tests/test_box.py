@@ -9,9 +9,9 @@ from dxrank.backends.base import BackendError
 from dxrank.backends.boxes import (
     GAMMA,
     BoxEmbed,
-    BoxLMParams,
     VolumeConfig,
     boxlm_logits,
+    code_boxes,
     init_box_params,
     intersection_volume,
     patient_box,
@@ -85,9 +85,11 @@ class TestIntersectionVolume:
         )
 
 
-def two_code_params() -> BoxLMParams:
-    return BoxLMParams(
-        vocab=("C01", "C02"),
+TWO_CODES = ("C01", "C02")
+
+
+def two_code_params() -> dict:
+    return dict(
         center=np.array([[0.0, 1.0], [2.0, -1.0]]),
         offset_raw=np.log(np.expm1(np.array([[0.2, 0.4], [0.5, 0.1]]))),
         attn_query=np.array([1.0, -0.5]),
@@ -100,7 +102,7 @@ class TestAggregation:
         # Hand-computed: scores c_i . q are -0.5 and 2.5, so
         # alpha = softmax([-0.5, 2.5]); offsets take the elementwise max.
         params = two_code_params()
-        vb = visit_box(list(params.code_boxes.values()), params)
+        vb = visit_box(list(code_boxes(TWO_CODES, params).values()), params)
         np.testing.assert_allclose(
             vb.center, [1.9051482536448667, -0.9051482536448666], rtol=1e-12
         )
@@ -108,7 +110,7 @@ class TestAggregation:
 
     def test_code_order_irrelevant(self):
         params = two_code_params()
-        boxes = list(params.code_boxes.values())
+        boxes = list(code_boxes(TWO_CODES, params).values())
         a = visit_box(boxes, params)
         b = visit_box(boxes[::-1], params)
         np.testing.assert_allclose(a.center, b.center, atol=1e-12)
@@ -116,17 +118,17 @@ class TestAggregation:
 
     def test_single_box_is_identity(self):
         params = two_code_params()
-        box = params.code_boxes["C01"]
+        box = code_boxes(TWO_CODES, params)["C01"]
         vb = visit_box([box], params)
         np.testing.assert_allclose(vb.center, box.center, atol=1e-12)
         np.testing.assert_allclose(vb.offset, box.offset, atol=1e-12)
 
     def test_patient_box_uses_visit_weights(self):
         params = two_code_params()
-        boxes = list(params.code_boxes.values())
+        boxes = list(code_boxes(TWO_CODES, params).values())
         pb = patient_box(boxes, params)
         centers = np.stack([b.center for b in boxes])
-        alpha = softmax(centers @ params.visit_weight_vec)
+        alpha = softmax(centers @ params["visit_weight_vec"])
         np.testing.assert_allclose(pb.center, alpha @ centers, rtol=1e-12)
 
     def test_empty_visit_rejected(self):
@@ -150,16 +152,16 @@ def _instance(visits: list[list[str]]) -> PredictionInstance:
 
 
 def dense_reference_logits(
-    inst: PredictionInstance, params: BoxLMParams, cfg: VolumeConfig
+    inst: PredictionInstance, vocab: tuple[str, ...], params: dict, cfg: VolumeConfig
 ) -> np.ndarray:
     """Independent forward pass written against the public box helpers."""
-    boxes = params.code_boxes
+    boxes = code_boxes(vocab, params)
     vboxes = [
         visit_box([boxes[c] for c in v.ccs], params) for v in inst.input_visits
     ]
     pbox = patient_box(vboxes, params)
-    out = np.empty(len(params.vocab))
-    for i, c in enumerate(params.vocab):
+    out = np.empty(len(vocab))
+    for i, c in enumerate(vocab):
         vol = intersection_volume(pbox, boxes[c], cfg)
         out[i] = math.log(max(cfg.eps, vol))
     return out
@@ -169,25 +171,24 @@ class TestBoxLogits:
     def test_matches_reference_forward(self):
         rng = np.random.default_rng(7)
         vocab = tuple(f"C{i:02d}" for i in range(6))
-        params = BoxLMParams.from_flat(vocab, init_box_params(vocab, 3, rng))
+        params = init_box_params(vocab, 3, rng)
         inst = _instance([["C00", "C02"], ["C01", "C04", "C05"], ["C03"]])
         cfg = VolumeConfig()
-        got = boxlm_logits([inst], params, cfg)[0]
-        want = dense_reference_logits(inst, params, cfg)
+        got = boxlm_logits([inst], vocab, params, cfg)[0]
+        want = dense_reference_logits(inst, vocab, params, cfg)
         np.testing.assert_allclose(got.scores, want, rtol=1e-10)
         assert got.vocab == vocab
 
     def test_far_apart_boxes_clamp_to_log_eps(self):
         vocab = ("C00", "C01")
-        params = BoxLMParams(
-            vocab=vocab,
+        params = dict(
             center=np.array([[0.0], [500.0]]),
             offset_raw=np.array([[0.1], [0.1]]),
             attn_query=np.array([0.0]),
             visit_weight_vec=np.array([0.0]),
         )
         inst = _instance([["C00"]])
-        lv = boxlm_logits([inst], params)[0]
+        lv = boxlm_logits([inst], vocab, params)[0]
         assert lv.score("C01") == pytest.approx(math.log(1e-30))
         assert lv.score("C00") > lv.score("C01")
 
@@ -195,7 +196,7 @@ class TestBoxLogits:
         params = two_code_params()
         inst = _instance([["C01", "C09"]])
         with pytest.raises(BackendError, match="C09"):
-            boxlm_logits([inst], params)
+            boxlm_logits([inst], TWO_CODES, params)
 
     def test_gamma_constant(self):
         assert GAMMA == pytest.approx(0.5772156649, abs=1e-10)

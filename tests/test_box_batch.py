@@ -16,7 +16,6 @@ from dxrank.backends.base import (
     pack_instances,
 )
 from dxrank.backends.boxes import (
-    BoxLMParams,
     VolumeConfig,
     box_backward,
     box_forward,
@@ -249,14 +248,13 @@ def _instance(visits: list[list[str]]) -> PredictionInstance:
 
 def test_boxlm_logits_is_a_batch_of_one():
     vocab = tuple(f"C{i}" for i in range(5))
-    params = BoxLMParams.from_flat(
-        vocab, init_box_params(vocab, 3, np.random.default_rng(2)))
+    params = init_box_params(vocab, 3, np.random.default_rng(2))
     inst = _instance([["C1", "C2"], ["C4"]])
-    got = boxlm_logits([inst], params)[0]
+    got = boxlm_logits([inst], vocab, params)[0]
     assert isinstance(got, LogitVector)
     enc = EncodedInstance(visit_idx=(np.array([1, 2]), np.array([4])),
                           target=np.eye(5)[0])
-    want, _ = box_forward(params.flat(), pack_instances([enc]), VolumeConfig())
+    want, _ = box_forward(params, pack_instances([enc]), VolumeConfig())
     assert np.array_equal(got.scores, want[0])
 
 

@@ -328,6 +328,10 @@ MALFORMED_INPUTS = {
     **{f"endpoint-{name}": ("predict", _remote_endpoint(url), f"endpoint_url {url!r}")
        for name, url in (("bad-scheme", "htp://127.0.0.1:9"), ("no-scheme", "127.0.0.1:9"),
                          ("no-host", "http:///v1"), ("bad-port", "http://127.0.0.1:x"))},
+    "api-key-env-unset": ("predict", _config(lambda path: path.write_text(json.dumps(
+        dict(SMALL_CFG, llm={"backend": "remote", "endpoint_url": "http://127.0.0.1:9",
+                             "api_key_env": "DXRANK_UNSET_TEST_KEY"})))),
+        "'DXRANK_UNSET_TEST_KEY'"),
 }
 
 

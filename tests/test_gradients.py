@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dxrank.backends import bce_loss, grad_check, gradients, infer_logits
-from dxrank.backends.boxes import BoxLMParams, VolumeConfig, init_box_params
+from dxrank.backends.boxes import VolumeConfig, init_box_params
 from dxrank.backends.numerics import (
     bce_with_logits,
     bce_with_logits_grad,
@@ -17,7 +17,7 @@ from dxrank.backends.numerics import (
     softplus,
     softplus_inv,
 )
-from dxrank.backends.retain import RetainParams, init_retain_params
+from dxrank.backends.retain import init_retain_params
 from dxrank.ehr import PredictionInstance, Visit
 
 from .conftest import softmax_vjp
@@ -113,21 +113,20 @@ class TestNumerics:
         np.testing.assert_allclose(got, want, atol=1e-8)
 
 
-def _batch_loss_public(kind: str, params, volume: VolumeConfig) -> float:
+def _batch_loss_public(kind: str, tensors: dict, volume: VolumeConfig) -> float:
     vals = [
-        bce_loss(infer_logits(kind, params, [inst], volume)[0],
+        bce_loss(infer_logits(kind, VOCAB, tensors, [inst], volume)[0],
                  sorted(inst.target_overall))
         for inst in BATCH
     ]
     return sum(vals) / len(vals)
 
 
-def _fd_entries(kind: str, params_cls, flat: dict, volume: VolumeConfig,
+def _fd_entries(kind: str, flat: dict, volume: VolumeConfig,
                 n_probes: int, seed: int) -> None:
     """Central finite differences on a random sample of parameter entries,
     implemented here independently of the package's own checker."""
-    params = params_cls.from_flat(VOCAB, flat)
-    analytic = gradients(kind, params, BATCH, volume)
+    analytic = gradients(kind, VOCAB, flat, BATCH, volume)
     rng = np.random.default_rng(seed)
     h = 1e-5
     keys = sorted(flat)
@@ -137,9 +136,9 @@ def _fd_entries(kind: str, params_cls, flat: dict, volume: VolumeConfig,
         ij = tuple(int(rng.integers(s)) for s in arr.shape)
         orig = arr[ij]
         arr[ij] = orig + h
-        up = _batch_loss_public(kind, params_cls.from_flat(VOCAB, flat), volume)
+        up = _batch_loss_public(kind, flat, volume)
         arr[ij] = orig - h
-        dn = _batch_loss_public(kind, params_cls.from_flat(VOCAB, flat), volume)
+        dn = _batch_loss_public(kind, flat, volume)
         arr[ij] = orig
         fd = (up - dn) / (2 * h)
         an = analytic[key][ij]
@@ -151,37 +150,37 @@ class TestAnalyticGradients:
     def test_box_backward_matches_fd_probes(self):
         rng = np.random.default_rng(10)
         flat = init_box_params(VOCAB, 3, rng)
-        _fd_entries("box", BoxLMParams, flat, VolumeConfig(), 25, seed=0)
+        _fd_entries("box", flat, VolumeConfig(), 25, seed=0)
 
     def test_retain_backward_matches_fd_probes(self):
         rng = np.random.default_rng(11)
         flat = init_retain_params(VOCAB, 3, rng)
-        _fd_entries("retain", RetainParams, flat, VolumeConfig(), 25, seed=1)
+        _fd_entries("retain", flat, VolumeConfig(), 25, seed=1)
 
     def test_grad_check_utility_box(self):
         rng = np.random.default_rng(1)
-        params = BoxLMParams.from_flat(VOCAB, init_box_params(VOCAB, 3, rng))
-        report = grad_check("box", params, BATCH)
+        params = init_box_params(VOCAB, 3, rng)
+        report = grad_check("box", VOCAB, params, BATCH)
         assert report.max_rel_error < 1e-3
         assert report.n_checked > 0
 
     def test_grad_check_utility_retain(self):
         rng = np.random.default_rng(1)
-        params = RetainParams.from_flat(VOCAB, init_retain_params(VOCAB, 3, rng))
-        report = grad_check("retain", params, BATCH)
+        params = init_retain_params(VOCAB, 3, rng)
+        report = grad_check("retain", VOCAB, params, BATCH)
         assert report.max_rel_error < 1e-3
 
     def test_single_code_patient_box_ties_are_consistent(self):
         # A one-code visit makes the patient box coincide with that code's
         # box; the shared-parameter max ties must still differentiate.
         rng = np.random.default_rng(3)
-        params = BoxLMParams.from_flat(VOCAB, init_box_params(VOCAB, 2, rng))
+        params = init_box_params(VOCAB, 2, rng)
         batch = [_instance([["C0"]], {"C1"})]
-        report = grad_check("box", params, batch)
+        report = grad_check("box", VOCAB, params, batch)
         assert report.max_rel_error < 1e-3
 
     def test_gradients_rejects_empty_batch(self):
         rng = np.random.default_rng(0)
-        params = BoxLMParams.from_flat(VOCAB, init_box_params(VOCAB, 2, rng))
+        params = init_box_params(VOCAB, 2, rng)
         with pytest.raises(Exception):
-            gradients("box", params, [])
+            gradients("box", VOCAB, params, [])

@@ -201,12 +201,12 @@ class TestRemote:
         with pytest.raises(LlmProtocolError, match="choice"):
             client.complete("p")
 
-    def test_missing_api_key_env(self):
-        client, transport, _ = make_client(
-            [(200, ok_body("ok"))], api_key_env="NO_SUCH_KEY_VAR"
-        )
-        with pytest.raises(LlmTransportError, match="NO_SUCH_KEY_VAR"):
-            client.complete("p")
+    def test_missing_api_key_env(self, monkeypatch):
+        monkeypatch.delenv("NO_SUCH_KEY_VAR", raising=False)
+        transport = FakeTransport([(200, ok_body("ok"))])
+        with pytest.raises(InputError, match="NO_SUCH_KEY_VAR"):
+            LlmClient(LlmConfig(**REMOTE, api_key_env="NO_SUCH_KEY_VAR"),
+                      transport=transport)
         assert transport.calls == []
 
     def test_bearer_header_sent(self, monkeypatch):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import json
 import random
+import re
 from collections import defaultdict
 from functools import reduce
 from operator import getitem
@@ -117,10 +118,15 @@ FLOAT_FIELDS = ("learning_rate", "beta")
     ("run", ("matched_count",), True),
     ("model", ("train_config", "learning_rate"), True),
     ("model", ("volume", "beta"), True),
+    ("model", ("format_version",), True),
+    ("model", ("format_version",), 1.0),
+    ("model", ("losses",), "12"),
+    ("model", ("losses", 0), True),
+    ("model", ("losses", 0), "3.5"),
 ])
 def test_int_fields_take_json_integers_only(tmp_path, dataset, ontology, kind, path, value):
     """Integer fields take JSON integers only, and float fields JSON numbers
-    only: a bool is neither."""
+    only: a bool is neither. The loss history is an array of numbers."""
     target = tmp_path / "file"
     if kind == "dataset":
         save_dataset(dataset, target)
@@ -136,8 +142,12 @@ def test_int_fields_take_json_integers_only(tmp_path, dataset, ontology, kind, p
     doc = next(d for d in docs if path[0] in d)
     reduce(getitem, path[:-1], doc)[path[-1]] = value
     _write_lines(target, docs)
-    hint = "float" if path[-1] in FLOAT_FIELDS else "int"
-    with pytest.raises(InputError, match=f"{path[-1]} must be {hint}"):
+    if isinstance(path[-1], int):  # an entry of an array field
+        field, hint = f"{path[-2]}[{path[-1]}]", "float"
+    else:
+        field = path[-1]
+        hint = "list" if field == "losses" else "float" if field in FLOAT_FIELDS else "int"
+    with pytest.raises(InputError, match=re.escape(f"{field} must be {hint}")):
         load(target)
 
 

@@ -32,8 +32,8 @@ class TestTrainLoop:
         a = train("box", ds, onto, TrainConfig(epochs=0, d=4, seed=3))
         b = train("box", ds, onto, TrainConfig(epochs=0, d=4, seed=3))
         assert len(a.losses) == 1
-        for key, val in a.params.flat().items():
-            np.testing.assert_array_equal(val, b.params.flat()[key])
+        for key, val in a.tensors.items():
+            np.testing.assert_array_equal(val, b.tensors[key])
 
     def test_zero_learning_rate_never_moves(self, data):
         ds, onto = data
@@ -57,8 +57,8 @@ class TestTrainLoop:
         a = train("box", ds, onto, cfg)
         b = train("box", ds, onto, cfg)
         assert a.losses == b.losses
-        for key, val in a.params.flat().items():
-            np.testing.assert_array_equal(val, b.params.flat()[key])
+        for key, val in a.tensors.items():
+            np.testing.assert_array_equal(val, b.tensors[key])
 
     def test_seed_changes_training(self, data):
         ds, onto = data
@@ -76,7 +76,7 @@ class TestTrainLoop:
         model = train("box", ds, onto, TrainConfig(epochs=1, d=4, seed=2))
         inst = build_instances(ds)[0]
         via_model = model.logits([inst])[0]
-        direct = infer_logits("box", model.params, [inst], model.volume)[0]
+        direct = infer_logits("box", model.vocab, model.tensors, [inst], model.volume)[0]
         np.testing.assert_array_equal(via_model.scores, direct.scores)
 
     @pytest.mark.parametrize("kind", ["box", "retain"])
@@ -87,7 +87,8 @@ class TestTrainLoop:
         got = model.logits(insts)
         assert len(got) == len(insts)
         for inst, lv in zip(insts, got):
-            alone = infer_logits(kind, model.params, [inst], model.volume)[0].scores
+            alone = infer_logits(kind, model.vocab, model.tensors, [inst],
+                                 model.volume)[0].scores
             np.testing.assert_allclose(lv.scores, alone, rtol=0,
                                        atol=1e-12 * np.max(np.abs(alone)))
 
@@ -116,7 +117,8 @@ class TestRegistry:
         model = train(kind, ds, onto, TrainConfig(epochs=1, d=4, seed=0))
         assert calls[forward] > calls[backward] > 0
         assert calls[logits] == 0
-        infer_logits(kind, model.params, build_instances(ds)[:1], model.volume)
+        infer_logits(kind, model.vocab, model.tensors, build_instances(ds)[:1],
+                     model.volume)
         assert calls[logits] == 1
 
 
@@ -136,6 +138,9 @@ class TestSerialization:
         np.testing.assert_array_equal(
             again.logits([inst])[0].scores, model.logits([inst])[0].scores
         )
+        # Re-saving the loaded model writes the same bytes.
+        save_model(again, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
     def test_save_is_deterministic(self, data, tmp_path):
         ds, onto = data
@@ -158,7 +163,8 @@ class TestSerialization:
 
     def test_tampered_tensor_shape_rejected(self, data, tmp_path):
         ds, onto = data
-        for kind, key in (("box", "attn_query"), ("retain", "rnn_beta/b_z")):
+        for kind, key in (("box", "attn_query"), ("retain", "rnn_beta/b_z"),
+                          ("retain", "rnn_alpha/u_h"), ("retain", "embed")):
             model = train(kind, ds, onto, TrainConfig(epochs=0, d=4))
             path = tmp_path / f"{kind}.json"
             save_model(model, path)
