@@ -59,6 +59,7 @@ RUN_FILE = "run.jsonl"
 METRICS_FILE = "metrics.json"
 ABLATION_FILE = "ablation.csv"
 SWEEP_FILE = "sweep_k.csv"
+LLM_CACHE_DIR = "llm_cache"
 
 
 class ConfigError(InputError):
@@ -478,11 +479,14 @@ def cmd_cooc(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
 def cmd_predict(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
     inputs = load_prediction_inputs(cfg, out_dir, (cfg.stage,))
     with LlmClient(cfg.llm) as client:
+        client.cache_in(out_dir / LLM_CACHE_DIR)
         artifact = run_predictions(
             cfg, out_dir, inputs, client, cfg.stage, cfg.k_candidates, RUN_FILE)
     write_resolved_config(cfg, out_dir, "predict")
-    failed = len(artifact.failed)
-    print(f"wrote {len(artifact.records)} records ({failed} failed)")
+    counts = f"{len(artifact.failed)} failed"
+    if cfg.llm.backend == "remote":
+        counts += f", {client.from_cache} from cache"
+    print(f"wrote {len(artifact.records)} records ({counts})")
     return _failure_exit(artifact)
 
 
@@ -504,6 +508,7 @@ def _compare(cfg: RunConfig, out_dir: Path, command: str, table_file: str,
     worst = EXIT_OK
     reports: list[tuple[str, MetricsReport]] = []
     with LlmClient(cfg.llm) as client:
+        client.cache_in(out_dir / LLM_CACHE_DIR)
         for label, stage, k, tag in variants:
             artifact = run_predictions(cfg, out_dir, inputs, client, stage, k,
                                        f"run_{tag}.jsonl")
@@ -515,6 +520,8 @@ def _compare(cfg: RunConfig, out_dir: Path, command: str, table_file: str,
     save_comparison(table, out_dir / table_file)
     write_resolved_config(cfg, out_dir, command)
     print(table.text())
+    if cfg.llm.backend == "remote":
+        print(f"llm: {client.fetched} fetched, {client.from_cache} from cache")
     return worst
 
 

@@ -1,17 +1,21 @@
 """Completion interface: a remote chat-completions client with retries,
-backoff, and one kept-alive connection per in-flight slot, plus two
-deterministic offline mocks (an echo that preserves candidate order, and an
-evidence-aware ranker used for desk-scale end-to-end runs).
+backoff, one kept-alive connection per in-flight slot and an on-disk cache
+of temperature-0 completions, plus two deterministic offline mocks (an echo
+that preserves candidate order, and an evidence-aware ranker used for
+desk-scale end-to-end runs).
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import queue
 import re
+import threading
 import time
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 from urllib.parse import urlsplit
 
@@ -58,8 +62,12 @@ class LlmConfig:
             raise InputError("temperature must be non-negative")
         if self.max_in_flight < 1:
             raise InputError("max_in_flight must be at least 1")
-        if self.max_retries < 0 or self.timeout_ms <= 0 or self.max_tokens < 1:
-            raise InputError("bad retry/timeout/token settings")
+        if self.max_retries < 0:
+            raise InputError(f"max_retries must be non-negative, got {self.max_retries}")
+        if self.timeout_ms <= 0:
+            raise InputError(f"timeout_ms must be positive, got {self.timeout_ms}")
+        if self.max_tokens < 1:
+            raise InputError(f"max_tokens must be at least 1, got {self.max_tokens}")
         if self.backend == "remote":
             _check_endpoint(self.endpoint_url)
 
@@ -112,6 +120,9 @@ class LlmClient:
     its `with` block, closes its connections. A remote client reads the
     token that cfg.api_key_env names once, here; a named variable that is
     unset or empty is an InputError.
+
+    `fetched` counts the completions the endpoint answered, and `from_cache`
+    those read from the cache that `cache_in` sets up.
     """
 
     def __init__(
@@ -125,6 +136,10 @@ class LlmClient:
         self._connections = ()
         self._slots: queue.SimpleQueue[Transport] = queue.SimpleQueue()
         self._headers = {"Content-Type": "application/json"}
+        self._cache_dir: Path | None = None
+        self._count_lock = threading.Lock()
+        self.fetched = 0
+        self.from_cache = 0
         if cfg.backend != "remote":
             return
         if cfg.api_key_env:
@@ -142,6 +157,26 @@ class LlmClient:
                 cfg.endpoint_url, cfg.timeout_ms / 1000.0, cfg.max_in_flight)
         for slot in self._connections or (transport,) * cfg.max_in_flight:
             self._slots.put(slot)
+
+    def cache_in(self, directory: Path) -> None:
+        """Answer remote requests sent before from a completion cache in
+        `directory`, which is created on the first store.
+
+        Only a request whose effective temperature is 0 is cached. Its entry
+        is `<sha256 of URL and body>.json`, holding `{"text": ...}`, so the
+        key covers every byte the endpoint receives except the bearer token,
+        which no entry holds. An entry is written only after a 200 with a
+        usable choice, through a temporary file per process and thread and
+        `os.replace`, so commands sharing the directory never read a partial
+        one. An entry that cannot be read or holds no string `text` is a
+        miss, and is overwritten; a failed write loses only the entry. The
+        mocks never touch the directory.
+        """
+        self._cache_dir = directory
+
+    def _count(self, name: str) -> None:
+        with self._count_lock:
+            setattr(self, name, getattr(self, name) + 1)
 
     def close(self) -> None:
         """Close every connection; call it with no request in flight."""
@@ -176,7 +211,17 @@ class LlmClient:
                          temperature: float | None) -> CompletionResult:
         cfg = self.cfg
         url = cfg.endpoint_url.rstrip("/") + "/chat/completions"
+        temperature = cfg.temperature if temperature is None else temperature
         body = request_body(prompt, cfg, temperature)
+        entry = None
+        if self._cache_dir is not None and temperature == 0:
+            key = hashlib.sha256(url.encode("utf-8") + b"\n" + body).hexdigest()
+            entry = self._cache_dir / f"{key}.json"
+            text = _read_entry(entry)
+            if text is not None:
+                self._count("from_cache")
+                return CompletionResult(text=text, latency_ms=0, attempt_count=0,
+                                        backend_tag="cache")
         start = time.monotonic()
         last_failure = ""
         for attempt in range(1, cfg.max_retries + 2):
@@ -192,6 +237,9 @@ class LlmClient:
                 self._slots.put(slot)
             if status == 200:
                 text = _extract_choice(raw)
+                self._count("fetched")
+                if entry is not None:
+                    _write_entry(entry, text)
                 latency = int((time.monotonic() - start) * 1000)
                 return CompletionResult(
                     text=text, latency_ms=latency, attempt_count=attempt,
@@ -215,9 +263,35 @@ def _extract_choice(raw: bytes) -> str:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise LlmProtocolError(f"non-JSON response: {exc}") from None
     try:
-        return data["choices"][0]["message"]["content"]
+        text = data["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError):
-        raise LlmProtocolError("response has no usable choice") from None
+        text = None
+    if not isinstance(text, str):
+        raise LlmProtocolError("response has no usable choice")
+    return text
+
+
+def _read_entry(path: Path) -> str | None:
+    """The text of a completion cache entry, or None for a miss."""
+    try:
+        entry = json.loads(path.read_bytes())
+    # ValueError: not UTF-8 or not JSON; RecursionError: nested too deep.
+    except (OSError, ValueError, RecursionError):
+        return None
+    text = entry.get("text") if isinstance(entry, dict) else None
+    return text if isinstance(text, str) else None
+
+
+def _write_entry(path: Path, text: str) -> None:
+    """Store a completion cache entry; a failed write stores nothing."""
+    temp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        temp.write_text(json.dumps({"text": text}), encoding="utf-8")
+        os.replace(temp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            temp.unlink()
 
 
 # ---------------------------------------------------------------------------

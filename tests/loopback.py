@@ -2,7 +2,7 @@
 
 It answers as the `mock_evidence` backend would, so a remote run writes
 the same rankings as a mock one, and counts the connections it accepts and
-the requests it serves.
+the requests it serves. It keeps the prompt of each request it is sent.
 """
 from __future__ import annotations
 
@@ -28,11 +28,15 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self):
         endpoint = self.server.endpoint
         body = self.rfile.read(int(self.headers["Content-Length"]))
-        endpoint.count("requests")
         prompt = json.loads(body)["messages"][0]["content"]
-        text = mock_evidence_aware(prompt, derive_seed(endpoint.seed, prompt))
-        payload = json.dumps({"choices": [{"message": {"content": text}}]}).encode()
-        self.send_response(200)
+        endpoint.count("requests", prompt)
+        status = endpoint.status
+        if status == 200:
+            text = mock_evidence_aware(prompt, derive_seed(endpoint.seed, prompt))
+            payload = json.dumps({"choices": [{"message": {"content": text}}]}).encode()
+        else:
+            payload = b"{}"
+        self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
@@ -46,13 +50,17 @@ class _Handler(BaseHTTPRequestHandler):
 
 class LoopbackLlm:
     """Serves until its `with` block ends. With `close_each`, it closes the
-    connection after every response."""
+    connection after every response. Every request is answered with
+    `status`, which a test may change between requests; only a 200 carries
+    a completion."""
 
     def __init__(self, seed: int = 0, close_each: bool = False):
         self.seed = seed
         self.close_each = close_each
+        self.status = 200
         self.connections = 0
         self.requests = 0
+        self.prompts: list[str] = []
         self._lock = threading.Lock()
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
         self._server.daemon_threads = True
@@ -65,9 +73,11 @@ class LoopbackLlm:
         host, port = self._server.server_address[:2]
         return f"http://{host}:{port}"
 
-    def count(self, name: str) -> None:
+    def count(self, name: str, prompt: str | None = None) -> None:
         with self._lock:
             setattr(self, name, getattr(self, name) + 1)
+            if prompt is not None:
+                self.prompts.append(prompt)
 
     def __enter__(self) -> LoopbackLlm:
         self._thread.start()

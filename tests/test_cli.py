@@ -39,7 +39,7 @@ from dxrank.backends import BACKENDS, BackendError, TrainedModel
 from dxrank.llm import LLM_BACKENDS, LlmClient, LlmConfig, LlmError, derive_seed, \
     mock_evidence_aware
 from dxrank.metrics import EvalError, load_metrics, load_run
-from dxrank.prompting import PromptError
+from dxrank.prompting import ABLATION_STAGES, SC_SAMPLES, PromptError
 from dxrank.synth import SyntheticConfigError
 
 from .loopback import LoopbackLlm
@@ -783,6 +783,133 @@ class TestLoopbackEndpoint:
                          if r.candidates)
         assert endpoint.requests == asked
         assert 1 <= endpoint.connections <= 2
+
+
+def _asked(run_path):
+    """The prompts of a run's records that have candidates, which are the
+    records that ask the LLM."""
+    return [r.prompt for r in load_run(run_path).records if r.candidates]
+
+
+class TestCompletionCache:
+    """The remote completion cache in `<out>/llm_cache`, end to end against
+    the loopback endpoint."""
+
+    def _prepare(self, tmp_path, endpoint, **llm):
+        out = tmp_path / "runs"
+        llm = {"backend": "remote", "endpoint_url": endpoint.url, "timeout_ms": 5000,
+               "max_in_flight": 2, **llm}
+        port = endpoint.url.rsplit(":", 1)[1]
+        cfg_path = write_cfg(tmp_path, dict(SMALL_CFG, llm=llm), f"remote_{port}.json")
+        if not (out / MODEL_FILE).exists():
+            for command in ("synth", "train", "cooc"):
+                assert cli(command, cfg_path, out) == EXIT_OK
+        return cfg_path, out
+
+    def test_second_predict_sends_nothing(self, tmp_path, capsys):
+        with LoopbackLlm() as endpoint:
+            cfg_path, out = self._prepare(tmp_path, endpoint)
+            assert cli("predict", cfg_path, out) == EXIT_OK
+            first = (out / RUN_FILE).read_bytes()
+            sent = endpoint.requests
+            assert cli("predict", cfg_path, out) == EXIT_OK
+        asked = len(_asked(out / RUN_FILE))
+        assert sent == asked > 0 and endpoint.requests == sent
+        assert (out / RUN_FILE).read_bytes() == first
+        n = len(load_run(out / RUN_FILE).records)
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[-2:] == [f"wrote {n} records (0 failed, 0 from cache)",
+                                f"wrote {n} records (0 failed, {asked} from cache)"]
+
+    def test_ablate_after_predict_sends_only_the_other_stages(self, tmp_path, capsys):
+        with LoopbackLlm() as endpoint:
+            cfg_path, out = self._prepare(tmp_path, endpoint)
+            assert cli("predict", cfg_path, out) == EXIT_OK
+            sent = endpoint.requests
+            assert cli("ablate", cfg_path, out) == EXIT_OK
+        others = [p for stage in ABLATION_STAGES if stage != "relational"
+                  for p in _asked(out / f"run_{stage}.jsonl")]
+        assert sorted(endpoint.prompts[sent:]) == sorted(others)
+        relational = _asked(out / "run_relational.jsonl")
+        assert sorted(relational) == sorted(endpoint.prompts[:sent])
+        lines = (out / "run_relational.jsonl").read_bytes().splitlines()
+        assert lines[1:] == (out / RUN_FILE).read_bytes().splitlines()[1:]
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"llm: {endpoint.requests - sent} fetched, {len(relational)} from cache")
+
+    @pytest.mark.parametrize("extra, llm, samples", [
+        (("--strategy", "sc"), {}, SC_SAMPLES), ((), {"temperature": 0.5}, 1)],
+        ids=["sc", "temperature"])
+    def test_sampled_runs_send_every_request(self, tmp_path, extra, llm, samples):
+        with LoopbackLlm() as endpoint:
+            cfg_path, out = self._prepare(tmp_path, endpoint, **llm)
+            for run in (1, 2):
+                assert cli("predict", cfg_path, out, *extra) == EXIT_OK
+                assert endpoint.requests == run * samples * len(_asked(out / RUN_FILE))
+        assert not (out / "llm_cache").exists()
+
+    def test_failed_instances_are_asked_again(self, tmp_path, capsys):
+        with LoopbackLlm() as endpoint:
+            cfg_path, out = self._prepare(tmp_path, endpoint, max_retries=0)
+            endpoint.status = 503
+            assert cli("predict", cfg_path, out) == EXIT_RUN_FAILURES
+            failed = len(load_run(out / RUN_FILE).failed)
+            assert failed == endpoint.requests > 0
+            assert not (out / "llm_cache").exists()
+            endpoint.status = 200
+            assert cli("predict", cfg_path, out) == EXIT_OK
+        assert endpoint.requests == 2 * failed
+        assert not load_run(out / RUN_FILE).failed
+        n = len(load_run(out / RUN_FILE).records)
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            f"wrote {n} records ({failed} failed, 0 from cache)",
+            f"wrote {n} records (0 failed, 0 from cache)"]
+
+    def test_bad_entries_are_asked_again_and_rewritten(self, tmp_path):
+        with LoopbackLlm() as endpoint:
+            cfg_path, out = self._prepare(tmp_path, endpoint)
+            assert cli("predict", cfg_path, out) == EXIT_OK
+            first, sent = (out / RUN_FILE).read_bytes(), endpoint.requests
+            truncated, garbled = sorted((out / "llm_cache").iterdir())[:2]
+            truncated.write_bytes(truncated.read_bytes()[:-7])
+            garbled.write_bytes(b"not json")
+            assert cli("predict", cfg_path, out) == EXIT_OK
+        assert endpoint.requests == sent + 2
+        assert (out / RUN_FILE).read_bytes() == first
+        for entry in (truncated, garbled):
+            assert isinstance(json.loads(entry.read_bytes())["text"], str)
+        assert len(list((out / "llm_cache").iterdir())) == sent
+
+    def test_entries_of_another_endpoint_are_not_used(self, tmp_path):
+        with LoopbackLlm() as first, LoopbackLlm() as second:
+            cfg_path, out = self._prepare(tmp_path, first)
+            assert cli("predict", cfg_path, out) == EXIT_OK
+            lines = (out / RUN_FILE).read_bytes().splitlines()
+            cfg_path, out = self._prepare(tmp_path, second)
+            assert cli("predict", cfg_path, out) == EXIT_OK
+        assert second.requests == first.requests == len(_asked(out / RUN_FILE))
+        assert (out / RUN_FILE).read_bytes().splitlines()[1:] == lines[1:]
+
+    def test_token_is_in_no_cache_file(self, tmp_path, monkeypatch):
+        token = "tok-5e1f0c9a"
+        monkeypatch.setenv("DXRANK_TEST_TOKEN", token)
+        with LoopbackLlm() as endpoint:
+            cfg_path, out = self._prepare(tmp_path, endpoint, api_key_env="DXRANK_TEST_TOKEN")
+            assert cli("predict", cfg_path, out) == EXIT_OK
+        entries = list((out / "llm_cache").rglob("*"))
+        assert len(entries) == endpoint.requests > 0
+        for path in entries:
+            assert token not in path.name and token.encode() not in path.read_bytes()
+
+    def test_mock_chain_makes_no_cache(self, tmp_path, capsys):
+        out = run_chain(tmp_path, cfg_doc=dict(SMALL_CFG, llm={"backend": "mock_evidence"}))
+        for command in ("ablate", "sweep-k"):
+            assert cli(command, tmp_path / "cfg.json", out) == EXIT_OK
+        assert not (out / "llm_cache").exists()
+        printed = capsys.readouterr().out
+        n = len(load_run(out / RUN_FILE).records)
+        assert f"wrote {n} records (0 failed)\n" in printed
+        assert "cache" not in printed and "llm:" not in printed
 
 
 class TestRunThreads:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import http.client
 import json
 import os
@@ -107,14 +108,16 @@ class TestConfig:
             LlmConfig(backend="remote", endpoint_url=url)
 
     def test_bad_numbers_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="temperature"):
             LlmConfig(temperature=-0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="max_in_flight"):
             LlmConfig(max_in_flight=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="max_retries must be non-negative, got -1"):
             LlmConfig(max_retries=-1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="max_tokens must be at least 1, got 0"):
             LlmConfig(max_tokens=0)
+        with pytest.raises(ValueError, match="timeout_ms must be positive, got 0"):
+            LlmConfig(timeout_ms=0)
 
 
 class TestRequestBody:
@@ -201,6 +204,13 @@ class TestRemote:
         with pytest.raises(LlmProtocolError, match="choice"):
             client.complete("p")
 
+    @pytest.mark.parametrize("content", [None, 3, ["Answer: X"]])
+    def test_choice_that_is_not_text(self, content):
+        body = json.dumps({"choices": [{"message": {"content": content}}]}).encode()
+        client, _, _ = make_client([(200, body)])
+        with pytest.raises(LlmProtocolError, match="choice"):
+            client.complete("p")
+
     def test_missing_api_key_env(self, monkeypatch):
         monkeypatch.delenv("NO_SUCH_KEY_VAR", raising=False)
         transport = FakeTransport([(200, ok_body("ok"))])
@@ -242,6 +252,166 @@ class TestRemote:
         with ThreadPoolExecutor(max_workers=8) as pool:
             list(pool.map(lambda i: client.complete(f"p{i}"), range(16)))
         assert state["peak"] <= 2
+
+
+def cached_client(tmp_path, steps, **cfg_kw):
+    client, transport, sleeps = make_client(steps, **cfg_kw)
+    client.cache_in(tmp_path / "llm_cache")
+    return client, transport, sleeps
+
+
+def cache_entries(tmp_path) -> list[Path]:
+    return sorted((tmp_path / "llm_cache").glob("*"))
+
+
+class TestCompletionCache:
+    """The completion cache, through a scripted transport."""
+
+    def test_repeat_is_answered_from_the_cache(self, tmp_path):
+        client, transport, _ = cached_client(tmp_path, [(200, ok_body("Answer: X"))])
+        first = client.complete("p")
+        again = client.complete("p")
+        assert len(transport.calls) == 1
+        assert (first.text, again.text) == ("Answer: X", "Answer: X")
+        assert (again.attempt_count, again.backend_tag) == (0, "cache")
+        assert (client.fetched, client.from_cache) == (1, 1)
+        (entry,) = cache_entries(tmp_path)
+        url, body, _ = transport.calls[0]
+        assert entry.name == hashlib.sha256(url.encode() + b"\n" + body).hexdigest() + ".json"
+        assert json.loads(entry.read_text()) == {"text": "Answer: X"}
+
+    @pytest.mark.parametrize("cfg_kw, override", [({}, 0.7), ({"temperature": 0.5}, None)])
+    def test_sampled_requests_always_go_out(self, tmp_path, cfg_kw, override):
+        client, transport, _ = cached_client(
+            tmp_path, [(200, ok_body("a")), (200, ok_body("b"))], **cfg_kw)
+        texts = [client.complete("p", temperature=override).text for _ in range(2)]
+        assert texts == ["a", "b"] and len(transport.calls) == 2
+        assert (client.fetched, client.from_cache) == (2, 0)
+        assert not (tmp_path / "llm_cache").exists()
+
+    def test_override_to_zero_is_cached(self, tmp_path):
+        client, transport, _ = cached_client(tmp_path, [(200, ok_body("a"))],
+                                             temperature=0.5)
+        assert client.complete("p", temperature=0.0).text == "a"
+        assert client.complete("p", temperature=0.0).text == "a"
+        assert len(transport.calls) == 1
+
+    @pytest.mark.parametrize("failure", [
+        [(503, b"busy")], [TimeoutError("t")], [(404, b"nope")], [(200, b"<html>")],
+        [(200, b'{"choices": []}')]])
+    def test_failures_are_not_stored(self, tmp_path, failure):
+        client, transport, _ = cached_client(
+            tmp_path, failure + [(200, ok_body("ok"))], max_retries=0)
+        with pytest.raises((LlmTransportError, LlmProtocolError)):
+            client.complete("p")
+        assert cache_entries(tmp_path) == []
+        assert client.complete("p").text == "ok"
+        assert len(transport.calls) == 2
+        assert (client.fetched, client.from_cache) == (1, 0)
+
+    @pytest.mark.parametrize("content", [
+        b'{"text": "Answ', b"not json", b"\xff\xfe", b'["Answer: X"]', b'{"text": 3}',
+        b'{"txt": "Answer: X"}', b"[" * 100_000, b""])
+    def test_bad_entry_is_a_miss_and_is_rewritten(self, tmp_path, content):
+        client, transport, _ = cached_client(
+            tmp_path, [(200, ok_body("Answer: X")), (200, ok_body("Answer: X"))])
+        client.complete("p")
+        (entry,) = cache_entries(tmp_path)
+        entry.write_bytes(content)
+        assert client.complete("p").text == "Answer: X"
+        assert len(transport.calls) == 2
+        assert (client.fetched, client.from_cache) == (2, 0)
+        assert cache_entries(tmp_path) == [entry]
+        assert json.loads(entry.read_text()) == {"text": "Answer: X"}
+
+    def test_unreadable_entry_is_a_miss(self, tmp_path):
+        client, transport, _ = cached_client(
+            tmp_path, [(200, ok_body("a")), (200, ok_body("a"))])
+        client.complete("p")
+        (entry,) = cache_entries(tmp_path)
+        entry.unlink()
+        entry.mkdir()  # neither readable as a file nor replaceable
+        assert client.complete("p").text == "a"
+        assert len(transport.calls) == 2 and entry.is_dir()
+        assert [p.name for p in cache_entries(tmp_path)] == [entry.name]
+
+    def test_failed_write_does_not_fail_the_request(self, tmp_path):
+        (tmp_path / "llm_cache").write_text("a file, not a directory")
+        client, transport, _ = cached_client(
+            tmp_path, [(200, ok_body("a")), (200, ok_body("a"))])
+        assert [client.complete("p").text for _ in range(2)] == ["a", "a"]
+        assert len(transport.calls) == 2
+        assert (client.fetched, client.from_cache) == (2, 0)
+
+    def test_interrupted_write_leaves_no_entry(self, tmp_path, monkeypatch):
+        # A write cut off before its rename leaves neither an entry nor a
+        # temporary file, and the request still succeeds.
+        def cut(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", cut)
+        client, transport, _ = cached_client(
+            tmp_path, [(200, ok_body("a")), (200, ok_body("a"))])
+        assert client.complete("p").text == "a"
+        assert cache_entries(tmp_path) == []
+        monkeypatch.undo()
+        assert client.complete("p").text == "a" and len(transport.calls) == 2
+        assert [p.suffix for p in cache_entries(tmp_path)] == [".json"]
+
+    def test_endpoint_and_body_are_in_the_key(self, tmp_path):
+        client, _, _ = cached_client(tmp_path, [(200, ok_body("a"))])
+        client.complete("p")
+        for cfg_kw in ({"endpoint_url": "http://other/v1"}, {"model_name": "m2"},
+                       {"max_tokens": 7}):
+            other, transport, _ = cached_client(tmp_path, [(200, ok_body("b"))], **cfg_kw)
+            assert other.complete("p").text == "b" and len(transport.calls) == 1
+        assert len(cache_entries(tmp_path)) == 4
+
+    def test_token_is_in_no_entry(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("DXRANK_TEST_KEY", "sek-7f3a9")
+        client, transport, _ = cached_client(
+            tmp_path, [(200, ok_body("ok"))], api_key_env="DXRANK_TEST_KEY")
+        client.complete("p")
+        assert transport.calls[0][2]["Authorization"] == "Bearer sek-7f3a9"
+        (entry,) = cache_entries(tmp_path)
+        assert b"sek-7f3a9" not in entry.read_bytes() and "sek" not in entry.name
+        # A different token reads the same entry.
+        monkeypatch.setenv("DXRANK_TEST_KEY", "other")
+        again, transport, _ = cached_client(tmp_path, [], api_key_env="DXRANK_TEST_KEY")
+        assert again.complete("p").text == "ok" and transport.calls == []
+
+    @pytest.mark.parametrize("backend", ["mock_echo", "mock_evidence"])
+    def test_mocks_never_touch_the_cache(self, tmp_path, backend):
+        client = LlmClient(LlmConfig(backend=backend))
+        client.cache_in(tmp_path / "llm_cache")
+        for _ in range(2):
+            client.complete(prompt_text(NAMES))
+        assert not (tmp_path / "llm_cache").exists()
+        assert (client.fetched, client.from_cache) == (0, 0)
+
+    def test_counts_hold_under_contention(self, tmp_path):
+        # More workers than cores, switching threads often: a lost count or
+        # a torn entry would show in the totals or as a miss.
+        def transport(url, body, headers):
+            return 200, ok_body("Answer: " + json.loads(body)["messages"][0]["content"])
+
+        cfg = LlmConfig(**REMOTE, max_in_flight=3)
+        prompts = [f"p{i % 20}" for i in range(200)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            client = LlmClient(cfg, transport=transport)
+            client.cache_in(tmp_path / "llm_cache")
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(client.complete, prompts))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r.text for r in got] == [f"Answer: {p}" for p in prompts]
+        assert client.fetched + client.from_cache == len(prompts)
+        assert client.from_cache == sum(r.backend_tag == "cache" for r in got)
+        assert client.from_cache >= len(prompts) - 8 * 20
+        entries = cache_entries(tmp_path)
+        assert len(entries) == 20 and all(p.suffix == ".json" for p in entries)
 
 
 class TestDeriveSeed:
