@@ -313,7 +313,7 @@ def predict_record(
         if options.strategy == "sc":
             parsed = [
                 parse_answer(
-                    client.complete(
+                    client.ask(
                         prompt, temperature=SC_TEMPERATURE, sample_tag=f"sc{i}"
                     ).text,
                     candidates,
@@ -323,7 +323,7 @@ def predict_record(
             ]
             pred = sc_aggregate(parsed)
         else:
-            pred = parse_answer(client.complete(prompt).text, candidates,
+            pred = parse_answer(client.ask(prompt).text, candidates,
                                 ontology.ccs_names)
     except LlmError as exc:
         return RunRecord(raw_text="", ranked=(), error=str(exc), **base)

@@ -96,12 +96,17 @@ class CompletionResult:
 Transport = Callable[[str, bytes, dict], tuple[int, bytes]]
 
 
+def _temperature(cfg: LlmConfig, temperature: float | None) -> float:
+    """The temperature a request is sent with: an explicit one wins."""
+    return cfg.temperature if temperature is None else temperature
+
+
 def request_body(prompt: str, cfg: LlmConfig, temperature: float | None = None) -> bytes:
     """Canonical chat-completion body; byte-stable for identical inputs."""
     payload = {
         "model": cfg.model_name,
         "messages": [{"role": "user", "content": prompt}],
-        "temperature": cfg.temperature if temperature is None else temperature,
+        "temperature": _temperature(cfg, temperature),
         "max_tokens": cfg.max_tokens,
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -121,8 +126,10 @@ class LlmClient:
     token that cfg.api_key_env names once, here; a named variable that is
     unset or empty is an InputError.
 
+    `complete` asks the backend; `ask` answers from the completion cache
+    that `cache_in` sets up when it can, and asks the backend otherwise.
     `fetched` counts the completions the endpoint answered, and `from_cache`
-    those read from the cache that `cache_in` sets up.
+    those `ask` read from the cache.
     """
 
     def __init__(
@@ -148,6 +155,7 @@ class LlmClient:
                 raise InputError(f"llm: api_key_env names {cfg.api_key_env!r}, "
                                  "which is not set in the environment")
             self._headers["Authorization"] = f"Bearer {token}"
+        self._url = cfg.endpoint_url.rstrip("/") + "/chat/completions"
         if transport is None:
             # Only the remote backend sends requests, so only it pays for
             # importing the HTTP modules.
@@ -159,8 +167,8 @@ class LlmClient:
             self._slots.put(slot)
 
     def cache_in(self, directory: Path) -> None:
-        """Answer remote requests sent before from a completion cache in
-        `directory`, which is created on the first store.
+        """Let `ask` answer remote requests sent before from a completion
+        cache in `directory`, which is created on the first store.
 
         Only a request whose effective temperature is 0 is cached. Its entry
         is `<sha256 of URL and body>.json`, holding `{"text": ...}`, so the
@@ -207,21 +215,37 @@ class LlmClient:
             )
         return self._complete_remote(prompt, temperature)
 
-    def _complete_remote(self, prompt: str,
-                         temperature: float | None) -> CompletionResult:
-        cfg = self.cfg
-        url = cfg.endpoint_url.rstrip("/") + "/chat/completions"
-        temperature = cfg.temperature if temperature is None else temperature
-        body = request_body(prompt, cfg, temperature)
-        entry = None
-        if self._cache_dir is not None and temperature == 0:
-            key = hashlib.sha256(url.encode("utf-8") + b"\n" + body).hexdigest()
-            entry = self._cache_dir / f"{key}.json"
+    def ask(self, prompt: str, temperature: float | None = None,
+            sample_tag: str = "") -> CompletionResult:
+        """`complete`, read from the completion cache instead when the same
+        request was answered before; a new cacheable answer is stored."""
+        entry = self._cache_entry(prompt, temperature)
+        if entry is not None:
             text = _read_entry(entry)
             if text is not None:
                 self._count("from_cache")
                 return CompletionResult(text=text, latency_ms=0, attempt_count=0,
                                         backend_tag="cache")
+        result = self.complete(prompt, temperature, sample_tag)
+        if entry is not None:
+            _write_entry(entry, result.text)
+        return result
+
+    def _cache_entry(self, prompt: str, temperature: float | None) -> Path | None:
+        """The cache file of a remote temperature-0 request, or None for a
+        request that is not cached."""
+        cfg = self.cfg
+        if (self._cache_dir is None or cfg.backend != "remote"
+                or _temperature(cfg, temperature) != 0):
+            return None
+        body = request_body(prompt, cfg, temperature)
+        key = hashlib.sha256(self._url.encode("utf-8") + b"\n" + body).hexdigest()
+        return self._cache_dir / f"{key}.json"
+
+    def _complete_remote(self, prompt: str,
+                         temperature: float | None) -> CompletionResult:
+        cfg = self.cfg
+        body = request_body(prompt, cfg, temperature)
         start = time.monotonic()
         last_failure = ""
         for attempt in range(1, cfg.max_retries + 2):
@@ -229,7 +253,7 @@ class LlmClient:
             # slept, so another request can use it meanwhile.
             slot = self._slots.get()
             try:
-                status, raw = slot(url, body, self._headers)
+                status, raw = slot(self._url, body, self._headers)
             except OSError as exc:
                 last_failure = f"{type(exc).__name__}: {exc}"
                 status = None
@@ -238,8 +262,6 @@ class LlmClient:
             if status == 200:
                 text = _extract_choice(raw)
                 self._count("fetched")
-                if entry is not None:
-                    _write_entry(entry, text)
                 latency = int((time.monotonic() - start) * 1000)
                 return CompletionResult(
                     text=text, latency_ms=latency, attempt_count=attempt,

@@ -268,13 +268,17 @@ class TestCompletionCache:
     """The completion cache, through a scripted transport."""
 
     def test_repeat_is_answered_from_the_cache(self, tmp_path):
-        client, transport, _ = cached_client(tmp_path, [(200, ok_body("Answer: X"))])
-        first = client.complete("p")
-        again = client.complete("p")
+        client, transport, _ = cached_client(
+            tmp_path, [(200, ok_body("Answer: X")), (200, ok_body("Answer: X"))])
+        first = client.ask("p")
+        again = client.ask("p")
         assert len(transport.calls) == 1
         assert (first.text, again.text) == ("Answer: X", "Answer: X")
         assert (again.attempt_count, again.backend_tag) == (0, "cache")
         assert (client.fetched, client.from_cache) == (1, 1)
+        # `complete` asks the endpoint whatever the cache holds.
+        assert client.complete("p").backend_tag == "remote"
+        assert len(transport.calls) == 2 and client.fetched == 2
         (entry,) = cache_entries(tmp_path)
         url, body, _ = transport.calls[0]
         assert entry.name == hashlib.sha256(url.encode() + b"\n" + body).hexdigest() + ".json"
@@ -284,7 +288,7 @@ class TestCompletionCache:
     def test_sampled_requests_always_go_out(self, tmp_path, cfg_kw, override):
         client, transport, _ = cached_client(
             tmp_path, [(200, ok_body("a")), (200, ok_body("b"))], **cfg_kw)
-        texts = [client.complete("p", temperature=override).text for _ in range(2)]
+        texts = [client.ask("p", temperature=override).text for _ in range(2)]
         assert texts == ["a", "b"] and len(transport.calls) == 2
         assert (client.fetched, client.from_cache) == (2, 0)
         assert not (tmp_path / "llm_cache").exists()
@@ -292,8 +296,8 @@ class TestCompletionCache:
     def test_override_to_zero_is_cached(self, tmp_path):
         client, transport, _ = cached_client(tmp_path, [(200, ok_body("a"))],
                                              temperature=0.5)
-        assert client.complete("p", temperature=0.0).text == "a"
-        assert client.complete("p", temperature=0.0).text == "a"
+        assert client.ask("p", temperature=0.0).text == "a"
+        assert client.ask("p", temperature=0.0).text == "a"
         assert len(transport.calls) == 1
 
     @pytest.mark.parametrize("failure", [
@@ -303,9 +307,9 @@ class TestCompletionCache:
         client, transport, _ = cached_client(
             tmp_path, failure + [(200, ok_body("ok"))], max_retries=0)
         with pytest.raises((LlmTransportError, LlmProtocolError)):
-            client.complete("p")
+            client.ask("p")
         assert cache_entries(tmp_path) == []
-        assert client.complete("p").text == "ok"
+        assert client.ask("p").text == "ok"
         assert len(transport.calls) == 2
         assert (client.fetched, client.from_cache) == (1, 0)
 
@@ -315,10 +319,10 @@ class TestCompletionCache:
     def test_bad_entry_is_a_miss_and_is_rewritten(self, tmp_path, content):
         client, transport, _ = cached_client(
             tmp_path, [(200, ok_body("Answer: X")), (200, ok_body("Answer: X"))])
-        client.complete("p")
+        client.ask("p")
         (entry,) = cache_entries(tmp_path)
         entry.write_bytes(content)
-        assert client.complete("p").text == "Answer: X"
+        assert client.ask("p").text == "Answer: X"
         assert len(transport.calls) == 2
         assert (client.fetched, client.from_cache) == (2, 0)
         assert cache_entries(tmp_path) == [entry]
@@ -327,11 +331,11 @@ class TestCompletionCache:
     def test_unreadable_entry_is_a_miss(self, tmp_path):
         client, transport, _ = cached_client(
             tmp_path, [(200, ok_body("a")), (200, ok_body("a"))])
-        client.complete("p")
+        client.ask("p")
         (entry,) = cache_entries(tmp_path)
         entry.unlink()
         entry.mkdir()  # neither readable as a file nor replaceable
-        assert client.complete("p").text == "a"
+        assert client.ask("p").text == "a"
         assert len(transport.calls) == 2 and entry.is_dir()
         assert [p.name for p in cache_entries(tmp_path)] == [entry.name]
 
@@ -339,7 +343,7 @@ class TestCompletionCache:
         (tmp_path / "llm_cache").write_text("a file, not a directory")
         client, transport, _ = cached_client(
             tmp_path, [(200, ok_body("a")), (200, ok_body("a"))])
-        assert [client.complete("p").text for _ in range(2)] == ["a", "a"]
+        assert [client.ask("p").text for _ in range(2)] == ["a", "a"]
         assert len(transport.calls) == 2
         assert (client.fetched, client.from_cache) == (2, 0)
 
@@ -352,66 +356,62 @@ class TestCompletionCache:
         monkeypatch.setattr(os, "replace", cut)
         client, transport, _ = cached_client(
             tmp_path, [(200, ok_body("a")), (200, ok_body("a"))])
-        assert client.complete("p").text == "a"
+        assert client.ask("p").text == "a"
         assert cache_entries(tmp_path) == []
         monkeypatch.undo()
-        assert client.complete("p").text == "a" and len(transport.calls) == 2
+        assert client.ask("p").text == "a" and len(transport.calls) == 2
         assert [p.suffix for p in cache_entries(tmp_path)] == [".json"]
 
     def test_endpoint_and_body_are_in_the_key(self, tmp_path):
         client, _, _ = cached_client(tmp_path, [(200, ok_body("a"))])
-        client.complete("p")
+        client.ask("p")
         for cfg_kw in ({"endpoint_url": "http://other/v1"}, {"model_name": "m2"},
                        {"max_tokens": 7}):
             other, transport, _ = cached_client(tmp_path, [(200, ok_body("b"))], **cfg_kw)
-            assert other.complete("p").text == "b" and len(transport.calls) == 1
+            assert other.ask("p").text == "b" and len(transport.calls) == 1
         assert len(cache_entries(tmp_path)) == 4
 
     def test_token_is_in_no_entry(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DXRANK_TEST_KEY", "sek-7f3a9")
         client, transport, _ = cached_client(
             tmp_path, [(200, ok_body("ok"))], api_key_env="DXRANK_TEST_KEY")
-        client.complete("p")
+        client.ask("p")
         assert transport.calls[0][2]["Authorization"] == "Bearer sek-7f3a9"
         (entry,) = cache_entries(tmp_path)
         assert b"sek-7f3a9" not in entry.read_bytes() and "sek" not in entry.name
         # A different token reads the same entry.
         monkeypatch.setenv("DXRANK_TEST_KEY", "other")
         again, transport, _ = cached_client(tmp_path, [], api_key_env="DXRANK_TEST_KEY")
-        assert again.complete("p").text == "ok" and transport.calls == []
+        assert again.ask("p").text == "ok" and transport.calls == []
 
     @pytest.mark.parametrize("backend", ["mock_echo", "mock_evidence"])
     def test_mocks_never_touch_the_cache(self, tmp_path, backend):
         client = LlmClient(LlmConfig(backend=backend))
         client.cache_in(tmp_path / "llm_cache")
         for _ in range(2):
-            client.complete(prompt_text(NAMES))
+            client.ask(prompt_text(NAMES))
         assert not (tmp_path / "llm_cache").exists()
         assert (client.fetched, client.from_cache) == (0, 0)
 
-    def test_counts_hold_under_contention(self, tmp_path):
-        # More workers than cores, switching threads often: a lost count or
-        # a torn entry would show in the totals or as a miss.
-        def transport(url, body, headers):
-            return 200, ok_body("Answer: " + json.loads(body)["messages"][0]["content"])
+    def test_concurrent_misses_leave_one_entry(self, tmp_path):
+        # Every worker misses the same key before any answer arrives, so
+        # each one writes the entry through its own temporary file.
+        workers = 4
+        barrier = threading.Barrier(workers, timeout=10)
 
-        cfg = LlmConfig(**REMOTE, max_in_flight=3)
-        prompts = [f"p{i % 20}" for i in range(200)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            client = LlmClient(cfg, transport=transport)
-            client.cache_in(tmp_path / "llm_cache")
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                got = list(pool.map(client.complete, prompts))
-        finally:
-            sys.setswitchinterval(interval)
-        assert [r.text for r in got] == [f"Answer: {p}" for p in prompts]
-        assert client.fetched + client.from_cache == len(prompts)
-        assert client.from_cache == sum(r.backend_tag == "cache" for r in got)
-        assert client.from_cache >= len(prompts) - 8 * 20
-        entries = cache_entries(tmp_path)
-        assert len(entries) == 20 and all(p.suffix == ".json" for p in entries)
+        def transport(url, body, headers):
+            barrier.wait()
+            return 200, ok_body("Answer: X")
+
+        client = LlmClient(LlmConfig(**REMOTE, max_in_flight=workers), transport=transport)
+        client.cache_in(tmp_path / "llm_cache")
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            got = list(pool.map(client.ask, ["p"] * workers))
+        assert [r.text for r in got] == ["Answer: X"] * workers
+        assert (client.fetched, client.from_cache) == (workers, 0)
+        (entry,) = cache_entries(tmp_path)
+        assert entry.suffix == ".json"
+        assert json.loads(entry.read_text()) == {"text": "Answer: X"}
 
 
 class TestDeriveSeed:
