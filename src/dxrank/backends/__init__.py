@@ -12,13 +12,13 @@ initializer alone; `load_model` checks a file against them.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .. import json_value
+from .. import from_json, json_value
 from ..ehr import Dataset, Ontology, PredictionInstance, build_instances
 from .base import (
     BackendError,
@@ -309,19 +309,14 @@ def load_model(path: str | Path, ontology: Ontology | None = None) -> TrainedMod
                 raise BackendError(f"tensor {key} has non-finite values")
             flat[key] = arr
 
-        tc = doc.get("train_config", {})
-        cfg = TrainConfig(
-            epochs=json_value(int, tc.get("epochs", 0), "epochs"),
-            learning_rate=float(json_value(float, tc.get("learning_rate", 0.0),
-                                           "learning_rate")),
-            batch_size=json_value(int, tc.get("batch_size", 1), "batch_size"),
-            seed=json_value(int, doc.get("seed", 0), "seed"),
-            d=d,
-        )
-        vol = doc.get("volume", {})
-        volume = VolumeConfig(**{
-            f.name: float(json_value(float, vol.get(f.name, f.default), f"volume.{f.name}"))
-            for f in fields(VolumeConfig)})
+        # The top-level d and seed win over the recorded config's; the Adam
+        # constants are recorded, not configured.
+        tc = dict(json_value(dict, doc.get("train_config", {}), "train_config"),
+                  d=d, seed=json_value(int, doc.get("seed", 0), "seed"))
+        for name in ("adam_betas", "adam_eps"):
+            tc.pop(name, None)
+        cfg = from_json(TrainConfig, tc, "train_config")
+        volume = from_json(VolumeConfig, doc.get("volume", {}), "volume")
         losses = [float(json_value(float, x, f"losses[{i}]"))
                   for i, x in enumerate(json_value(list, doc.get("losses", []), "losses"))]
         return TrainedModel(backend=backend_kind, vocab=vocab, tensors=flat,

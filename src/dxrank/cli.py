@@ -15,13 +15,13 @@ import hashlib
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Sequence, get_args, get_origin, get_type_hints
+from typing import Sequence
 
 import numpy as np
 
-from . import InputError, json_value
+from . import InputError, from_json
 from .backends import BACKENDS, LogitVector, TrainConfig, load_model, \
     save_model, train
 from .backends.boxes import VolumeConfig
@@ -121,55 +121,11 @@ class RunConfig:
     to_dict = asdict
 
 
-def _parse_value(hint, value, where: str):
-    """Check one JSON value against a field's type hint, turning arrays
-    into tuples and objects into dataclasses. Integers are valid floats and
-    keep their JSON spelling, so fingerprints follow the document."""
-    if is_dataclass(hint):
-        if not isinstance(value, dict):
-            raise ConfigError(f"{where} must be an object, got {value!r}")
-        return _build(hint, value, where)
-    origin, args = get_origin(hint), get_args(hint)
-    if origin is tuple:
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{where} must be an array, got {value!r}")
-        if args[-1] is Ellipsis:
-            args = args[:1] * len(value)
-        elif len(value) != len(args):
-            raise ConfigError(f"{where} must have {len(args)} items, got {len(value)}")
-        return tuple(_parse_value(a, v, f"{where}[{i}]")
-                     for i, (a, v) in enumerate(zip(args, value)))
-    if origin is dict:
-        if not isinstance(value, dict):
-            raise ConfigError(f"{where} must be an object, got {value!r}")
-        return {k: _parse_value(args[1], v, f"{where}.{k}") for k, v in value.items()}
-    return json_value(hint, value, where)
-
-
-def _build(cls, doc: dict, where: str = ""):
-    """Build dataclass `cls` from a JSON object, rejecting unknown keys,
-    missing required fields and values of the wrong JSON type."""
-    label = where or "config"
-    hints = get_type_hints(cls)
-    unknown = set(doc) - set(hints)
-    if unknown:
-        raise ConfigError(f"unknown {label} keys: {sorted(unknown)}")
-    missing = [f.name for f in fields(cls) if f.name not in doc
-               and f.default is MISSING and f.default_factory is MISSING]
-    if missing:
-        raise ConfigError(f"{label} is missing {missing}")
-    values = {k: _parse_value(hints[k], v, f"{where}.{k}" if where else k)
-              for k, v in doc.items()}
-    try:
-        return cls(**values)
-    except ConfigError:
-        raise
-    except InputError as exc:
-        raise ConfigError(f"{label}: {exc}") from None
-
-
 def config_from_dict(doc: dict) -> RunConfig:
-    return _build(RunConfig, doc)
+    try:
+        return from_json(RunConfig, doc, "config", root=True)
+    except InputError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def fingerprint_config(cfg: RunConfig) -> str:
@@ -309,22 +265,14 @@ def predict_record(
     )
     if not candidates.codes:
         return RunRecord(raw_text="", ranked=(), **base)
+    # A single answer is a self-consistency vote of one.
+    sampled = options.strategy == "sc"
+    tags = [f"sc{i}" for i in range(SC_SAMPLES)] if sampled else [""]
     try:
-        if options.strategy == "sc":
-            parsed = [
-                parse_answer(
-                    client.ask(
-                        prompt, temperature=SC_TEMPERATURE, sample_tag=f"sc{i}"
-                    ).text,
-                    candidates,
-                    ontology.ccs_names,
-                )
-                for i in range(SC_SAMPLES)
-            ]
-            pred = sc_aggregate(parsed)
-        else:
-            pred = parse_answer(client.ask(prompt).text, candidates,
-                                ontology.ccs_names)
+        pred = sc_aggregate([
+            parse_answer(client.ask(prompt, SC_TEMPERATURE if sampled else None, tag).text,
+                         candidates, ontology.ccs_names)
+            for tag in tags])
     except LlmError as exc:
         return RunRecord(raw_text="", ranked=(), error=str(exc), **base)
     return RunRecord(

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from . import InputError, json_value
+from . import InputError, from_json
 from .ehr import TASKS
 
 METRICS = ("visit_precision", "code_accuracy")
@@ -30,26 +30,29 @@ class EvalError(InputError):
 @dataclass(frozen=True)
 class RunRecord:
     """One scored instance. `error` is non-empty when the LLM call failed;
-    such records are excluded from metrics but kept for the failure count."""
+    such records are excluded from metrics but kept for the failure count.
+    The fields are a record line's JSON schema."""
 
     patient_id: str
-    prompt: str
-    raw_text: str
     ranked: tuple[str, ...]
-    candidates: tuple[str, ...]
     target_overall: tuple[str, ...]
     target_novel: tuple[str, ...]
     history_ccs: tuple[str, ...]
+    prompt: str = ""
+    raw_text: str = ""
+    candidates: tuple[str, ...] = ()
     matched_count: int = 0
     error: str = ""
 
 
 @dataclass(frozen=True)
 class RunArtifact:
+    """The records of one run; the other fields are its meta line's schema."""
+
     records: tuple[RunRecord, ...]
-    fingerprint: str
-    seed: int
-    task: str
+    fingerprint: str = ""
+    seed: int = 0
+    task: str = "overall"
 
     def __post_init__(self):
         object.__setattr__(self, "records", tuple(self.records))
@@ -77,53 +80,28 @@ def save_run(artifact: RunArtifact, path: str | Path) -> None:
             fh.write(json.dumps({"kind": "record", **obj}, sort_keys=True) + "\n")
 
 
-# RunRecord's code lists; load_run checks them, as only its records are untrusted.
-CODE_FIELDS = ("ranked", "candidates", "target_overall", "target_novel", "history_ccs")
-
-
 def load_run(path: str | Path) -> RunArtifact:
     """Read a run artifact; a malformed line, a value of the wrong JSON type
-    included, raises EvalError with its line number."""
+    or an unknown key included, raises EvalError with its line number."""
     records: list[RunRecord] = []
-    meta: dict | None = None
+    meta: RunArtifact | None = None
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
-                if obj.get("kind") == "meta":
-                    meta = dict(fingerprint=obj.get("fingerprint", ""),
-                                seed=json_value(int, obj.get("seed", 0), "seed"),
-                                task=obj.get("task", "overall"))
-                    continue
-                record = RunRecord(
-                    patient_id=obj["patient_id"],
-                    prompt=obj.get("prompt", ""),
-                    raw_text=obj.get("raw_text", ""),
-                    ranked=tuple(obj["ranked"]),
-                    candidates=tuple(obj.get("candidates", [])),
-                    target_overall=tuple(obj["target_overall"]),
-                    target_novel=tuple(obj["target_novel"]),
-                    history_ccs=tuple(obj["history_ccs"]),
-                    matched_count=json_value(int, obj.get("matched_count", 0),
-                                             "matched_count"),
-                    error=obj.get("error", ""),
-                )
-                for name in CODE_FIELDS:
-                    if not all(isinstance(c, str) for c in getattr(record, name)):
-                        raise EvalError(f"{name} holds a code that is not a string")
-                records.append(record)
-            except json.JSONDecodeError as exc:
+                if isinstance(obj, dict) and obj.pop("kind", None) == "meta":
+                    meta = from_json(RunArtifact, obj, "meta", root=True, records=())
+                else:
+                    records.append(from_json(RunRecord, obj, "record", root=True))
+            except InputError as exc:
+                raise EvalError(f"line {lineno}: {exc}") from None
+            except ValueError as exc:  # json.JSONDecodeError, or too many digits
                 raise EvalError(f"line {lineno}: invalid JSON ({exc})") from None
-            except KeyError as exc:
-                raise EvalError(f"line {lineno}: missing field {exc}") from None
-            except (AttributeError, OverflowError, TypeError, ValueError) as exc:
-                raise EvalError(f"line {lineno}: malformed record: {exc}") from None
     if meta is None:
         raise EvalError("run file has no meta line")
-    return RunArtifact(records=tuple(records), **meta)
+    return replace(meta, records=tuple(records))
 
 
 # ---------------------------------------------------------------------------

@@ -91,7 +91,7 @@ def ccs_vocabulary(n_ccs: int) -> list[str]:
     return [f"CCS-{k:0{width}d}" for k in range(1, n_ccs + 1)]
 
 
-def _build_ontology(cfg: SyntheticConfig) -> Ontology:
+def _synthetic_ontology(cfg: SyntheticConfig) -> Ontology:
     icd_to_ccs: dict[str, str] = {}
     icd_names: dict[str, str] = {}
     ccs_names: dict[str, str] = {}
@@ -113,7 +113,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[Dataset, Ontology]:
     trigger), and each later visit keeps chronic survivors, adds fired rule
     onsets, and tops up with fresh uniform codes to the visit size.
     """
-    ontology = _build_ontology(cfg)
+    ontology = _synthetic_ontology(cfg)
     vocab = ccs_vocabulary(cfg.n_ccs)
     rng = np.random.default_rng(cfg.seed)
 

@@ -6,6 +6,8 @@ oracle for the packed-batch versions in `dxrank.backends.boxes`.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,11 +18,13 @@ from dxrank.backends.base import (
     pack_instances,
 )
 from dxrank.backends.boxes import (
+    BoxEmbed,
     VolumeConfig,
     box_backward,
     box_forward,
     boxlm_logits,
     init_box_params,
+    intersection_volume,
 )
 from dxrank.backends.numerics import (
     bce_with_logits,
@@ -267,3 +271,35 @@ def test_empty_visit_or_instance_is_rejected():
         pack_instances([EncodedInstance(visit_idx=(), target=np.zeros(3))])
     with pytest.raises(BackendError, match="at least one input visit"):
         pack_instances([])
+
+
+def criterion_4_pairs():
+    """The 1000 seeded (a, b) box pairs of criterion 4, drawn as it draws them."""
+    rng = np.random.default_rng(0)
+    for _ in range(1000):
+        d = int(rng.integers(1, 5))
+        a = BoxEmbed(rng.normal(0, 2, d), rng.normal(0, 1, d))
+        b = BoxEmbed(rng.normal(0, 2, d), rng.normal(0, 1, d))
+        yield a, b
+        # The draws of criterion 4's nested-box check that follows each pair.
+        rng.random(d), rng.random(d), rng.uniform(-1, 1, d), rng.normal(0, 2, d)
+
+
+def test_kernel_volume_matches_the_reference_on_criterion_4_pairs():
+    # A one-code instance of box a has a as its patient box, so the kernel
+    # scores code b at the clamped log of the pair's intersection volume.
+    cfg = VolumeConfig()
+    batch = pack_instances([EncodedInstance(visit_idx=(np.array([0]),), target=np.zeros(2))])
+    clamped = 0
+    for i, (a, b) in enumerate(criterion_4_pairs()):
+        d = len(a.center)
+        flat = {"center": np.stack([a.center, b.center]),
+                "offset_raw": np.stack([a.offset_raw, b.offset_raw]),
+                "attn_query": np.zeros(d), "visit_weight_vec": np.zeros(d)}
+        logits, _ = box_forward(flat, batch, cfg)
+        vol = intersection_volume(a, b, cfg)
+        want = max(math.log(cfg.eps), math.log(vol) if vol > 0 else -math.inf)
+        clamped += want == math.log(cfg.eps)
+        assert abs(logits[0, 1] - want) <= 1e-12 * abs(want), (i, logits[0, 1], want)
+    # Both sides of the clamp are checked.
+    assert 0 < clamped < 1000

@@ -465,6 +465,42 @@ class TestInputErrors:
         assert cli("eval", cfg_path, out) == EXIT_BAD_CONFIG
         assert RUN_FILE in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, key, value, needle", [
+        (2, "patient_id", 7, "patient_id must be str, got 7"),
+        (2, "prompt", 3, "prompt must be str, got 3"),
+        (2, "raw_text", None, "raw_text must be str, got None"),
+        (2, "error", 5, "error must be str, got 5"),
+        (2, "extra", 1, "unknown record keys: ['extra']"),
+        (1, "fingerprint", ["x"], "fingerprint must be str, got ['x']"),
+        (1, "extra", 1, "unknown meta keys: ['extra']"),
+    ])
+    def test_wrong_type_run_line_exits_2(self, tmp_path, capsys, chain, line, key,
+                                         value, needle):
+        cfg_path, base = chain
+        out = shutil.copytree(base, tmp_path / "runs")
+        lines = (out / RUN_FILE).read_text(encoding="utf-8").splitlines()
+        lines[line - 1] = json.dumps({**json.loads(lines[line - 1]), key: value})
+        (out / RUN_FILE).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert cli("eval", cfg_path, out) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert f"{out / RUN_FILE}: line {line}: {needle}" in err, err
+
+    @pytest.mark.parametrize("doc, needle", [
+        ({"llm": {"backend": "remote", "endpoint_url": "http://127.0.0.1:9",
+                  "temperature": float("nan")}}, "llm.temperature must be float, got nan"),
+        ({"beta": float("inf")}, "beta must be float, got inf"),
+        ({"train": {"learning_rate": float("nan")}},
+         "train.learning_rate must be float, got nan"),
+    ])
+    def test_non_finite_config_number_exits_2(self, tmp_path, capsys, doc, needle):
+        # json.dumps writes NaN and Infinity, which json.loads reads back.
+        bad = write_cfg(tmp_path, {**SMALL_CFG, **doc}, name="bad.json")
+        assert cli("synth", bad, tmp_path / "runs") == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err.strip()
+        assert err == f"error: {needle}", err
+
     def test_missing_template_rejected(self, tmp_path, capsys):
         cfg_path, out = self._prepared(tmp_path)
         missing = str(tmp_path / "no_template.txt")

@@ -14,13 +14,16 @@ import re
 from collections import defaultdict
 from functools import reduce
 from operator import getitem
+from pathlib import Path
 
 import pytest
 
 from dxrank import InputError
 from dxrank.backends import TrainConfig, load_model, save_model, train
+from dxrank.cli import config_from_dict
 from dxrank.ehr import build_instances, load_dataset, save_dataset
-from dxrank.metrics import RunArtifact, RunRecord, evaluate_run, load_run, save_run
+from dxrank.metrics import EvalError, RunArtifact, RunRecord, evaluate_run, load_run, \
+    save_run
 
 CASES = 200
 REPLACEMENTS = (5, "x", [], {}, None, [1], True)
@@ -106,6 +109,7 @@ def test_dataset_type_mutations(tmp_path, dataset, ontology):
 
 
 FLOAT_FIELDS = ("learning_rate", "beta")
+STR_FIELDS = ("patient_id", "prompt", "raw_text", "error", "fingerprint")
 
 
 @pytest.mark.parametrize("kind, path, value", [
@@ -123,10 +127,20 @@ FLOAT_FIELDS = ("learning_rate", "beta")
     ("model", ("losses",), "12"),
     ("model", ("losses", 0), True),
     ("model", ("losses", 0), "3.5"),
+    # NaN and Infinity are not JSON numbers (RFC 8259 §6).
+    ("model", ("losses", 0), float("nan")),
+    ("model", ("volume", "beta"), float("inf")),
+    ("model", ("train_config", "learning_rate"), float("-inf")),
+    ("run", ("patient_id",), 7),
+    ("run", ("prompt",), 3),
+    ("run", ("raw_text",), None),
+    ("run", ("error",), 5),
+    ("run", ("fingerprint",), ["x"]),
 ])
 def test_int_fields_take_json_integers_only(tmp_path, dataset, ontology, kind, path, value):
-    """Integer fields take JSON integers only, and float fields JSON numbers
-    only: a bool is neither. The loss history is an array of numbers."""
+    """Integer fields take JSON integers only, float fields finite JSON
+    numbers only and string fields JSON strings only: a bool is neither
+    number. The loss history is an array of numbers."""
     target = tmp_path / "file"
     if kind == "dataset":
         save_dataset(dataset, target)
@@ -146,7 +160,8 @@ def test_int_fields_take_json_integers_only(tmp_path, dataset, ontology, kind, p
         field, hint = f"{path[-2]}[{path[-1]}]", "float"
     else:
         field = path[-1]
-        hint = "list" if field == "losses" else "float" if field in FLOAT_FIELDS else "int"
+        hint = ("list" if field == "losses" else "float" if field in FLOAT_FIELDS
+                else "str" if field in STR_FIELDS else "int")
     with pytest.raises(InputError, match=re.escape(f"{field} must be {hint}")):
         load(target)
 
@@ -169,3 +184,28 @@ def test_run_type_mutations(tmp_path, dataset):
     # A run that loads must also score, or fail as an input error.
     _check(lambda path: evaluate_run(load_run(path)), _write_lines,
            _read_lines(tmp_path / "run.jsonl"), tmp_path, seed=4)
+
+
+@pytest.mark.parametrize("line, kind", [(0, "meta"), (1, "record")])
+def test_unknown_run_keys_rejected(tmp_path, dataset, line, kind):
+    target = tmp_path / "run.jsonl"
+    _save_run(dataset, target)
+    docs = _read_lines(target)
+    docs[line]["extra"] = 1
+    _write_lines(target, docs)
+    with pytest.raises(EvalError, match=re.escape(
+            f"line {line + 1}: unknown {kind} keys: ['extra']")):
+        load_run(target)
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json"
+
+
+def test_config_type_mutations(tmp_path):
+    # A full config: the paper-box workload's, with every llm field in use.
+    doc = json.loads(WORKLOADS.read_text(encoding="utf-8"))["paper-box"]["config"]
+    doc["llm"] = dict(doc["llm"], backend="remote", endpoint_url="http://127.0.0.1:9")
+    # Every config field has one JSON type, so every case raises.
+    _check(lambda path: config_from_dict(json.loads(path.read_text(encoding="utf-8"))),
+           lambda path, docs: path.write_text(json.dumps(docs[0]), encoding="utf-8"),
+           [doc], tmp_path, seed=5, all_raise=True)
