@@ -133,33 +133,18 @@ def fingerprint_config(cfg: RunConfig) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-# Each CLI flag (its argparse dest) and the config paths it overrides.
-_OVERRIDES: dict[str, tuple[str, ...]] = {
-    "seed": ("seed", "synth.seed", "train.seed", "llm.seed"),
-    "backend": ("backend",),
-    "task": ("task",),
-    "strategy": ("strategy",),
-    "stage": ("stage",),
-    "k": ("k_candidates",),
-    "template": ("template_path",),
-    "max_prompt_chars": ("max_prompt_chars",),
-    "n_patients": ("synth.n_patients",),
-    "n_ccs": ("synth.n_ccs",),
-    "epochs": ("train.epochs",),
-    "d": ("train.d",),
-    "learning_rate": ("train.learning_rate",),
-    "llm_backend": ("llm.backend",),
-}
+# The config paths `--seed` sets; every other config flag's argparse dest
+# is the one path it sets.
+SEED_PATHS = ("seed", "synth.seed", "train.seed", "llm.seed")
 
 
 def _apply_overrides(doc: dict, args: argparse.Namespace) -> None:
     """Fold CLI flags into the config document before validation, so the
     resolved config on disk reflects exactly what ran."""
-    for attr, paths in _OVERRIDES.items():
-        value = getattr(args, attr, None)
-        if value is None:
+    for dest, value in vars(args).items():
+        if value is None or dest.split(".")[0] not in RunConfig.__dataclass_fields__:
             continue
-        for path in paths:
+        for path in SEED_PATHS if dest == "seed" else (dest,):
             *sections, key = path.split(".")
             target = doc
             for name in sections:
@@ -357,7 +342,7 @@ def run_predictions(
         return predict_record(
             instance, logits, inputs.cooc, inputs.ontology, options, client, k)
 
-    if cfg.llm.backend == "remote":
+    if client.remote:
         with ThreadPoolExecutor(max_workers=2 * cfg.llm.max_in_flight) as pool:
             records = list(pool.map(one, inputs.instances, inputs.logits))
     else:
@@ -432,7 +417,7 @@ def cmd_predict(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
             cfg, out_dir, inputs, client, cfg.stage, cfg.k_candidates, RUN_FILE)
     write_resolved_config(cfg, out_dir, "predict")
     counts = f"{len(artifact.failed)} failed"
-    if cfg.llm.backend == "remote":
+    if client.remote:
         counts += f", {client.from_cache} from cache"
     print(f"wrote {len(artifact.records)} records ({counts})")
     return _failure_exit(artifact)
@@ -468,7 +453,7 @@ def _compare(cfg: RunConfig, out_dir: Path, command: str, table_file: str,
     save_comparison(table, out_dir / table_file)
     write_resolved_config(cfg, out_dir, command)
     print(table.text())
-    if cfg.llm.backend == "remote":
+    if client.remote:
         print(f"llm: {client.fetched} fetched, {client.from_cache} from cache")
     return worst
 
@@ -497,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     # Flags of every command that runs the re-ranker.
     ranking = argparse.ArgumentParser(add_help=False, parents=[common])
     ranking.add_argument("--task", choices=TASKS)
-    ranking.add_argument("--llm-backend", choices=LLM_BACKENDS)
+    ranking.add_argument("--llm-backend", dest="llm.backend", choices=LLM_BACKENDS)
 
     parser = argparse.ArgumentParser(
         prog="dxrank",
@@ -507,16 +492,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", parents=[common],
                        help="generate a synthetic dataset and ontology")
-    p.add_argument("--n-patients", type=int)
-    p.add_argument("--n-ccs", type=int)
+    p.add_argument("--n-patients", dest="synth.n_patients", type=int)
+    p.add_argument("--n-ccs", dest="synth.n_ccs", type=int)
     p.set_defaults(handler=cmd_synth)
 
     p = sub.add_parser("train", parents=[common],
                        help="train a scorer on the train split")
     p.add_argument("--backend", choices=tuple(BACKENDS))
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--learning-rate", type=float)
+    p.add_argument("--epochs", dest="train.epochs", type=int)
+    p.add_argument("--d", dest="train.d", type=int)
+    p.add_argument("--learning-rate", dest="train.learning_rate", type=float)
     p.set_defaults(handler=cmd_train)
 
     p = sub.add_parser("cooc", parents=[common],
@@ -525,10 +510,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", parents=[ranking],
                        help="run the re-ranking pipeline on the test split")
-    p.add_argument("--k", type=int, help="candidate list size")
+    p.add_argument("--k", dest="k_candidates", type=int, help="candidate list size")
     p.add_argument("--strategy", choices=STRATEGIES)
     p.add_argument("--stage", choices=ABLATION_STAGES)
-    p.add_argument("--template", help="prompt template file")
+    p.add_argument("--template", dest="template_path", help="prompt template file")
     p.add_argument("--max-prompt-chars", type=int)
     p.set_defaults(handler=cmd_predict)
 
@@ -538,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", parents=[ranking],
                        help="run and score every ablation stage")
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", dest="k_candidates", type=int)
     p.set_defaults(handler=cmd_ablate)
 
     p = sub.add_parser("sweep-k", parents=[ranking],

@@ -24,7 +24,13 @@ import numpy as np
 from . import InputError
 from .prompting import CANDIDATES_TITLE_OVERALL, HISTORY_TITLE_PRIORITIZED
 
-LLM_BACKENDS = ("remote", "mock_echo", "mock_evidence")
+# Each offline backend's answer to (prompt, per-prompt seed). The lambdas
+# look the mocks up at call time, so they are defined further down.
+MOCKS: dict[str, Callable[[str, int], str]] = {
+    "mock_echo": lambda prompt, seed: mock_echo(prompt),
+    "mock_evidence": lambda prompt, seed: mock_evidence_aware(prompt, seed),
+}
+LLM_BACKENDS = ("remote", *MOCKS)
 
 # Retry schedule: base delay doubles per attempt.
 BACKOFF_BASE_S = 0.25
@@ -68,7 +74,7 @@ class LlmConfig:
             raise InputError(f"timeout_ms must be positive, got {self.timeout_ms}")
         if self.max_tokens < 1:
             raise InputError(f"max_tokens must be at least 1, got {self.max_tokens}")
-        if self.backend == "remote":
+        if self.backend not in MOCKS:
             _check_endpoint(self.endpoint_url)
 
 
@@ -83,6 +89,9 @@ def _check_endpoint(url: str) -> None:
     if parts.scheme not in ("http", "https") or not parts.hostname:
         raise InputError(f"endpoint_url {url!r} is not an http:// or https:// "
                          "URL with a host")
+    # A query or fragment would swallow the request path appended to the URL.
+    if "?" in url or "#" in url:
+        raise InputError(f"endpoint_url {url!r} has a query or fragment")
 
 
 @dataclass(frozen=True)
@@ -129,7 +138,8 @@ class LlmClient:
     `complete` asks the backend; `ask` answers from the completion cache
     that `cache_in` sets up when it can, and asks the backend otherwise.
     `fetched` counts the completions the endpoint answered, and `from_cache`
-    those `ask` read from the cache.
+    those `ask` read from the cache. `remote` says whether cfg.backend sends
+    requests; the mocks answer in process, with no I/O.
     """
 
     def __init__(
@@ -147,7 +157,9 @@ class LlmClient:
         self._count_lock = threading.Lock()
         self.fetched = 0
         self.from_cache = 0
-        if cfg.backend != "remote":
+        self._mock = MOCKS.get(cfg.backend)
+        self.remote = self._mock is None
+        if not self.remote:
             return
         if cfg.api_key_env:
             token = os.environ.get(cfg.api_key_env)
@@ -201,19 +213,11 @@ class LlmClient:
                  sample_tag: str = "") -> CompletionResult:
         """One completion. `sample_tag` diversifies mock sampling (used for
         self-consistency draws) without affecting the remote path."""
-        cfg = self.cfg
-        if cfg.backend == "mock_echo":
-            return CompletionResult(
-                text=mock_echo(prompt), latency_ms=0, attempt_count=1,
-                backend_tag="mock_echo",
-            )
-        if cfg.backend == "mock_evidence":
-            seed = derive_seed(cfg.seed, prompt, sample_tag)
-            return CompletionResult(
-                text=mock_evidence_aware(prompt, seed), latency_ms=0,
-                attempt_count=1, backend_tag="mock_evidence",
-            )
-        return self._complete_remote(prompt, temperature)
+        if self.remote:
+            return self._complete_remote(prompt, temperature)
+        seed = derive_seed(self.cfg.seed, prompt, sample_tag)
+        return CompletionResult(text=self._mock(prompt, seed), latency_ms=0,
+                                attempt_count=1, backend_tag=self.cfg.backend)
 
     def ask(self, prompt: str, temperature: float | None = None,
             sample_tag: str = "") -> CompletionResult:
@@ -235,7 +239,7 @@ class LlmClient:
         """The cache file of a remote temperature-0 request, or None for a
         request that is not cached."""
         cfg = self.cfg
-        if (self._cache_dir is None or cfg.backend != "remote"
+        if (self._cache_dir is None or not self.remote
                 or _temperature(cfg, temperature) != 0):
             return None
         body = request_body(prompt, cfg, temperature)

@@ -284,25 +284,20 @@ def parse_answer(
 
 
 def sc_aggregate(rankings: Sequence[ParsedPrediction]) -> ParsedPrediction:
-    """Borda fusion of several rankings over one candidate set: score each
-    code by summed (K - position), break ties by mean position then code id."""
+    """Borda fusion of several rankings over one candidate set, ties broken by
+    code id. Each ranking orders the same K codes, so a code's Borda score is
+    n·K minus its position sum, and that sum alone gives the order."""
     if not rankings:
         raise PromptError("no rankings to aggregate")
     base = set(rankings[0].ranked)
     for r in rankings[1:]:
         if set(r.ranked) != base:
             raise PromptError("rankings cover different candidate sets")
-    k = len(rankings[0].ranked)
-    score: dict[str, int] = {c: 0 for c in base}
-    positions: dict[str, list[int]] = {c: [] for c in base}
+    position_sum = dict.fromkeys(base, 0)
     for r in rankings:
         for pos, c in enumerate(r.ranked):
-            score[c] += k - pos
-            positions[c].append(pos)
-    fused = sorted(
-        base,
-        key=lambda c: (-score[c], sum(positions[c]) / len(positions[c]), c),
-    )
+            position_sum[c] += pos
+    fused = sorted(position_sum, key=lambda c: (position_sum[c], c))
     mean_matched = sum(r.matched_count for r in rankings) / len(rankings)
     return ParsedPrediction(
         ranked=tuple(fused),

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import shutil
 import threading
@@ -29,6 +30,7 @@ from dxrank.cli import (
     build_parser,
     config_from_dict,
     fingerprint_config,
+    load_config,
     main,
 )
 from dxrank import InputError
@@ -327,7 +329,9 @@ MALFORMED_INPUTS = {
                              "has ccs_i > ccs_j"),
     **{f"endpoint-{name}": ("predict", _remote_endpoint(url), f"endpoint_url {url!r}")
        for name, url in (("bad-scheme", "htp://127.0.0.1:9"), ("no-scheme", "127.0.0.1:9"),
-                         ("no-host", "http:///v1"), ("bad-port", "http://127.0.0.1:x"))},
+                         ("no-host", "http:///v1"), ("bad-port", "http://127.0.0.1:x"),
+                         ("query", "http://h/v1?api-version=1"), ("fragment", "http://h/v1#x"),
+                         ("empty-query", "http://h/v1?"))},
     "api-key-env-unset": ("predict", _config(lambda path: path.write_text(json.dumps(
         dict(SMALL_CFG, llm={"backend": "remote", "endpoint_url": "http://127.0.0.1:9",
                              "api_key_env": "DXRANK_UNSET_TEST_KEY"})))),
@@ -606,6 +610,47 @@ class TestSeedOverride:
         assert (out_a / DATASET_FILE).read_bytes() != (
             out_b / DATASET_FILE
         ).read_bytes()
+
+
+# Every config flag: the text it is given, the value it parses to, and the
+# config paths that must then hold that value. Each value differs from the
+# default, so a flag that sets nothing fails.
+FLAG_PATHS = {
+    "--seed": ("7", 7, ("seed", "synth.seed", "train.seed", "llm.seed")),
+    "--n-patients": ("11", 11, ("synth.n_patients",)),
+    "--n-ccs": ("9", 9, ("synth.n_ccs",)),
+    "--backend": ("retain", "retain", ("backend",)),
+    "--epochs": ("3", 3, ("train.epochs",)),
+    "--d": ("5", 5, ("train.d",)),
+    "--learning-rate": ("0.5", 0.5, ("train.learning_rate",)),
+    "--task": ("overall", "overall", ("task",)),
+    "--llm-backend": ("mock_evidence", "mock_evidence", ("llm.backend",)),
+    "--k": ("7", 7, ("k_candidates",)),
+    "--strategy": ("sc", "sc", ("strategy",)),
+    "--stage": ("base", "base", ("stage",)),
+    "--template": ("t.txt", "t.txt", ("template_path",)),
+    "--max-prompt-chars": ("999", 999, ("max_prompt_chars",)),
+}
+# Flags that name files or directories rather than set the config.
+NOT_CONFIG_FLAGS = {"--config", "--out", "--run", "-h", "--help"}
+
+
+def _subcommands():
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+class TestFlagPaths:
+    @pytest.mark.parametrize("command", list(_subcommands()))
+    def test_each_flag_sets_its_config_path(self, command):
+        flags = {s for a in _subcommands()[command]._actions for s in a.option_strings}
+        assert flags - NOT_CONFIG_FLAGS <= set(FLAG_PATHS), "flag without a FLAG_PATHS row"
+        for flag in sorted(flags - NOT_CONFIG_FLAGS):
+            text, value, paths = FLAG_PATHS[flag]
+            cfg = load_config(build_parser().parse_args([command, flag, text]))
+            for path in paths:
+                assert functools.reduce(getattr, path.split("."), cfg) == value, \
+                    (flag, path)
 
 
 class TestFailureHandling:

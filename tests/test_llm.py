@@ -19,6 +19,8 @@ import dxrank
 from dxrank import InputError
 from dxrank.llm import (
     BACKOFF_BASE_S,
+    LLM_BACKENDS,
+    MOCKS,
     CompletionResult,
     LlmClient,
     LlmConfig,
@@ -102,7 +104,9 @@ class TestConfig:
             LlmConfig(backend="remote")
 
     @pytest.mark.parametrize("url", ["htp://127.0.0.1:9", "127.0.0.1:9", "http://",
-                                     "http:///v1", "http://127.0.0.1:x"])
+                                     "http:///v1", "http://127.0.0.1:x",
+                                     "http://h/v1?api-version=1", "http://h/v1#x",
+                                     "http://h/v1?"])
     def test_malformed_endpoint_rejected(self, url):
         with pytest.raises(InputError, match="endpoint_url"):
             LlmConfig(backend="remote", endpoint_url=url)
@@ -412,6 +416,23 @@ class TestCompletionCache:
         (entry,) = cache_entries(tmp_path)
         assert entry.suffix == ".json"
         assert json.loads(entry.read_text()) == {"text": "Answer: X"}
+
+
+class TestBackendRegistry:
+    def test_backends_are_remote_and_the_mocks(self):
+        assert LLM_BACKENDS == ("remote", *MOCKS)
+
+    @pytest.mark.parametrize("backend", list(MOCKS))
+    def test_mock_answers_in_process(self, backend):
+        client = LlmClient(LlmConfig(backend=backend, seed=3))
+        assert client.remote is False
+        prompt = prompt_text(NAMES)
+        got = client.complete(prompt, sample_tag="sc1")
+        assert got.backend_tag == backend and got.attempt_count == 1
+        assert got.text == MOCKS[backend](prompt, derive_seed(3, prompt, "sc1"))
+
+    def test_remote_client_is_remote(self):
+        assert LlmClient(LlmConfig(**REMOTE), transport=FakeTransport([])).remote is True
 
 
 class TestDeriveSeed:
