@@ -108,15 +108,21 @@ def _losses(backend: Backend, flat: ParamTree, encoded: Sequence[EncodedInstance
     return bce_with_logits(logits, batch.targets).tolist()
 
 
+def _mean(losses: Sequence[float]) -> float:
+    """Plain left-to-right mean. Not `sum`, which compensates its rounding
+    from Python 3.12 on, so the bits would differ between versions."""
+    total = 0.0
+    for loss in losses:
+        total += loss
+    return total / len(losses)
+
+
 def _batch_loss(backend: Backend, flat: ParamTree,
                 encoded: Sequence[EncodedInstance], volume: VolumeConfig,
                 chunk_size: int) -> float:
     """Mean loss over `encoded`, scored `chunk_size` instances at a time."""
-    total = 0.0
-    for chunk in _chunks(encoded, chunk_size):
-        for loss in _losses(backend, flat, chunk, volume):
-            total += loss
-    return total / len(encoded)
+    return _mean([loss for chunk in _chunks(encoded, chunk_size)
+                  for loss in _losses(backend, flat, chunk, volume)])
 
 
 def _grads(backend: Backend, flat: ParamTree, encoded: Sequence[EncodedInstance],
@@ -149,8 +155,12 @@ def infer_logits(backend_kind: str, vocab: tuple[str, ...], tensors: ParamTree,
 @dataclass
 class TrainedModel:
     """A trained backend plus everything needed to reuse it: its vocabulary
-    and tensors, per-epoch loss history (epochs+1 entries, first is
-    pre-training), and the configs that produced it."""
+    and tensors, its loss history and the configs that produced it.
+
+    `losses` has epochs+1 entries, each a mean BCE over all training
+    instances. The first is scored before training; entry e is the mean of
+    each instance's loss in the batch it trained in during epoch e, so at
+    the parameters just before that batch's update."""
 
     backend: str
     vocab: tuple[str, ...]
@@ -187,11 +197,20 @@ def train(backend_kind: str, dataset: Dataset, ontology: Ontology,
     state = adam_init(flat)
     losses = [_batch_loss(backend, flat, encoded, volume, cfg.batch_size)]
     for _ in range(cfg.epochs):
+        # An epoch's loss is each instance's loss in the batch it trained in,
+        # averaged in instance order as `_batch_loss` does: an instance's
+        # loss does not depend on its batch-mates, so at learning rate 0
+        # every entry equals losses[0] bit for bit.
+        seen = [0.0] * len(encoded)
         order = rng.permutation(len(encoded))
         for picks in _chunks(order, cfg.batch_size):
+            grads = zeros_like_tree(flat)
             chunk = [encoded[i] for i in picks]
-            adam_step(flat, _grads(backend, flat, chunk, volume), state, cfg.learning_rate)
-        losses.append(_batch_loss(backend, flat, encoded, volume, cfg.batch_size))
+            for i, loss in zip(picks, _losses(backend, flat, chunk, volume, grads,
+                                              1.0 / len(picks))):
+                seen[i] = loss
+            adam_step(flat, grads, state, cfg.learning_rate)
+        losses.append(_mean(seen))
 
     return TrainedModel(backend=backend_kind, vocab=vocab, tensors=flat,
                         losses=losses, config=cfg, volume=volume)
@@ -269,7 +288,7 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
         "tensors": {k: v.tolist() for k, v in sorted(model.tensors.items())},
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
         fh.write("\n")
 
 

@@ -230,7 +230,7 @@ def save_metrics(report: MetricsReport, path: str | Path) -> None:
         "n_novel_excluded": report.n_novel_excluded,
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
+        fh.write(json.dumps(doc, sort_keys=True, indent=2))
         fh.write("\n")
 
 

@@ -158,9 +158,11 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[Dataset, Ontology]:
 def _fresh_codes(
     rng: np.random.Generator, vocab: list[str], taken: set[str], need: int
 ) -> set[str]:
+    """`need` distinct codes of `vocab` outside `taken`, drawn uniformly
+    from the rest in `vocab`'s (sorted) order."""
     if need <= 0:
         return set()
-    pool = sorted(set(vocab) - taken)
+    pool = [c for c in vocab if c not in taken]
     picked = rng.choice(len(pool), size=min(need, len(pool)), replace=False)
     return {pool[j] for j in picked}
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from dxrank.backends import (
     save_model,
     train,
 )
+from dxrank.backends.base import encode_batch
 from dxrank.backends.boxes import VolumeConfig
 from dxrank.ehr import build_instances
 from dxrank.synth import SyntheticConfig, generate_synthetic
@@ -228,3 +230,59 @@ class TestSerialization:
         path.write_text(json.dumps(doc))
         with pytest.raises(BackendError):
             load_model(path, onto)
+
+
+class TestEpochLoss:
+    """Each epoch's loss comes from the batches it trained on: no extra
+    pass over the training set after an epoch."""
+
+    @pytest.mark.parametrize("kind", ["box", "retain"])
+    def test_instance_loss_ignores_its_batch(self, data, kind):
+        ds, onto = data
+        backend = backends_module._backend(kind)
+        encoded = encode_batch(build_instances(ds, all_prefixes=True), onto.ccs_codes)
+        flat = backend.init(onto.ccs_codes, 4, np.random.default_rng(1))
+        volume = VolumeConfig()
+        in_order = [loss for chunk in backends_module._chunks(encoded, 5)
+                    for loss in backends_module._losses(backend, flat, chunk, volume)]
+        rng = np.random.default_rng(2)
+        for _ in range(3):
+            order = rng.permutation(len(encoded))
+            shuffled = [0.0] * len(encoded)
+            for picks in backends_module._chunks(order, 5):
+                chunk = [encoded[i] for i in picks]
+                for i, loss in zip(picks, backends_module._losses(
+                        backend, flat, chunk, volume)):
+                    shuffled[i] = loss
+            assert shuffled == in_order
+
+    def test_zero_learning_rate_never_moves_box(self, data):
+        ds, onto = data
+        model = train(
+            "box", ds, onto,
+            TrainConfig(epochs=3, learning_rate=0.0, d=4, seed=0),
+        )
+        assert len(model.losses) == 4
+        assert all(l == model.losses[0] for l in model.losses)
+
+    @pytest.mark.parametrize("epochs, batch_size", [(0, 16), (1, 16), (3, 7)])
+    def test_one_forward_per_batch_and_one_loss_pass(self, data, monkeypatch,
+                                                     epochs, batch_size):
+        ds, onto = data
+        calls = {"box_forward": 0, "box_backward": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(backends_module, name,
+                                counted(name, getattr(backends_module, name)))
+        train("box", ds, onto, TrainConfig(epochs=epochs, d=4, seed=0,
+                                           batch_size=batch_size))
+        n = len(build_instances(ds, all_prefixes=True))
+        batches = math.ceil(n / batch_size)
+        assert calls == {"box_forward": batches * (epochs + 1),
+                         "box_backward": batches * epochs}
