@@ -374,7 +374,6 @@ def cmd_synth(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
     dataset, ontology = generate_synthetic(cfg.synth)
     save_ontology(ontology, out_dir / ONTOLOGY_FILE)
     save_dataset(dataset, out_dir / DATASET_FILE)
-    write_resolved_config(cfg, out_dir, "synth")
     print(f"wrote {len(dataset)} patients, {len(ontology.ccs_names)} CCS codes")
     return EXIT_OK
 
@@ -390,7 +389,6 @@ def cmd_train(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
         fh.write("epoch,loss\n")
         for epoch, loss in enumerate(model.losses):
             fh.write(f"{epoch},{loss:.10f}\n")
-    write_resolved_config(cfg, out_dir, "train")
     print(
         f"trained {cfg.backend} on {len(train_ds)} patients: "
         f"loss {model.losses[0]:.4f} -> {model.losses[-1]:.4f}"
@@ -403,7 +401,6 @@ def cmd_cooc(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
     train_ds, _, _ = split_patients(dataset, cfg.split_ratios, cfg.seed)
     matrix = build_cooccurrence(train_ds, ontology.ccs_codes)
     save_cooccurrence(matrix, out_dir / COOC_FILE)
-    write_resolved_config(cfg, out_dir, "cooc")
     pairs = np.count_nonzero(np.triu(matrix.counts))
     print(f"counted {pairs} code pairs over {matrix.n_patients} patients")
     return EXIT_OK
@@ -415,7 +412,6 @@ def cmd_predict(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
         client.cache_in(out_dir / LLM_CACHE_DIR)
         artifact = run_predictions(
             cfg, out_dir, inputs, client, cfg.stage, cfg.k_candidates, RUN_FILE)
-    write_resolved_config(cfg, out_dir, "predict")
     counts = f"{len(artifact.failed)} failed"
     if client.remote:
         counts += f", {client.from_cache} from cache"
@@ -428,12 +424,11 @@ def cmd_eval(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
     artifact = _load(load_run, run_path, "run `dxrank predict` first")
     report = evaluate_run(artifact, cfg.eval_ks)
     save_metrics(report, out_dir / METRICS_FILE)
-    write_resolved_config(cfg, out_dir, "eval")
     print(metrics_table(report))
     return EXIT_OK
 
 
-def _compare(cfg: RunConfig, out_dir: Path, command: str, table_file: str,
+def _compare(cfg: RunConfig, out_dir: Path, table_file: str,
              variants: Sequence[tuple[str, str, int, str]]) -> int:
     """Run, score and save each (label, stage, K, file tag) variant on
     inputs loaded once and one LLM client, then write the comparison table."""
@@ -451,7 +446,6 @@ def _compare(cfg: RunConfig, out_dir: Path, command: str, table_file: str,
             reports.append((label, report))
     table = compare_ablations(reports)
     save_comparison(table, out_dir / table_file)
-    write_resolved_config(cfg, out_dir, command)
     print(table.text())
     if client.remote:
         print(f"llm: {client.fetched} fetched, {client.from_cache} from cache")
@@ -459,12 +453,12 @@ def _compare(cfg: RunConfig, out_dir: Path, command: str, table_file: str,
 
 
 def cmd_ablate(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
-    return _compare(cfg, out_dir, "ablate", ABLATION_FILE, [
+    return _compare(cfg, out_dir, ABLATION_FILE, [
         (stage, stage, cfg.k_candidates, stage) for stage in ABLATION_STAGES])
 
 
 def cmd_sweep_k(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
-    return _compare(cfg, out_dir, "sweep-k", SWEEP_FILE, [
+    return _compare(cfg, out_dir, SWEEP_FILE, [
         (f"K={k}" + (" (default)" if k == DEFAULT_K else ""), cfg.stage, k, f"k{k}")
         for k in SWEEP_KS])
 
@@ -544,7 +538,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot use --out {out_dir}: {exc}") from None
-        return args.handler(cfg, out_dir, args)
+        code = args.handler(cfg, out_dir, args)
+        write_resolved_config(cfg, out_dir, args.command)
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

@@ -41,7 +41,7 @@ class Ontology:
     icd_to_ccs: dict[str, str]
     icd_names: dict[str, str]
     ccs_names: dict[str, str]
-    ccs_to_icd: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    ccs_to_icd: dict[str, tuple[str, ...]] = field(init=False)
 
     def __post_init__(self):
         for icd, ccs in self.icd_to_ccs.items():
@@ -49,13 +49,12 @@ class Ontology:
                 raise OntologyError("empty ICD id")
             if ccs not in self.ccs_names:
                 raise OntologyError(f"ICD {icd!r} maps to unknown CCS {ccs!r}")
-        if not self.ccs_to_icd:
-            inverse: dict[str, list[str]] = {c: [] for c in self.ccs_names}
-            for icd in sorted(self.icd_to_ccs):
-                inverse[self.icd_to_ccs[icd]].append(icd)
-            object.__setattr__(
-                self, "ccs_to_icd", {c: tuple(v) for c, v in inverse.items()}
-            )
+        inverse: dict[str, list[str]] = {c: [] for c in self.ccs_names}
+        for icd in sorted(self.icd_to_ccs):
+            inverse[self.icd_to_ccs[icd]].append(icd)
+        object.__setattr__(
+            self, "ccs_to_icd", {c: tuple(v) for c, v in inverse.items()}
+        )
 
     @property
     def ccs_codes(self) -> tuple[str, ...]:

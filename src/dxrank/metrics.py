@@ -189,7 +189,7 @@ def evaluate_run(
 ) -> MetricsReport:
     """Score both tasks at the configured k values (defaults mirror the
     usual report columns: overall {10, 20}, novel {5, 10})."""
-    grid = {t: tuple(v) for t, v in (ks or DEFAULT_KS).items()}
+    grid = {t: tuple(v) for t, v in (DEFAULT_KS if ks is None else ks).items()}
     for task in grid:
         if task not in TASKS:
             raise EvalError(f"unknown task {task!r}")

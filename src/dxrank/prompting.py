@@ -17,7 +17,7 @@ from . import InputError
 from .ehr import TASKS, Ontology, PredictionInstance
 from .evidence import UNMAPPED_GROUP, CandidateSet, HistoryGroup, RelationalEvidence
 
-STRATEGIES = ("evidence", "plain", "cot", "sc")
+STRATEGIES = ("evidence", "cot", "sc")
 
 SC_SAMPLES = 3
 SC_TEMPERATURE = 0.7
@@ -65,8 +65,8 @@ ABLATION_STAGES = ("base", "candidate", "prioritization", "relational")
 
 @dataclass(frozen=True)
 class PromptOptions:
-    """How to prompt for one run. The plain strategy turns every evidence
-    mechanism off, whatever the stage's flags say."""
+    """How to prompt for one run. `flags` alone decide which evidence the
+    prompt carries; `strategy` only says how the LLM is asked."""
 
     task: str = "overall"
     strategy: str = "evidence"
@@ -81,9 +81,6 @@ class PromptOptions:
             raise PromptError(f"unknown strategy {self.strategy!r}")
         if self.max_chars < 1:
             raise PromptError("max_chars must be positive")
-        if self.strategy == "plain":
-            object.__setattr__(self, "flags", AblationFlags(
-                candidates=False, prioritization=False, relations=False))
 
 
 @dataclass(frozen=True)

@@ -220,6 +220,19 @@ class TestMainErrors:
         assert cli("synth", path, out) == EXIT_OK
         assert cli("eval", path, out) == EXIT_BAD_CONFIG
 
+    def test_plain_strategy_flag_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli("predict", write_cfg(tmp_path), tmp_path / "runs", "--strategy", "plain")
+        assert exc.value.code == EXIT_BAD_CONFIG
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if "error:" in ln]
+        assert len(errors) == 1 and "'plain'" in errors[0], errors
+
+    def test_plain_strategy_config_rejected(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, dict(SMALL_CFG, strategy="plain"))
+        assert cli("synth", path, tmp_path / "runs") == EXIT_BAD_CONFIG
+        assert capsys.readouterr().err == "error: unknown strategy 'plain'\n"
+        assert not (tmp_path / "runs" / "config_synth.json").exists()
+
     def test_missing_subcommand_exits(self):
         with pytest.raises(SystemExit):
             main([])
@@ -537,6 +550,12 @@ class TestPipeline:
         assert artifact.fingerprint == resolved["fingerprint"]
         assert artifact.task == "novel"
 
+    def test_empty_eval_ks_scores_nothing(self, tmp_path):
+        out = run_chain(tmp_path, cfg_doc=dict(SMALL_CFG, eval_ks={}))
+        assert json.loads((out / "config_eval.json").read_text())["eval_ks"] == {}
+        metrics = json.loads((out / METRICS_FILE).read_text())
+        assert metrics["ks"] == {} and metrics["values"] == {}
+
     def test_metrics_use_configured_ks(self, tmp_path):
         out = run_chain(tmp_path)
         report = load_metrics(out / METRICS_FILE)
@@ -573,13 +592,13 @@ class TestPipeline:
                      METRICS_FILE):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
-    def test_plain_strategy_needs_no_cooc(self, tmp_path):
+    def test_base_stage_needs_no_cooc(self, tmp_path):
         cfg_path = write_cfg(tmp_path)
         out = tmp_path / "runs"
         assert cli("synth", cfg_path, out) == EXIT_OK
         assert cli("train", cfg_path, out) == EXIT_OK
         assert not (out / COOC_FILE).exists()
-        assert cli("predict", cfg_path, out, "--strategy", "plain") == EXIT_OK
+        assert cli("predict", cfg_path, out, "--stage", "base") == EXIT_OK
         assert (out / RUN_FILE).exists()
 
     def test_overall_task_flag(self, tmp_path):
@@ -666,6 +685,7 @@ class TestFailureHandling:
 
         monkeypatch.setattr("dxrank.cli.LlmClient", DownClient)
         assert cli("predict", cfg_path, out) == EXIT_RUN_FAILURES
+        assert (out / "config_predict.json").exists()
         artifact = load_run(out / RUN_FILE)
         assert len(artifact.failed) == len(artifact.records)
         assert "endpoint down" in artifact.failed[0].error
@@ -771,8 +791,7 @@ class TestAblate:
         records = load_run(out / "run_base.jsonl").records
         assert sorted(scored) == sorted(r.patient_id for r in records)
 
-    @pytest.mark.parametrize("extra", [("--strategy", "plain"), ("--stage", "base")])
-    def test_runs_that_read_no_logit_score_nothing(self, tmp_path, monkeypatch, extra):
+    def test_runs_that_read_no_logit_score_nothing(self, tmp_path, monkeypatch):
         cfg_path = write_cfg(tmp_path)
         out = tmp_path / "runs"
         for command in ("synth", "train", "cooc"):
@@ -785,7 +804,7 @@ class TestAblate:
             return real(model, patients)
 
         monkeypatch.setattr(TrainedModel, "logits", counted)
-        assert cli("predict", cfg_path, out, *extra) == EXIT_OK
+        assert cli("predict", cfg_path, out, "--stage", "base") == EXIT_OK
         assert scored == []
         assert load_run(out / RUN_FILE).records
 

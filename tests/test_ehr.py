@@ -7,6 +7,7 @@ import pytest
 from dxrank.ehr import (
     Dataset,
     DatasetError,
+    Ontology,
     OntologyError,
     PatientRecord,
     SplitError,
@@ -46,6 +47,11 @@ class TestOntology:
     def test_inverse_map(self, ontology):
         assert ontology.ccs_to_icd["C01"] == ("I01a", "I01b")
         assert ontology.ccs_to_icd["C03"] == ("I03a",)
+
+    def test_inverse_map_is_not_an_argument(self, ontology):
+        with pytest.raises(TypeError, match="ccs_to_icd"):
+            Ontology(icd_to_ccs=ontology.icd_to_ccs, icd_names=ontology.icd_names,
+                     ccs_names=ontology.ccs_names, ccs_to_icd={})
 
     def test_ccs_codes_sorted(self, ontology):
         assert ontology.ccs_codes == ("C01", "C02", "C03", "C04", "C05")

@@ -216,6 +216,10 @@ class TestEvaluateRun:
         assert report.get("novel", "visit_precision", 1) is None
         assert report.get("novel", "code_accuracy", 1) is None
 
+    def test_empty_grid_scores_nothing(self):
+        report = evaluate_run(fixture_artifact(), {})
+        assert report.ks == {} and report.values == {}
+
     def test_unknown_task_in_grid(self):
         with pytest.raises(EvalError, match="task"):
             evaluate_run(fixture_artifact(), ks={"weekly": (1,)})

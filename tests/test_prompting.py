@@ -21,6 +21,7 @@ from dxrank.prompting import (
     HISTORY_TITLE_PRIORITIZED,
     HISTORY_TITLE_RAW,
     RELATIONS_TITLE,
+    STRATEGIES,
     AblationFlags,
     ParsedPrediction,
     PromptError,
@@ -199,22 +200,17 @@ class TestComposition:
         )
         assert text.splitlines()[-1] == COT_LINE
 
-    def test_plain_strategy_disables_evidence(
+    def test_strategy_never_changes_the_evidence(
         self, instance, prioritized, relations, novel_candidates, ontology
     ):
-        text = compose(
-            instance, prioritized, relations, novel_candidates, ontology,
-            task="novel", strategy="plain",
-        )
-        assert "(Prioritized)" not in text
-        assert RELATIONS_TITLE not in text
-        assert f"{HISTORY_TITLE_RAW}:" in text.splitlines()
-
-    def test_effective_flags_plain(self):
-        opts = PromptOptions(strategy="plain")
-        assert opts.flags == AblationFlags(
-            candidates=False, prioritization=False, relations=False
-        )
+        # The stage alone decides the sections; a strategy adds at most the
+        # step-by-step line.
+        args = (instance, prioritized, relations, novel_candidates, ontology)
+        for stage, strategy in itertools.product(ABLATION_STAGES, STRATEGIES):
+            flags = AblationFlags.for_stage(stage)
+            text = compose(*args, task="novel", flags=flags, strategy=strategy)
+            expected = compose(*args, task="novel", flags=flags)
+            assert text.replace(f"\n{COT_LINE}", "") == expected, (stage, strategy)
 
     def test_stage_section_matrix(
         self, instance, prioritized, relations, novel_candidates, ontology
