@@ -25,7 +25,6 @@ from .base import (
     EncodedInstance,
     LogitVector,
     TrainConfig,
-    code_index,
     encode_batch,
     pack_instances,
 )
@@ -41,18 +40,6 @@ from .numerics import (
     zeros_like_tree,
 )
 from .retain import init_retain_params, retain_backward, retain_forward, retain_logits
-
-
-def bce_loss(logits: LogitVector, target: Sequence[str]) -> float:
-    """Mean over codes of binary cross-entropy between logits and the
-    multi-hot encoding of the target CCS set."""
-    index = code_index(logits.vocab)
-    y = np.zeros(len(logits.vocab))
-    try:
-        y[[index[c] for c in sorted(set(target))]] = 1.0
-    except KeyError as exc:
-        raise BackendError(f"target CCS {exc.args[0]!r} not in vocabulary") from None
-    return float(bce_with_logits(logits.scores, y))
 
 
 @dataclass(frozen=True)

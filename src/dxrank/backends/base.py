@@ -1,6 +1,6 @@
 """Shared backend plumbing: the labeled logit vector both scorers emit,
-the training configuration, and the encoding of instances over a fixed
-CCS vocabulary into the packed ragged batch both scorers take."""
+and the encoding of instances over a fixed CCS vocabulary into the packed
+ragged batch both scorers take."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -9,12 +9,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .. import InputError
+from ..config import BackendError, TrainConfig
 from ..ehr import PredictionInstance
-
-
-class BackendError(InputError):
-    """Raised for shape mismatches, unknown codes, or bad backend kinds."""
 
 
 @dataclass(frozen=True)
@@ -43,23 +39,6 @@ class LogitVector:
             return float(self.scores[self._index[code]])
         except KeyError:
             raise BackendError(f"CCS code {code!r} not in logit vector") from None
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 20
-    learning_rate: float = 1e-2
-    batch_size: int = 16
-    seed: int = 0
-    d: int = 16
-
-    def __post_init__(self):
-        if self.epochs < 0:
-            raise BackendError("epochs must be non-negative")
-        if self.learning_rate < 0:
-            raise BackendError("learning_rate must be non-negative")
-        if self.batch_size < 1 or self.d < 1:
-            raise BackendError("batch_size and d must be positive")
 
 
 @dataclass(frozen=True)

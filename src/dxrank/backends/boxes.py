@@ -21,7 +21,7 @@ import numpy as np
 from ..ehr import PredictionInstance
 from .base import BackendError, LogitVector, PackedBatch, encode_batch, pack_instances
 from .numerics import ParamTree, segment_ids, segment_softmax, segment_softmax_vjp, \
-    sigmoid, softmax, softplus, softplus_inv
+    sigmoid, softplus, softplus_inv
 
 GAMMA = 0.5772156649
 
@@ -35,87 +35,6 @@ class VolumeConfig:
     def __post_init__(self):
         if self.beta <= 0 or self.eps <= 0:
             raise BackendError("beta and eps must be positive")
-
-
-@dataclass(frozen=True)
-class BoxEmbed:
-    """One box: a center vector and a raw offset mapped through softplus."""
-
-    center: np.ndarray
-    offset_raw: np.ndarray
-
-    def __post_init__(self):
-        center = np.asarray(self.center, dtype=float)
-        offset_raw = np.asarray(self.offset_raw, dtype=float)
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "offset_raw", offset_raw)
-        if center.ndim != 1 or center.shape != offset_raw.shape:
-            raise BackendError("box center and offset must be equal-length vectors")
-        if not (np.all(np.isfinite(center)) and np.all(np.isfinite(offset_raw))):
-            raise BackendError("non-finite box parameters")
-
-    @classmethod
-    def with_width(cls, center: np.ndarray, offset: np.ndarray) -> BoxEmbed:
-        """Build a box from an effective (positive) offset."""
-        return cls(center=center, offset_raw=softplus_inv(offset))
-
-    @property
-    def offset(self) -> np.ndarray:
-        return softplus(self.offset_raw)
-
-    @property
-    def lower(self) -> np.ndarray:
-        return self.center - self.offset
-
-    @property
-    def upper(self) -> np.ndarray:
-        return self.center + self.offset
-
-
-# ---------------------------------------------------------------------------
-# Public box operations
-# ---------------------------------------------------------------------------
-
-
-def intersection_volume(
-    a: BoxEmbed, b: BoxEmbed, cfg: VolumeConfig = VolumeConfig()
-) -> float:
-    """Soft intersection volume of two boxes; positive and monotone
-    non-decreasing in per-dimension overlap."""
-    if a.center.shape != b.center.shape:
-        raise BackendError("box dimension mismatch")
-    m_max = np.minimum(a.upper, b.upper)
-    m_min = np.maximum(a.lower, b.lower)
-    z = (m_max - m_min) / cfg.beta - 2.0 * cfg.gamma
-    return float(np.prod(cfg.beta * softplus(z)))
-
-
-def _aggregate(boxes: Sequence[BoxEmbed], query: np.ndarray, what: str) -> BoxEmbed:
-    if len(boxes) == 0:
-        raise BackendError(f"cannot aggregate an empty {what}")
-    centers = np.stack([b.center for b in boxes])
-    if centers.shape[1] != query.shape[0]:
-        raise BackendError("box dimension does not match query vector")
-    offsets = np.stack([b.offset for b in boxes])
-    alpha = softmax(centers @ query)
-    return BoxEmbed.with_width(center=alpha @ centers, offset=offsets.max(axis=0))
-
-
-def code_boxes(vocab: Sequence[str], tensors: ParamTree) -> dict[str, BoxEmbed]:
-    """Each vocabulary code's box, by code."""
-    return {c: BoxEmbed(center=tensors["center"][i], offset_raw=tensors["offset_raw"][i])
-            for i, c in enumerate(vocab)}
-
-
-def visit_box(boxes: Sequence[BoxEmbed], tensors: ParamTree) -> BoxEmbed:
-    """Attention-weighted center over the visit's code boxes; offset is the
-    elementwise max of effective offsets."""
-    return _aggregate(boxes, tensors["attn_query"], "visit")
-
-
-def patient_box(visit_boxes: Sequence[BoxEmbed], tensors: ParamTree) -> BoxEmbed:
-    """Temporal pooling of visit boxes with the visit weight vector."""
-    return _aggregate(visit_boxes, tensors["visit_weight_vec"], "patient")
 
 
 def boxlm_logits(

@@ -1,7 +1,7 @@
 """Numerically stable primitives shared by the scoring backends: sigmoid,
-softplus family, softmax, segment softmax over packed ragged batches with
-its VJP, binary cross-entropy with logits, and an Adam optimizer over flat
-parameter dicts."""
+softplus family, segment softmax over packed ragged batches with its VJP,
+binary cross-entropy with logits, and an Adam optimizer over flat parameter
+dicts."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -43,13 +43,6 @@ def dlog_softplus(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     safe = np.maximum(x, -30.0)
     return np.where(x < -30.0, 1.0, sigmoid(safe) / softplus(safe))
-
-
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
 
 
 def segment_ids(starts: np.ndarray, n: int) -> np.ndarray:

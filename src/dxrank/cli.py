@@ -11,34 +11,16 @@ placeholders included).
 from __future__ import annotations
 
 import argparse
-import hashlib
+import importlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
-from . import InputError, from_json
-from .backends import BACKENDS, LogitVector, TrainConfig, load_model, \
-    save_model, train
-from .backends.boxes import VolumeConfig
-from .ehr import TASKS, Dataset, Ontology, PredictionInstance, \
-    build_instances, check_split_ratios, load_dataset, load_ontology, \
-    save_dataset, save_ontology, split_patients
-from .evidence import CooccurrenceMatrix, RelationalEvidence, \
-    build_cooccurrence, extract_relations, load_cooccurrence, prioritize_history, \
-    propagate_to_icd, save_cooccurrence, select_candidates
-from .llm import LLM_BACKENDS, LlmClient, LlmConfig, LlmError
-from .metrics import DEFAULT_KS, MetricsReport, RunArtifact, RunRecord, \
-    compare_ablations, evaluate_run, load_run, metrics_table, \
-    save_comparison, save_metrics, save_run
-from .prompting import ABLATION_STAGES, DEFAULT_MAX_PROMPT_CHARS, SC_SAMPLES, \
-    SC_TEMPERATURE, STRATEGIES, AblationFlags, PromptOptions, compose_prompt, \
-    load_template, parse_answer, sc_aggregate
-from .synth import SyntheticConfig, generate_synthetic
+from . import InputError
+from .config import ABLATION_STAGES, BACKEND_KINDS, DEFAULT_K, LLM_BACKENDS, STRATEGIES, \
+    TASKS, ConfigError, RunConfig, config_from_dict, fingerprint_config
 
 EXIT_OK = 0
 EXIT_RUN_FAILURES = 1
@@ -47,7 +29,6 @@ EXIT_BAD_CONFIG = 2
 # A run aborts with exit 1 above this per-instance failure fraction.
 MAX_FAILURE_RATE = 0.10
 
-DEFAULT_K = 50
 SWEEP_KS = (10, 25, 50, 100)
 
 DATASET_FILE = "dataset.jsonl"
@@ -61,77 +42,56 @@ ABLATION_FILE = "ablation.csv"
 SWEEP_FILE = "sweep_k.csv"
 LLM_CACHE_DIR = "llm_cache"
 
+# ---------------------------------------------------------------------------
+# Imports on first use
+# ---------------------------------------------------------------------------
 
-class ConfigError(InputError):
-    """Raised for malformed configs, and for unusable input files with their path."""
+# The names this module uses from each module, imported only when a command
+# runs that module (`_bind`) or another module looks one of them up here
+# (PEP 562 `__getattr__`), so `eval` never loads numpy and `synth` never
+# loads the scorers. A name already bound is kept: a wrapper set on this
+# module before `main` runs is the function that runs.
+_IMPORTS: dict[str, tuple[str, ...]] = {
+    "numpy": ("count_nonzero", "triu", "zeros"),
+    ".ehr": ("Dataset", "Ontology", "PredictionInstance", "build_instances",
+             "load_dataset", "load_ontology", "save_dataset", "save_ontology",
+             "split_patients"),
+    ".synth": ("generate_synthetic",),
+    ".backends": ("LogitVector", "VolumeConfig", "load_model", "save_model", "train"),
+    ".evidence": ("CooccurrenceMatrix", "RelationalEvidence", "build_cooccurrence",
+                  "extract_relations", "load_cooccurrence", "prioritize_history",
+                  "propagate_to_icd", "save_cooccurrence", "select_candidates"),
+    ".prompting": ("SC_SAMPLES", "SC_TEMPERATURE", "AblationFlags", "PromptOptions",
+                   "compose_prompt", "load_template", "parse_answer", "sc_aggregate"),
+    ".llm": ("LlmClient", "LlmError"),
+    ".metrics": ("MetricsReport", "RunArtifact", "RunRecord", "compare_ablations",
+                 "evaluate_run", "load_run", "metrics_table", "save_comparison",
+                 "save_metrics", "save_run"),
+}
+_MODULE_OF = {name: module for module, names in _IMPORTS.items() for name in names}
+# What `predict`, `ablate` and `sweep-k` run: every module but the generator.
+_PREDICTION = tuple(module for module in _IMPORTS if module != ".synth")
+
+
+def _bind(*modules: str) -> None:
+    """Import `modules` and bind each one's names that are not bound yet."""
+    namespace = globals()
+    for module in modules:
+        loaded = importlib.import_module(module, __package__)
+        for name in _IMPORTS[module]:
+            namespace.setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(_MODULE_OF[name])
+    return globals()[name]
 
 
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One config drives every subcommand; unused sections are ignored.
-    The fields, and those of the nested dataclasses, are the whole JSON
-    schema: `config_from_dict` reads it off their type hints."""
-
-    seed: int = 0
-    split_ratios: tuple[float, float, float] = (0.7, 0.1, 0.2)
-    backend: str = "box"
-    beta: float = 0.1
-    k_candidates: int = DEFAULT_K
-    task: str = "novel"
-    strategy: str = "evidence"
-    stage: str = "relational"
-    max_prompt_chars: int = DEFAULT_MAX_PROMPT_CHARS
-    template_path: str = ""
-    synth: SyntheticConfig = field(default_factory=SyntheticConfig)
-    train: TrainConfig = field(default_factory=TrainConfig)
-    llm: LlmConfig = field(default_factory=LlmConfig)
-    eval_ks: dict[str, tuple[int, ...]] = field(
-        default_factory=lambda: {t: tuple(v) for t, v in DEFAULT_KS.items()}
-    )
-
-    def __post_init__(self):
-        if self.task not in TASKS:
-            raise ConfigError(f"unknown task {self.task!r}")
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(f"unknown strategy {self.strategy!r}")
-        if self.stage not in ABLATION_STAGES:
-            raise ConfigError(f"unknown ablation stage {self.stage!r}")
-        if self.backend not in BACKENDS:
-            raise ConfigError(f"unknown backend {self.backend!r}")
-        if self.beta <= 0:
-            raise ConfigError("beta must be positive")
-        if self.k_candidates < 1:
-            raise ConfigError("k_candidates must be at least 1")
-        if self.max_prompt_chars < 1:
-            raise ConfigError("max_prompt_chars must be at least 1")
-        check_split_ratios(self.split_ratios)
-        if set(self.eval_ks) - set(TASKS):
-            raise ConfigError(
-                f"unknown eval_ks tasks: {sorted(set(self.eval_ks) - set(TASKS))}")
-        for task, ks in self.eval_ks.items():
-            if min(ks, default=1) < 1 or len(set(ks)) != len(ks):
-                raise ConfigError(f"eval_ks.{task} must hold distinct integers >= 1, "
-                                  f"got {list(ks)}")
-
-    to_dict = asdict
-
-
-def config_from_dict(doc: dict) -> RunConfig:
-    try:
-        return from_json(RunConfig, doc, "config", root=True)
-    except InputError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def fingerprint_config(cfg: RunConfig) -> str:
-    blob = json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-
 
 # The config paths `--seed` sets; every other config flag's argparse dest
 # is the one path it sets.
@@ -224,7 +184,7 @@ def predict_record(
     # Without candidate selection every eligible code is a candidate, in
     # code order: the top |vocab| of all-zero logits.
     scored, size = (logits, k) if flags.candidates else (
-        LogitVector(logits.vocab, np.zeros(len(logits.vocab))), len(logits.vocab))
+        LogitVector(logits.vocab, zeros(len(logits.vocab))), len(logits.vocab))
     candidates = select_candidates(scored, size, options.task, history)
 
     # Without prioritization the prompt lists raw history, not ICD groups.
@@ -310,7 +270,7 @@ def load_prediction_inputs(
     if any(o.flags.candidates or o.flags.prioritization for o in options.values()):
         logits = tuple(model.logits(instances))
     else:
-        logits = (LogitVector(model.vocab, np.zeros(len(model.vocab))),) * len(instances)
+        logits = (LogitVector(model.vocab, zeros(len(model.vocab))),) * len(instances)
     return PredictionInputs(
         ontology=ontology, cooc=cooc, instances=instances, logits=logits,
         options=options,
@@ -343,6 +303,8 @@ def run_predictions(
             instance, logits, inputs.cooc, inputs.ontology, options, client, k)
 
     if client.remote:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=2 * cfg.llm.max_in_flight) as pool:
             records = list(pool.map(one, inputs.instances, inputs.logits))
     else:
@@ -371,6 +333,7 @@ def _failure_exit(artifact: RunArtifact) -> int:
 
 
 def cmd_synth(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
+    _bind(".ehr", ".synth")
     dataset, ontology = generate_synthetic(cfg.synth)
     save_ontology(ontology, out_dir / ONTOLOGY_FILE)
     save_dataset(dataset, out_dir / DATASET_FILE)
@@ -379,6 +342,7 @@ def cmd_synth(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
 
 
 def cmd_train(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
+    _bind(".ehr", ".backends")
     dataset, ontology = _load_data(out_dir)
     train_ds, _, _ = split_patients(dataset, cfg.split_ratios, cfg.seed)
     model = train(
@@ -397,16 +361,18 @@ def cmd_train(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
 
 
 def cmd_cooc(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
+    _bind("numpy", ".ehr", ".evidence")
     dataset, ontology = _load_data(out_dir)
     train_ds, _, _ = split_patients(dataset, cfg.split_ratios, cfg.seed)
     matrix = build_cooccurrence(train_ds, ontology.ccs_codes)
     save_cooccurrence(matrix, out_dir / COOC_FILE)
-    pairs = np.count_nonzero(np.triu(matrix.counts))
+    pairs = count_nonzero(triu(matrix.counts))
     print(f"counted {pairs} code pairs over {matrix.n_patients} patients")
     return EXIT_OK
 
 
 def cmd_predict(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
+    _bind(*_PREDICTION)
     inputs = load_prediction_inputs(cfg, out_dir, (cfg.stage,))
     with LlmClient(cfg.llm) as client:
         client.cache_in(out_dir / LLM_CACHE_DIR)
@@ -420,6 +386,7 @@ def cmd_predict(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
 
 
 def cmd_eval(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
+    _bind(".metrics")
     run_path = out_dir / (args.run or RUN_FILE)
     artifact = _load(load_run, run_path, "run `dxrank predict` first")
     report = evaluate_run(artifact, cfg.eval_ks)
@@ -432,6 +399,7 @@ def _compare(cfg: RunConfig, out_dir: Path, table_file: str,
              variants: Sequence[tuple[str, str, int, str]]) -> int:
     """Run, score and save each (label, stage, K, file tag) variant on
     inputs loaded once and one LLM client, then write the comparison table."""
+    _bind(*_PREDICTION)
     inputs = load_prediction_inputs(cfg, out_dir, [stage for _, stage, _, _ in variants])
     worst = EXIT_OK
     reports: list[tuple[str, MetricsReport]] = []
@@ -492,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", parents=[common],
                        help="train a scorer on the train split")
-    p.add_argument("--backend", choices=tuple(BACKENDS))
+    p.add_argument("--backend", choices=BACKEND_KINDS)
     p.add_argument("--epochs", dest="train.epochs", type=int)
     p.add_argument("--d", dest="train.d", type=int)
     p.add_argument("--learning-rate", dest="train.learning_rate", type=float)

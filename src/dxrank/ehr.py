@@ -16,10 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from . import InputError, json_value
-
-# The two prediction tasks: every next-visit code, or only codes absent from
-# the history. Candidate selection uses the same names for its modes.
-TASKS = ("overall", "novel")
+from .config import TASKS, SplitError, check_split_ratios
 
 
 class OntologyError(InputError):
@@ -28,10 +25,6 @@ class OntologyError(InputError):
 
 class DatasetError(InputError):
     """Raised for malformed dataset files or codes that do not resolve."""
-
-
-class SplitError(InputError):
-    """Raised when a requested patient split cannot be honored."""
 
 
 @dataclass(frozen=True)
@@ -292,14 +285,6 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 # Splitting and instance construction
 # ---------------------------------------------------------------------------
-
-
-def check_split_ratios(ratios: tuple[float, float, float]) -> None:
-    """Raise SplitError unless the ratios are non-negative and sum to 1."""
-    if any(r < 0 for r in ratios):
-        raise SplitError(f"negative ratio in split_ratios {ratios}")
-    if not math.isclose(sum(ratios), 1.0, abs_tol=1e-9):
-        raise SplitError(f"split_ratios {ratios} do not sum to 1")
 
 
 def split_patients(

@@ -17,11 +17,11 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
-from urllib.parse import urlsplit
 
 import numpy as np
 
 from . import InputError
+from .config import LLM_BACKENDS, LlmConfig
 from .prompting import CANDIDATES_TITLE_OVERALL, HISTORY_TITLE_PRIORITIZED
 
 # Each offline backend's answer to (prompt, per-prompt seed). The lambdas
@@ -30,7 +30,6 @@ MOCKS: dict[str, Callable[[str, int], str]] = {
     "mock_echo": lambda prompt, seed: mock_echo(prompt),
     "mock_evidence": lambda prompt, seed: mock_evidence_aware(prompt, seed),
 }
-LLM_BACKENDS = ("remote", *MOCKS)
 
 # Retry schedule: base delay doubles per attempt.
 BACKOFF_BASE_S = 0.25
@@ -46,52 +45,6 @@ class LlmTransportError(LlmError):
 
 class LlmProtocolError(LlmError):
     """Response arrived but is not a usable chat completion."""
-
-
-@dataclass(frozen=True)
-class LlmConfig:
-    backend: str = "mock_echo"
-    endpoint_url: str = ""
-    model_name: str = ""
-    temperature: float = 0.0
-    max_tokens: int = 512
-    timeout_ms: int = 30000
-    max_retries: int = 2
-    max_in_flight: int = 4
-    seed: int = 0
-    api_key_env: str = ""
-
-    def __post_init__(self):
-        if self.backend not in LLM_BACKENDS:
-            raise InputError(f"unknown llm backend {self.backend!r}")
-        if self.temperature < 0:
-            raise InputError("temperature must be non-negative")
-        if self.max_in_flight < 1:
-            raise InputError("max_in_flight must be at least 1")
-        if self.max_retries < 0:
-            raise InputError(f"max_retries must be non-negative, got {self.max_retries}")
-        if self.timeout_ms <= 0:
-            raise InputError(f"timeout_ms must be positive, got {self.timeout_ms}")
-        if self.max_tokens < 1:
-            raise InputError(f"max_tokens must be at least 1, got {self.max_tokens}")
-        if self.backend not in MOCKS:
-            _check_endpoint(self.endpoint_url)
-
-
-def _check_endpoint(url: str) -> None:
-    if not url:
-        raise InputError("remote backend requires endpoint_url")
-    parts = urlsplit(url)
-    try:
-        parts.port
-    except ValueError:
-        raise InputError(f"endpoint_url {url!r} has a bad port") from None
-    if parts.scheme not in ("http", "https") or not parts.hostname:
-        raise InputError(f"endpoint_url {url!r} is not an http:// or https:// "
-                         "URL with a host")
-    # A query or fragment would swallow the request path appended to the URL.
-    if "?" in url or "#" in url:
-        raise InputError(f"endpoint_url {url!r} has a query or fragment")
 
 
 @dataclass(frozen=True)

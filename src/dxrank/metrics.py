@@ -16,11 +16,9 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from . import InputError, from_json
-from .ehr import TASKS
+from .config import DEFAULT_KS, TASKS
 
 METRICS = ("visit_precision", "code_accuracy")
-
-DEFAULT_KS: dict[str, tuple[int, ...]] = {"overall": (10, 20), "novel": (5, 10)}
 
 
 class EvalError(InputError):
@@ -232,23 +230,6 @@ def save_metrics(report: MetricsReport, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, sort_keys=True, indent=2))
         fh.write("\n")
-
-
-def load_metrics(path: str | Path) -> MetricsReport:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    values = {
-        task: {m: {int(k): v for k, v in per_k.items()}
-               for m, per_k in metrics.items()}
-        for task, metrics in doc["values"].items()
-    }
-    return MetricsReport(
-        values=values,
-        n_instances=int(doc["n_instances"]),
-        n_failed=int(doc["n_failed"]),
-        n_novel_excluded=int(doc["n_novel_excluded"]),
-        ks={task: tuple(v) for task, v in doc["ks"].items()},
-    )
 
 
 def metrics_table(report: MetricsReport) -> str:

@@ -14,15 +14,12 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from . import InputError
-from .ehr import TASKS, Ontology, PredictionInstance
+from .config import ABLATION_STAGES, DEFAULT_MAX_PROMPT_CHARS, STRATEGIES, TASKS
+from .ehr import Ontology, PredictionInstance
 from .evidence import UNMAPPED_GROUP, CandidateSet, HistoryGroup, RelationalEvidence
-
-STRATEGIES = ("evidence", "cot", "sc")
 
 SC_SAMPLES = 3
 SC_TEMPERATURE = 0.7
-
-DEFAULT_MAX_PROMPT_CHARS = 16000
 
 HISTORY_TITLE_PRIORITIZED = "Patient Historical Diagnoses (Prioritized)"
 HISTORY_TITLE_RAW = "Patient Historical Diagnoses"
@@ -58,9 +55,6 @@ class AblationFlags:
         return cls(
             candidates=level >= 1, prioritization=level >= 2, relations=level >= 3
         )
-
-
-ABLATION_STAGES = ("base", "candidate", "prioritization", "relational")
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,10 @@ appears in the next visit. Vocabulary ids are generated as ``CCS-<k>`` /
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import InputError
+from .config import ComorbidityRule, SyntheticConfig, SyntheticConfigError, \
+    ccs_vocabulary
 from .ehr import Dataset, Ontology, PatientRecord, Visit
 
 # Probability that a patient's first visit is seeded with one rule trigger,
@@ -21,74 +20,6 @@ TRIGGER_SEED_PROB = 0.6
 
 # Day gap between consecutive visits is drawn uniformly from this range.
 DAY_GAP_RANGE = (3, 45)
-
-
-class SyntheticConfigError(InputError):
-    """Raised for invalid synthetic-generation configs."""
-
-
-@dataclass(frozen=True)
-class ComorbidityRule:
-    """If `trigger` is present in a visit, `onset` joins the next visit
-    with probability `q` (independently per visit transition)."""
-
-    trigger: str
-    onset: str
-    q: float
-
-
-@dataclass(frozen=True)
-class SyntheticConfig:
-    n_patients: int = 500
-    n_ccs: int = 60
-    icd_per_ccs: int = 3
-    chronic_rate: float = 0.7
-    rules: tuple[ComorbidityRule, ...] = ()
-    visits_range: tuple[int, int] = (2, 5)
-    codes_per_visit_range: tuple[int, int] = (2, 4)
-    seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "rules", tuple(self.rules))
-        self.validate()
-
-    def validate(self) -> None:
-        if self.n_patients < 0:
-            raise SyntheticConfigError("n_patients must be non-negative")
-        if self.n_ccs < 1 or self.icd_per_ccs < 1:
-            raise SyntheticConfigError("n_ccs and icd_per_ccs must be positive")
-        if not 0.0 <= self.chronic_rate <= 1.0:
-            raise SyntheticConfigError("chronic_rate must be in [0, 1]")
-        for lo, hi, name in (
-            (*self.visits_range, "visits_range"),
-            (*self.codes_per_visit_range, "codes_per_visit_range"),
-        ):
-            if lo < 1 or hi < lo:
-                raise SyntheticConfigError(f"{name} ({lo}, {hi}) is empty or invalid")
-        if self.codes_per_visit_range[1] > self.n_ccs:
-            raise SyntheticConfigError(
-                "codes_per_visit_range exceeds the CCS vocabulary size"
-            )
-        vocab = set(ccs_vocabulary(self.n_ccs))
-        for rule in self.rules:
-            if not 0.0 <= rule.q <= 1.0:
-                raise SyntheticConfigError(f"rule probability {rule.q} not in [0, 1]")
-            if rule.trigger == rule.onset:
-                raise SyntheticConfigError(
-                    f"rule trigger and onset coincide ({rule.trigger})"
-                )
-            for code in (rule.trigger, rule.onset):
-                if code not in vocab:
-                    raise SyntheticConfigError(
-                        f"rule references unknown CCS code {code!r} "
-                        f"(vocabulary has {self.n_ccs} codes)"
-                    )
-
-
-def ccs_vocabulary(n_ccs: int) -> list[str]:
-    """Generated CCS ids, zero-padded so lexicographic order is numeric."""
-    width = max(3, len(str(n_ccs)))
-    return [f"CCS-{k:0{width}d}" for k in range(1, n_ccs + 1)]
 
 
 def _synthetic_ontology(cfg: SyntheticConfig) -> Ontology:

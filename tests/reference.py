@@ -1,0 +1,129 @@
+"""Reference implementations the tests compare the shipped code against:
+per-box volume math and pooling, per-vector BCE, and a metrics.json reader.
+The pipeline itself scores packed batches and never reads metrics back, so
+none of this ships in `src/`."""
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Sequence
+
+import numpy as np
+
+from dxrank.backends.base import BackendError, LogitVector, code_index
+from dxrank.backends.boxes import VolumeConfig
+from dxrank.backends.numerics import ParamTree, bce_with_logits, softplus, softplus_inv
+from dxrank.metrics import MetricsReport
+
+
+def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    shifted = x - np.max(x, axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / np.sum(e, axis=axis, keepdims=True)
+
+
+@dataclass(frozen=True)
+class BoxEmbed:
+    """One box: a center vector and a raw offset mapped through softplus."""
+
+    center: np.ndarray
+    offset_raw: np.ndarray
+
+    def __post_init__(self):
+        center = np.asarray(self.center, dtype=float)
+        offset_raw = np.asarray(self.offset_raw, dtype=float)
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "offset_raw", offset_raw)
+        if center.ndim != 1 or center.shape != offset_raw.shape:
+            raise BackendError("box center and offset must be equal-length vectors")
+        if not (np.all(np.isfinite(center)) and np.all(np.isfinite(offset_raw))):
+            raise BackendError("non-finite box parameters")
+
+    @classmethod
+    def with_width(cls, center: np.ndarray, offset: np.ndarray) -> BoxEmbed:
+        """Build a box from an effective (positive) offset."""
+        return cls(center=center, offset_raw=softplus_inv(offset))
+
+    @property
+    def offset(self) -> np.ndarray:
+        return softplus(self.offset_raw)
+
+    @property
+    def lower(self) -> np.ndarray:
+        return self.center - self.offset
+
+    @property
+    def upper(self) -> np.ndarray:
+        return self.center + self.offset
+
+
+def intersection_volume(
+    a: BoxEmbed, b: BoxEmbed, cfg: VolumeConfig = VolumeConfig()
+) -> float:
+    """Soft intersection volume of two boxes; positive and monotone
+    non-decreasing in per-dimension overlap."""
+    if a.center.shape != b.center.shape:
+        raise BackendError("box dimension mismatch")
+    m_max = np.minimum(a.upper, b.upper)
+    m_min = np.maximum(a.lower, b.lower)
+    z = (m_max - m_min) / cfg.beta - 2.0 * cfg.gamma
+    return float(np.prod(cfg.beta * softplus(z)))
+
+
+def _aggregate(boxes: Sequence[BoxEmbed], query: np.ndarray, what: str) -> BoxEmbed:
+    if len(boxes) == 0:
+        raise BackendError(f"cannot aggregate an empty {what}")
+    centers = np.stack([b.center for b in boxes])
+    if centers.shape[1] != query.shape[0]:
+        raise BackendError("box dimension does not match query vector")
+    offsets = np.stack([b.offset for b in boxes])
+    alpha = softmax(centers @ query)
+    return BoxEmbed.with_width(center=alpha @ centers, offset=offsets.max(axis=0))
+
+
+def code_boxes(vocab: Sequence[str], tensors: ParamTree) -> dict[str, BoxEmbed]:
+    """Each vocabulary code's box, by code."""
+    return {c: BoxEmbed(center=tensors["center"][i], offset_raw=tensors["offset_raw"][i])
+            for i, c in enumerate(vocab)}
+
+
+def visit_box(boxes: Sequence[BoxEmbed], tensors: ParamTree) -> BoxEmbed:
+    """Attention-weighted center over the visit's code boxes; offset is the
+    elementwise max of effective offsets."""
+    return _aggregate(boxes, tensors["attn_query"], "visit")
+
+
+def patient_box(visit_boxes: Sequence[BoxEmbed], tensors: ParamTree) -> BoxEmbed:
+    """Temporal pooling of visit boxes with the visit weight vector."""
+    return _aggregate(visit_boxes, tensors["visit_weight_vec"], "patient")
+
+
+def bce_loss(logits: LogitVector, target: Sequence[str]) -> float:
+    """Mean over codes of binary cross-entropy between logits and the
+    multi-hot encoding of the target CCS set."""
+    index = code_index(logits.vocab)
+    y = np.zeros(len(logits.vocab))
+    try:
+        y[[index[c] for c in sorted(set(target))]] = 1.0
+    except KeyError as exc:
+        raise BackendError(f"target CCS {exc.args[0]!r} not in vocabulary") from None
+    return float(bce_with_logits(logits.scores, y))
+
+
+def load_metrics(path: str | Path) -> MetricsReport:
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    values = {
+        task: {m: {int(k): v for k, v in per_k.items()}
+               for m, per_k in metrics.items()}
+        for task, metrics in doc["values"].items()
+    }
+    return MetricsReport(
+        values=values,
+        n_instances=int(doc["n_instances"]),
+        n_failed=int(doc["n_failed"]),
+        n_novel_excluded=int(doc["n_novel_excluded"]),
+        ks={task: tuple(v) for task, v in doc["ks"].items()},
+    )

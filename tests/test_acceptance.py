@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from dxrank.backends import grad_check
-from dxrank.backends.boxes import BoxEmbed, init_box_params, intersection_volume
+from dxrank.backends.boxes import init_box_params
 from dxrank.backends.retain import init_retain_params
 from dxrank.backends import load_model
 from dxrank.cli import DEFAULT_K, SWEEP_KS, main
@@ -26,13 +26,13 @@ from dxrank.ehr import (
 from dxrank.evidence import build_cooccurrence, select_candidates
 from dxrank.metrics import (
     evaluate_run,
-    load_metrics,
     load_run,
     novel_filter,
     visit_precision_at_k,
 )
 from dxrank.synth import SyntheticConfig, generate_synthetic
 from tests.conftest import dense_counts
+from tests.reference import BoxEmbed, intersection_volume, load_metrics
 from tests.test_metrics import EXPECTED, KS_123, fixture_artifact
 
 

@@ -6,19 +6,12 @@ import numpy as np
 import pytest
 
 from dxrank.backends.base import BackendError
-from dxrank.backends.boxes import (
-    GAMMA,
-    BoxEmbed,
-    VolumeConfig,
-    boxlm_logits,
-    code_boxes,
-    init_box_params,
-    intersection_volume,
-    patient_box,
-    visit_box,
-)
-from dxrank.backends.numerics import softmax, softplus
+from dxrank.backends.boxes import GAMMA, VolumeConfig, boxlm_logits, init_box_params
+from dxrank.backends.numerics import softplus
 from dxrank.ehr import PredictionInstance, Visit
+
+from .reference import BoxEmbed, code_boxes, intersection_volume, patient_box, softmax, \
+    visit_box
 
 
 def box1d(lo: float, hi: float) -> BoxEmbed:

@@ -18,13 +18,11 @@ from dxrank.backends.base import (
     pack_instances,
 )
 from dxrank.backends.boxes import (
-    BoxEmbed,
     VolumeConfig,
     box_backward,
     box_forward,
     boxlm_logits,
     init_box_params,
-    intersection_volume,
 )
 from dxrank.backends.numerics import (
     bce_with_logits,
@@ -32,13 +30,13 @@ from dxrank.backends.numerics import (
     dlog_softplus,
     log_softplus,
     sigmoid,
-    softmax,
     softplus,
     zeros_like_tree,
 )
 from dxrank.ehr import PredictionInstance, Visit
 
 from .conftest import softmax_vjp
+from .reference import BoxEmbed, intersection_volume, softmax
 
 
 def loop_forward(flat, enc: EncodedInstance, cfg: VolumeConfig):

@@ -40,11 +40,12 @@ from dxrank.evidence import EvidenceError, load_cooccurrence
 from dxrank.backends import BACKENDS, BackendError, TrainedModel
 from dxrank.llm import LLM_BACKENDS, LlmClient, LlmConfig, LlmError, derive_seed, \
     mock_evidence_aware
-from dxrank.metrics import EvalError, load_metrics, load_run
+from dxrank.metrics import EvalError, load_run
 from dxrank.prompting import ABLATION_STAGES, SC_SAMPLES, PromptError
 from dxrank.synth import SyntheticConfigError
 
 from .loopback import LoopbackLlm
+from .reference import load_metrics
 
 SMALL_CFG = {
     "seed": 0,
@@ -349,6 +350,8 @@ MALFORMED_INPUTS = {
         dict(SMALL_CFG, llm={"backend": "remote", "endpoint_url": "http://127.0.0.1:9",
                              "api_key_env": "DXRANK_UNSET_TEST_KEY"})))),
         "'DXRANK_UNSET_TEST_KEY'"),
+    "model-seed-negative": ("predict", _edit_model(lambda d: dict(d, seed=-3)),
+                            "seed must be non-negative, got -3"),
 }
 
 
@@ -414,6 +417,23 @@ class TestInputErrors:
         assert cli(command, bad, out, "--seed", "1") == EXIT_BAD_CONFIG
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+    @pytest.mark.parametrize("command, doc, extra, needle", [
+        ("synth", SMALL_CFG, ("--seed", "-1"), "error: synth: seed"),
+        ("synth", {"synth": {"seed": -3}}, (), "error: synth: seed"),
+        ("train", {"train": {"seed": -3}}, (), "error: train: seed"),
+        ("cooc", {"seed": -3}, (), "error: seed"),
+    ], ids=["flag", "synth", "train", "run"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command, doc, extra, needle):
+        """Every seed that seeds a numpy generator is checked when the
+        config loads, not by numpy."""
+        _, out = self._prepared(tmp_path, ("synth",))
+        bad = write_cfg(tmp_path, doc, name="bad.json")
+        capsys.readouterr()
+        assert cli(command, bad, out, *extra) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and err.startswith(needle), err
+        assert "must be non-negative" in err, err
 
     def test_backend_mismatch_rejected(self, tmp_path, capsys):
         cfg_path, out = self._prepared(tmp_path)

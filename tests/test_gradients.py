@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dxrank.backends import bce_loss, grad_check, gradients, infer_logits
+from dxrank.backends import grad_check, gradients, infer_logits
 from dxrank.backends.boxes import VolumeConfig, init_box_params
 from dxrank.backends.numerics import (
     bce_with_logits,
@@ -13,7 +13,6 @@ from dxrank.backends.numerics import (
     dlog_softplus,
     log_softplus,
     sigmoid,
-    softmax,
     softplus,
     softplus_inv,
 )
@@ -21,6 +20,7 @@ from dxrank.backends.retain import init_retain_params
 from dxrank.ehr import PredictionInstance, Visit
 
 from .conftest import softmax_vjp
+from .reference import bce_loss, softmax
 
 
 def _instance(visits: list[list[str]], target: set[str]) -> PredictionInstance:

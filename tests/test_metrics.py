@@ -16,7 +16,6 @@ from dxrank.metrics import (
     code_accuracy_at_k,
     compare_ablations,
     evaluate_run,
-    load_metrics,
     load_run,
     metrics_table,
     novel_filter,
@@ -25,6 +24,8 @@ from dxrank.metrics import (
     save_run,
     visit_precision_at_k,
 )
+
+from .reference import load_metrics
 
 
 def rec(pid, ranked, target_overall, target_novel, history, error=""):

@@ -14,12 +14,12 @@ from dxrank.backends.numerics import (
     bce_with_logits,
     bce_with_logits_grad,
     sigmoid,
-    softmax,
     zeros_like_tree,
 )
 from dxrank.backends.retain import init_retain_params, retain_backward, retain_forward
 
 from .conftest import softmax_vjp
+from .reference import softmax
 
 
 def _gru_run(flat, prefix, xs):
