@@ -12,7 +12,7 @@ initializer alone; `load_model` checks a file against them.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -315,13 +315,14 @@ def load_model(path: str | Path, ontology: Ontology | None = None) -> TrainedMod
                 raise BackendError(f"tensor {key} has non-finite values")
             flat[key] = arr
 
-        # The top-level d and seed win over the recorded config's; the Adam
-        # constants are recorded, not configured.
-        tc = dict(json_value(dict, doc.get("train_config", {}), "train_config"),
-                  d=d, seed=json_value(int, doc.get("seed", 0), "seed"))
-        for name in ("adam_betas", "adam_eps"):
+        # The top-level d and seed win over the recorded config's and are
+        # checked under their own keys; the Adam constants are recorded, not
+        # configured.
+        tc = dict(json_value(dict, doc.get("train_config", {}), "train_config"))
+        for name in ("d", "seed", "adam_betas", "adam_eps"):
             tc.pop(name, None)
-        cfg = from_json(TrainConfig, tc, "train_config")
+        cfg = replace(from_json(TrainConfig, tc, "train_config"),
+                      d=d, seed=json_value(int, doc.get("seed", 0), "seed"))
         volume = from_json(VolumeConfig, doc.get("volume", {}), "volume")
         losses = [float(json_value(float, x, f"losses[{i}]"))
                   for i, x in enumerate(json_value(list, doc.get("losses", []), "losses"))]

@@ -1,44 +1,15 @@
-"""Shared backend plumbing: the labeled logit vector both scorers emit,
-and the encoding of instances over a fixed CCS vocabulary into the packed
-ragged batch both scorers take."""
+"""Shared backend plumbing: the encoding of instances over a fixed CCS
+vocabulary into the packed ragged batch both scorers take. The logit vector
+both scorers emit lives beside the vocabulary in `dxrank.ehr`."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from ..config import BackendError, TrainConfig
-from ..ehr import PredictionInstance
-
-
-@dataclass(frozen=True)
-class LogitVector:
-    """Per-CCS scores aligned to a sorted vocabulary."""
-
-    vocab: tuple[str, ...]
-    scores: np.ndarray
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "vocab", tuple(self.vocab))
-        object.__setattr__(self, "_index", vocab_index(self.vocab))
-        scores = np.asarray(self.scores, dtype=float)
-        object.__setattr__(self, "scores", scores)
-        if scores.shape != (len(self.vocab),):
-            raise BackendError(
-                f"scores shape {scores.shape} does not match vocabulary "
-                f"size {len(self.vocab)}"
-            )
-        if not np.all(np.isfinite(scores)):
-            raise BackendError("non-finite logit")
-
-    def score(self, code: str) -> float:
-        try:
-            return float(self.scores[self._index[code]])
-        except KeyError:
-            raise BackendError(f"CCS code {code!r} not in logit vector") from None
+from ..ehr import LogitVector, PredictionInstance, code_index, vocab_index
 
 
 @dataclass(frozen=True)
@@ -48,15 +19,6 @@ class EncodedInstance:
 
     visit_idx: tuple[np.ndarray, ...]
     target: np.ndarray
-
-
-def code_index(vocab: tuple[str, ...]) -> dict[str, int]:
-    return {c: i for i, c in enumerate(vocab)}
-
-
-# Every logit vector of a model shares one vocabulary, so its code -> position
-# map is built once. Callers must not mutate the returned dict.
-vocab_index = lru_cache(maxsize=8)(code_index)
 
 
 def encode_instance(

@@ -96,7 +96,7 @@ def _log_volume(cu: np.ndarray, cl: np.ndarray, upper: np.ndarray,
     np.log1p(buf, out=buf)
     np.maximum(sp, 0.0, out=sp)
     sp += buf
-    # log_softplus(z): log(sp), with a linear tail below -33.
+    # log_softplus(z) of tests/reference.py: log(sp), with a linear tail below -33.
     np.log(sp, out=buf)
     np.copyto(buf, z, where=z < -33.0)
     buf += np.log(cfg.beta)
@@ -106,7 +106,8 @@ def _log_volume(cu: np.ndarray, cl: np.ndarray, upper: np.ndarray,
 def _dlog_volume(sp: np.ndarray, tail: np.ndarray, dlogits: np.ndarray,
                  cfg: VolumeConfig) -> np.ndarray:
     """d(loss)/d(m_max - m_min) from the forward's softplus values:
-    dlog_softplus(z) = sigmoid(z)/softplus(z) = -expm1(-sp)/sp, 1 in the tail."""
+    the reference dlog_softplus(z) = sigmoid(z)/softplus(z) = -expm1(-sp)/sp,
+    1 in the tail."""
     dm = np.negative(sp)
     np.expm1(dm, out=dm)
     dm /= sp

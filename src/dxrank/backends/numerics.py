@@ -28,23 +28,6 @@ def softplus_inv(y: np.ndarray) -> np.ndarray:
     return np.log(np.expm1(y))
 
 
-def log_softplus(x: np.ndarray) -> np.ndarray:
-    """log(softplus(x)) with a linear tail where softplus would underflow.
-    The box volume kernels compute this and dlog_softplus in place, from
-    one softplus shared by forward and backward."""
-    x = np.asarray(x, dtype=float)
-    safe = np.maximum(x, -33.0)
-    return np.where(x < -33.0, x, np.log(softplus(safe)))
-
-
-def dlog_softplus(x: np.ndarray) -> np.ndarray:
-    """Derivative of log_softplus: sigmoid(x)/softplus(x), which tends to 1
-    as x -> -inf and to 1/x as x -> +inf."""
-    x = np.asarray(x, dtype=float)
-    safe = np.maximum(x, -30.0)
-    return np.where(x < -30.0, 1.0, sigmoid(safe) / softplus(safe))
-
-
 def segment_ids(starts: np.ndarray, n: int) -> np.ndarray:
     """The segment of each of n rows, given the first row of each segment."""
     return np.repeat(np.arange(len(starts)), np.diff(starts, append=n))

@@ -53,14 +53,14 @@ LLM_CACHE_DIR = "llm_cache"
 # module before `main` runs is the function that runs.
 _IMPORTS: dict[str, tuple[str, ...]] = {
     "numpy": ("count_nonzero", "triu", "zeros"),
-    ".ehr": ("Dataset", "Ontology", "PredictionInstance", "build_instances",
+    ".ehr": ("Dataset", "LogitVector", "Ontology", "PredictionInstance", "build_instances",
              "load_dataset", "load_ontology", "save_dataset", "save_ontology",
              "split_patients"),
     ".synth": ("generate_synthetic",),
-    ".backends": ("LogitVector", "VolumeConfig", "load_model", "save_model", "train"),
-    ".evidence": ("CooccurrenceMatrix", "RelationalEvidence", "build_cooccurrence",
-                  "extract_relations", "load_cooccurrence", "prioritize_history",
-                  "propagate_to_icd", "save_cooccurrence", "select_candidates"),
+    ".backends": ("VolumeConfig", "load_model", "save_model", "train"),
+    ".evidence": ("CooccurrenceMatrix", "build_cooccurrence", "extract_relations",
+                  "load_cooccurrence", "prioritize_history", "propagate_to_icd",
+                  "save_cooccurrence", "select_candidates"),
     ".prompting": ("SC_SAMPLES", "SC_TEMPERATURE", "AblationFlags", "PromptOptions",
                    "compose_prompt", "load_template", "parse_answer", "sc_aggregate"),
     ".llm": ("LlmClient", "LlmError"),
@@ -167,18 +167,19 @@ def predict_record(
     logits: LogitVector,
     cooc: CooccurrenceMatrix | None,
     ontology: Ontology,
+    flags: AblationFlags,
     options: PromptOptions,
     client: LlmClient,
     k: int,
 ) -> RunRecord:
     """Run the evidence pipeline and the LLM re-ranker for one instance,
-    given the scorer's logits for it. An instance with no eligible
+    given the scorer's logits for it. `flags` say which evidence the stage
+    computes; the prompt carries exactly that. An instance with no eligible
     candidate gets an empty ranking without an LLM call.
 
     LLM failures become an error record; any other exception is a bug and
     propagates.
     """
-    flags = options.flags
     history = instance.history_ccs
 
     # Without candidate selection every eligible code is a candidate, in
@@ -187,8 +188,9 @@ def predict_record(
         LogitVector(logits.vocab, zeros(len(logits.vocab))), len(logits.vocab))
     candidates = select_candidates(scored, size, options.task, history)
 
-    # Without prioritization the prompt lists raw history, not ICD groups.
-    groups = ()
+    # Evidence the stage does not compute stays None and out of the prompt:
+    # without prioritization the prompt lists raw history, not ICD groups.
+    groups = relations = None
     if flags.prioritization:
         groups = propagate_to_icd(prioritize_history(history, logits),
                                   instance.input_visits, ontology)
@@ -196,8 +198,6 @@ def predict_record(
         if cooc is None:
             raise ConfigError("relational stage requires co-occurrence counts")
         relations = extract_relations(history, candidates, cooc)
-    else:
-        relations = RelationalEvidence(links=())
 
     prompt = compose_prompt(instance, groups, relations, candidates, ontology, options)
     base = dict(
@@ -230,14 +230,13 @@ def predict_record(
 class PredictionInputs:
     """What every prediction run of one command reads: loaded and scored
     once, then shared by every stage and K. `logits[i]` is the scorer's
-    output for `instances[i]`; `options[stage]` is how to prompt in a run of
-    that stage."""
+    output for `instances[i]`."""
 
     ontology: Ontology
     cooc: CooccurrenceMatrix | None
     instances: tuple[PredictionInstance, ...]
     logits: tuple[LogitVector, ...]
-    options: dict[str, PromptOptions]
+    options: PromptOptions
 
 
 def load_prediction_inputs(
@@ -253,12 +252,11 @@ def load_prediction_inputs(
                           f"config has {cfg.backend!r}")
     template_text = (_load(load_template, Path(cfg.template_path), "prompt template")
                      if cfg.template_path else load_template())
-    options = {stage: PromptOptions(
-        task=cfg.task, strategy=cfg.strategy, flags=AblationFlags.for_stage(stage),
-        template_text=template_text, max_chars=cfg.max_prompt_chars,
-    ) for stage in stages}
+    options = PromptOptions(task=cfg.task, strategy=cfg.strategy,
+                            template_text=template_text, max_chars=cfg.max_prompt_chars)
+    flags = [AblationFlags.for_stage(stage) for stage in stages]
     cooc = None
-    if any(o.flags.relations for o in options.values()):
+    if any(f.relations for f in flags):
         cooc = _load(load_cooccurrence, out_dir / COOC_FILE, "run `dxrank cooc` first",
                      ontology.ccs_codes)
     _, _, test_ds = split_patients(dataset, cfg.split_ratios, cfg.seed)
@@ -267,7 +265,7 @@ def load_prediction_inputs(
         raise ConfigError("test split yields no prediction instances")
     # Logits only select candidates and order history; runs that do neither
     # read an all-zero vector, so the scorer need not run.
-    if any(o.flags.candidates or o.flags.prioritization for o in options.values()):
+    if any(f.candidates or f.prioritization for f in flags):
         logits = tuple(model.logits(instances))
     else:
         logits = (LogitVector(model.vocab, zeros(len(model.vocab))),) * len(instances)
@@ -296,11 +294,11 @@ def run_predictions(
     artifact is sorted by patient id, so output bytes do not depend on
     completion order.
     """
-    options = inputs.options[stage]
+    flags = AblationFlags.for_stage(stage)
 
     def one(instance: PredictionInstance, logits: LogitVector) -> RunRecord:
-        return predict_record(
-            instance, logits, inputs.cooc, inputs.ontology, options, client, k)
+        return predict_record(instance, logits, inputs.cooc, inputs.ontology, flags,
+                              inputs.options, client, k)
 
     if client.remote:
         from concurrent.futures import ThreadPoolExecutor
@@ -371,13 +369,21 @@ def cmd_cooc(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_predict(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
+def _run_variants(cfg: RunConfig, out_dir: Path, variants: Sequence[tuple[str, int, str]]
+                  ) -> tuple[list[RunArtifact], LlmClient]:
+    """Run each (stage, K, run file) on inputs loaded once and one LLM client
+    with its completion cache; return the artifacts and the closed client."""
     _bind(*_PREDICTION)
-    inputs = load_prediction_inputs(cfg, out_dir, (cfg.stage,))
+    inputs = load_prediction_inputs(cfg, out_dir, [stage for stage, _, _ in variants])
     with LlmClient(cfg.llm) as client:
         client.cache_in(out_dir / LLM_CACHE_DIR)
-        artifact = run_predictions(
-            cfg, out_dir, inputs, client, cfg.stage, cfg.k_candidates, RUN_FILE)
+        artifacts = [run_predictions(cfg, out_dir, inputs, client, stage, k, run_file)
+                     for stage, k, run_file in variants]
+    return artifacts, client
+
+
+def cmd_predict(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
+    [artifact], client = _run_variants(cfg, out_dir, [(cfg.stage, cfg.k_candidates, RUN_FILE)])
     counts = f"{len(artifact.failed)} failed"
     if client.remote:
         counts += f", {client.from_cache} from cache"
@@ -397,27 +403,21 @@ def cmd_eval(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
 
 def _compare(cfg: RunConfig, out_dir: Path, table_file: str,
              variants: Sequence[tuple[str, str, int, str]]) -> int:
-    """Run, score and save each (label, stage, K, file tag) variant on
-    inputs loaded once and one LLM client, then write the comparison table."""
-    _bind(*_PREDICTION)
-    inputs = load_prediction_inputs(cfg, out_dir, [stage for _, stage, _, _ in variants])
-    worst = EXIT_OK
+    """Run each (label, stage, K, file tag) variant, then score and save each
+    run and write the comparison table."""
+    artifacts, client = _run_variants(cfg, out_dir, [
+        (stage, k, f"run_{tag}.jsonl") for _, stage, k, tag in variants])
     reports: list[tuple[str, MetricsReport]] = []
-    with LlmClient(cfg.llm) as client:
-        client.cache_in(out_dir / LLM_CACHE_DIR)
-        for label, stage, k, tag in variants:
-            artifact = run_predictions(cfg, out_dir, inputs, client, stage, k,
-                                       f"run_{tag}.jsonl")
-            worst = max(worst, _failure_exit(artifact))
-            report = evaluate_run(artifact, cfg.eval_ks)
-            save_metrics(report, out_dir / f"metrics_{tag}.json")
-            reports.append((label, report))
+    for (label, _, _, tag), artifact in zip(variants, artifacts):
+        report = evaluate_run(artifact, cfg.eval_ks)
+        save_metrics(report, out_dir / f"metrics_{tag}.json")
+        reports.append((label, report))
     table = compare_ablations(reports)
     save_comparison(table, out_dir / table_file)
     print(table.text())
     if client.remote:
         print(f"llm: {client.fetched} fetched, {client.from_cache} from cache")
-    return worst
+    return max(map(_failure_exit, artifacts))
 
 
 def cmd_ablate(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:

@@ -1,5 +1,5 @@
-"""Core EHR data model: diagnosis vocabularies, patient records, dataset I/O,
-patient-level splitting, and prediction-instance construction.
+"""Core EHR data model: diagnosis vocabularies and logits over them, patient
+records, dataset I/O, patient-level splitting, and instance construction.
 
 Diagnosis codes live at two granularities: fine-grained ICD codes and the
 coarse CCS categories that group them. The ontology is a many-to-one
@@ -10,13 +10,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
 from . import InputError, json_value
-from .config import TASKS, SplitError, check_split_ratios
+from .config import TASKS, BackendError, SplitError, check_split_ratios
 
 
 class OntologyError(InputError):
@@ -156,6 +157,43 @@ class PredictionInstance:
             raise DatasetError(
                 f"inconsistent novel target for patient {self.patient_id!r}"
             )
+
+
+@dataclass(frozen=True)
+class LogitVector:
+    """A scorer's per-CCS scores, aligned to a sorted vocabulary."""
+
+    vocab: tuple[str, ...]
+    scores: np.ndarray
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "vocab", tuple(self.vocab))
+        object.__setattr__(self, "_index", vocab_index(self.vocab))
+        scores = np.asarray(self.scores, dtype=float)
+        object.__setattr__(self, "scores", scores)
+        if scores.shape != (len(self.vocab),):
+            raise BackendError(
+                f"scores shape {scores.shape} does not match vocabulary "
+                f"size {len(self.vocab)}"
+            )
+        if not np.all(np.isfinite(scores)):
+            raise BackendError("non-finite logit")
+
+    def score(self, code: str) -> float:
+        try:
+            return float(self.scores[self._index[code]])
+        except KeyError:
+            raise BackendError(f"CCS code {code!r} not in logit vector") from None
+
+
+def code_index(vocab: tuple[str, ...]) -> dict[str, int]:
+    return {c: i for i, c in enumerate(vocab)}
+
+
+# Every logit vector of a model shares one vocabulary, so its code -> position
+# map is built once. Callers must not mutate the returned dict.
+vocab_index = lru_cache(maxsize=8)(code_index)
 
 
 # ---------------------------------------------------------------------------

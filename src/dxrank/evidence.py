@@ -12,9 +12,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import InputError
-from .backends import LogitVector
-from .backends.base import vocab_index
-from .ehr import TASKS, Dataset, Ontology, Visit
+from .ehr import TASKS, Dataset, LogitVector, Ontology, Visit, vocab_index
 
 UNMAPPED_GROUP = "unmapped"
 

@@ -2,9 +2,9 @@
 
 A prompt fills the template's slots with titled sections (recent visit,
 history, relational links, candidates) and an optional reasoning line.
-Ablation flags gate the evidence sections independently so incremental
-configurations can be compared. Answers are parsed leniently back into a full permutation of the
-candidate codes.
+It renders the evidence it is given: what a stage does not compute is
+passed as None and leaves its section out. Answers are parsed leniently
+back into a full permutation of the candidate codes.
 """
 from __future__ import annotations
 
@@ -38,9 +38,9 @@ class PromptError(InputError):
 
 @dataclass(frozen=True)
 class AblationFlags:
-    """Which evidence mechanisms are active. `candidates` is consumed by the
-    pipeline (top-K set vs full vocabulary); the other two gate sections
-    here."""
+    """Which evidence an ablation stage computes: the scorer's top-K
+    candidates (else every eligible code), prioritized history and
+    relational links. `cli.predict_record` alone applies them."""
 
     candidates: bool = True
     prioritization: bool = True
@@ -59,12 +59,11 @@ class AblationFlags:
 
 @dataclass(frozen=True)
 class PromptOptions:
-    """How to prompt for one run. `flags` alone decide which evidence the
-    prompt carries; `strategy` only says how the LLM is asked."""
+    """How to prompt in every run of a command. `strategy` says only how the
+    LLM is asked; what the prompt carries is the evidence it is given."""
 
     task: str = "overall"
     strategy: str = "evidence"
-    flags: AblationFlags = AblationFlags()
     template_text: str | None = None
     max_chars: int = DEFAULT_MAX_PROMPT_CHARS
 
@@ -124,27 +123,26 @@ def _render(template: str, values: Mapping[str, str]) -> str:
 
 def compose_prompt(
     instance: PredictionInstance,
-    groups: Sequence[HistoryGroup],
-    relations: RelationalEvidence,
+    groups: Sequence[HistoryGroup] | None,
+    relations: RelationalEvidence | None,
     candidates: CandidateSet,
     ontology: Ontology,
     options: PromptOptions = PromptOptions(),
 ) -> str:
-    """Render the full prompt text by filling the template's slots.
+    """Render the full prompt text from the evidence given.
 
-    The novel task requires novel-mode candidates (and vice versa); history
-    is rendered grouped and logit-ordered only when prioritization is on.
-    If the prioritized history makes the prompt exceed options.max_chars,
-    history groups are dropped from the tail until it fits (the history
-    section is the only unbounded part); a raw history is not truncated.
+    The novel task requires novel-mode candidates (and vice versa). `groups`
+    render as prioritized history, None as raw history in code order, and
+    `relations` only when not None. Groups are dropped from the tail until
+    the prompt fits options.max_chars (the history section is the only
+    unbounded part); a raw history is not truncated.
     """
-    flags = options.flags
     if candidates.mode != options.task:
         raise PromptError(
             f"task {options.task!r} given {candidates.mode!r}-mode candidates"
         )
     novel = options.task == "novel"
-    links = "\n".join(
+    links = None if relations is None else "\n".join(
         f'"{ontology.ccs_name(link.history_ccs)}" ⇒ "{ontology.ccs_name(link.candidate_ccs)}"'
         for link in relations.links
     )
@@ -154,7 +152,7 @@ def compose_prompt(
     )
     values = {
         "last_visit_section": last_visit if novel else "",
-        "relations_section": _section(RELATIONS_TITLE, links or "None") if flags.relations else "",
+        "relations_section": "" if links is None else _section(RELATIONS_TITLE, links or "None"),
         "candidates_section": _section(
             CANDIDATES_TITLE_NOVEL if novel else CANDIDATES_TITLE_OVERALL,
             _quote_join(ontology.ccs_name(c) for c in candidates.codes),
@@ -164,7 +162,7 @@ def compose_prompt(
     template = (
         options.template_text if options.template_text is not None else load_template()
     )
-    if not flags.prioritization:
+    if groups is None:
         names = (ontology.ccs_name(c) for c in sorted(instance.history_ccs))
         values["history_section"] = _section(HISTORY_TITLE_RAW, _quote_join(names))
         return _render(template, values)

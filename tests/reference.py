@@ -1,7 +1,8 @@
 """Reference implementations the tests compare the shipped code against:
-per-box volume math and pooling, per-vector BCE, and a metrics.json reader.
-The pipeline itself scores packed batches and never reads metrics back, so
-none of this ships in `src/`."""
+per-box volume math and pooling, log-softplus and its derivative, per-vector
+BCE, and a metrics.json reader. The pipeline itself scores packed batches,
+computes log-softplus in place and never reads metrics back, so none of this
+ships in `src/`."""
 from __future__ import annotations
 
 import json
@@ -13,7 +14,8 @@ import numpy as np
 
 from dxrank.backends.base import BackendError, LogitVector, code_index
 from dxrank.backends.boxes import VolumeConfig
-from dxrank.backends.numerics import ParamTree, bce_with_logits, softplus, softplus_inv
+from dxrank.backends.numerics import ParamTree, bce_with_logits, sigmoid, softplus, \
+    softplus_inv
 from dxrank.metrics import MetricsReport
 
 
@@ -22,6 +24,23 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = x - np.max(x, axis=axis, keepdims=True)
     e = np.exp(shifted)
     return e / np.sum(e, axis=axis, keepdims=True)
+
+
+def log_softplus(x: np.ndarray) -> np.ndarray:
+    """log(softplus(x)) with a linear tail where softplus would underflow.
+    The box volume kernels compute this and dlog_softplus in place, from
+    one softplus shared by forward and backward."""
+    x = np.asarray(x, dtype=float)
+    safe = np.maximum(x, -33.0)
+    return np.where(x < -33.0, x, np.log(softplus(safe)))
+
+
+def dlog_softplus(x: np.ndarray) -> np.ndarray:
+    """Derivative of log_softplus: sigmoid(x)/softplus(x), which tends to 1
+    as x -> -inf and to 1/x as x -> +inf."""
+    x = np.asarray(x, dtype=float)
+    safe = np.maximum(x, -30.0)
+    return np.where(x < -30.0, 1.0, sigmoid(safe) / softplus(safe))
 
 
 @dataclass(frozen=True)

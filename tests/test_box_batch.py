@@ -27,8 +27,6 @@ from dxrank.backends.boxes import (
 from dxrank.backends.numerics import (
     bce_with_logits,
     bce_with_logits_grad,
-    dlog_softplus,
-    log_softplus,
     sigmoid,
     softplus,
     zeros_like_tree,
@@ -36,7 +34,7 @@ from dxrank.backends.numerics import (
 from dxrank.ehr import PredictionInstance, Visit
 
 from .conftest import softmax_vjp
-from .reference import BoxEmbed, intersection_volume, softmax
+from .reference import BoxEmbed, dlog_softplus, intersection_volume, log_softplus, softmax
 
 
 def loop_forward(flat, enc: EncodedInstance, cfg: VolumeConfig):

@@ -350,8 +350,9 @@ MALFORMED_INPUTS = {
         dict(SMALL_CFG, llm={"backend": "remote", "endpoint_url": "http://127.0.0.1:9",
                              "api_key_env": "DXRANK_UNSET_TEST_KEY"})))),
         "'DXRANK_UNSET_TEST_KEY'"),
+    # The top-level seed is reported under its own key, not `train_config`.
     "model-seed-negative": ("predict", _edit_model(lambda d: dict(d, seed=-3)),
-                            "seed must be non-negative, got -3"),
+                            f"{MODEL_FILE}: seed must be non-negative, got -3"),
 }
 
 

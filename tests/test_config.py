@@ -35,6 +35,8 @@ class TestNames:
                 prompting.DEFAULT_MAX_PROMPT_CHARS) == (
             config.STRATEGIES, config.ABLATION_STAGES, config.DEFAULT_MAX_PROMPT_CHARS)
         assert metrics.DEFAULT_KS is config.DEFAULT_KS
+        assert (backends.LogitVector, base.LogitVector, base.code_index, base.vocab_index) == (
+            ehr.LogitVector, ehr.LogitVector, ehr.code_index, ehr.vocab_index)
 
 
 def test_reading_a_config_loads_no_other_module():
@@ -69,10 +71,22 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
         mods - {"dxrank.synth"})
     assert not loaded("train", "--epochs", "1", "--d", "4") & (
         mods - {"dxrank.backends"})
-    loaded("cooc")
+    assert not loaded("cooc") & (mods - {"dxrank.evidence"})
     assert "concurrent.futures" not in loaded(
         "predict", "--llm-backend", "mock_evidence", "--k", "5")
     assert "numpy" not in loaded("eval")
+
+
+def test_the_evidence_layer_loads_no_scorer():
+    """The logit vector lives in `dxrank.ehr`, so the evidence, prompt and
+    LLM modules import none of the training package."""
+    for module in ("dxrank.evidence", "dxrank.prompting", "dxrank.llm"):
+        out = _python(f"""
+            import sys, {module}
+            print(sorted(m for m in sys.modules if m.startswith("dxrank.backends")))
+        """)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]", module
 
 
 def test_traced_names_resolve_and_run(tmp_path):

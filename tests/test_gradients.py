@@ -10,8 +10,6 @@ from dxrank.backends.boxes import VolumeConfig, init_box_params
 from dxrank.backends.numerics import (
     bce_with_logits,
     bce_with_logits_grad,
-    dlog_softplus,
-    log_softplus,
     sigmoid,
     softplus,
     softplus_inv,
@@ -20,7 +18,7 @@ from dxrank.backends.retain import init_retain_params
 from dxrank.ehr import PredictionInstance, Visit
 
 from .conftest import softmax_vjp
-from .reference import bce_loss, softmax
+from .reference import bce_loss, dlog_softplus, log_softplus, softmax
 
 
 def _instance(visits: list[list[str]], target: set[str]) -> PredictionInstance:

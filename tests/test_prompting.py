@@ -66,9 +66,13 @@ def overall_candidates() -> CandidateSet:
     return CandidateSet(codes=("C01", "C03", "C02"), mode="overall")
 
 
-def compose(instance, prioritized, relations, candidates, ontology, **kw):
+def compose(instance, prioritized, relations, candidates, ontology,
+            flags=AblationFlags(), **kw):
+    """compose_prompt given the evidence a stage with `flags` computes: what
+    it does not compute is None, as `cli.predict_record` passes it."""
     return compose_prompt(
-        instance, prioritized, relations, candidates, ontology,
+        instance, prioritized if flags.prioritization else None,
+        relations if flags.relations else None, candidates, ontology,
         PromptOptions(**kw),
     )
 
@@ -146,6 +150,30 @@ class TestComposition:
         body = lines[lines.index(f"{HISTORY_TITLE_RAW}:") + 1]
         # History codes sorted by id: C01 then C02.
         assert body == '"Hypertension", "Diabetes"'
+
+    def test_no_groups_render_raw_history(
+        self, instance, relations, novel_candidates, ontology
+    ):
+        text = compose_prompt(instance, None, relations, novel_candidates, ontology,
+                              PromptOptions(task="novel"))
+        lines = text.splitlines()
+        assert lines[lines.index(f"{HISTORY_TITLE_RAW}:") + 1] == '"Hypertension", "Diabetes"'
+        assert HISTORY_TITLE_PRIORITIZED not in text and "BELONG TO" not in text
+        assert '"Hypertension" ⇒ "Anemia"' in lines
+
+    def test_no_relations_render_no_section(
+        self, instance, prioritized, novel_candidates, ontology
+    ):
+        assert novel_candidates.codes
+        text = compose_prompt(instance, prioritized, None, novel_candidates, ontology,
+                              PromptOptions(task="novel"))
+        assert RELATIONS_TITLE not in text and "⇒" not in text
+        assert f"{HISTORY_TITLE_PRIORITIZED}:" in text.splitlines()
+
+    def test_options_carry_no_flags(self):
+        # The stage's flags are applied where evidence is computed, not here.
+        with pytest.raises(TypeError):
+            PromptOptions(flags=AblationFlags())
 
     def test_empty_relations_render_none(
         self, instance, prioritized, novel_candidates, ontology
