@@ -120,10 +120,13 @@ class PatientRecord:
 
 @dataclass(frozen=True)
 class Dataset:
+    """Patients in id order, whatever order the input listed them in."""
+
     patients: tuple[PatientRecord, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "patients", tuple(self.patients))
+        by_id = sorted(self.patients, key=lambda p: p.patient_id)
+        object.__setattr__(self, "patients", tuple(by_id))
         seen: set[str] = set()
         for p in self.patients:
             if p.patient_id in seen:
@@ -307,7 +310,7 @@ def load_dataset(path: str | Path, ontology: Ontology) -> Dataset:
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
-    """Write JSONL with sorted code lists; byte-deterministic for equal data."""
+    """JSONL in patient id order, code lists sorted: equal data, equal bytes."""
     with open(path, "w", encoding="utf-8") as fh:
         for p in dataset.patients:
             obj = {

@@ -13,12 +13,10 @@ import csv
 import json
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import InputError, from_json
 from .config import DEFAULT_KS, TASKS
-
-METRICS = ("visit_precision", "code_accuracy")
 
 
 class EvalError(InputError):
@@ -126,45 +124,48 @@ def novel_filter(ranked: Sequence[str], history_ccs: Iterable[str]) -> list[str]
     return [c for c in ranked if c not in history]
 
 
-def _task_view(rec: RunRecord, task: str) -> tuple[list[str], set[str]] | None:
-    """Ranking and target for one record under a task; None if ineligible."""
-    if rec.error:
-        return None
+_View = tuple[Sequence[str], set[str]]
+
+
+def _views(records: Sequence[RunRecord], task: str) -> list[_View]:
+    """What each record scores under `task`, in record order. A failed
+    record scores nothing; under the novel task neither does a record with
+    no novel target, and the ranking drops history codes."""
+    if task not in TASKS:
+        raise EvalError(f"unknown task {task!r}")
     if task == "overall":
-        return list(rec.ranked), set(rec.target_overall)
-    if not rec.target_novel:
+        return [(r.ranked, set(r.target_overall)) for r in records if not r.error]
+    return [(novel_filter(r.ranked, r.history_ccs), set(r.target_novel))
+            for r in records if not r.error and r.target_novel]
+
+
+def _mean_precision(views: Sequence[_View], k: int) -> float | None:
+    """Mean of visit_precision_at_k over the views, summed in record order;
+    None when no record qualifies."""
+    if not views:
         return None
-    return novel_filter(rec.ranked, rec.history_ccs), set(rec.target_novel)
+    return sum(visit_precision_at_k(ranked, target, k) for ranked, target in views) / len(views)
+
+
+def _pooled_accuracy(views: Sequence[_View], k: int) -> float | None:
+    """Pooled hit ratio Σ|top-k ∩ Y| / Σ|Y| over the views; None when no
+    record qualifies."""
+    total = sum(len(target) for _, target in views)
+    if not total:
+        return None
+    return sum(c in target for ranked, target in views for c in ranked[:k]) / total
+
+
+# Each metric's formula over one task's views, in table order.
+METRICS = {"visit_precision": _mean_precision, "code_accuracy": _pooled_accuracy}
 
 
 def code_accuracy_at_k(records: Sequence[RunRecord], k: int, task: str) -> float:
     """Pooled hit ratio: Σ|top-k ∩ Y| / Σ|Y| over eligible records."""
-    if task not in TASKS:
-        raise EvalError(f"unknown task {task!r}")
-    hit_total, target_total = 0, 0
-    for rec in records:
-        view = _task_view(rec, task)
-        if view is None:
-            continue
-        ranked, target = view
-        hit_total += sum(1 for c in ranked[:k] if c in target)
-        target_total += len(target)
-    if target_total == 0:
+    value = _pooled_accuracy(_views(records, task), k)
+    if value is None:
         raise EvalError(f"no eligible records for task {task!r}")
-    return hit_total / target_total
-
-
-def _mean_visit_precision(records: Sequence[RunRecord], k: int, task: str) -> float | None:
-    values = []
-    for rec in records:
-        view = _task_view(rec, task)
-        if view is None:
-            continue
-        ranked, target = view
-        values.append(visit_precision_at_k(ranked, target, k))
-    if not values:
-        return None
-    return sum(values) / len(values)
+    return value
 
 
 @dataclass(frozen=True)
@@ -181,6 +182,14 @@ class MetricsReport:
     def get(self, task: str, metric: str, k: int) -> float | None:
         return self.values[task][metric][k]
 
+    def cells(self) -> Iterator[tuple[tuple[str, str, int], float | None]]:
+        """(task, metric, k) and its value in table order: tasks sorted, then
+        METRICS, then the grid's ks."""
+        for task in sorted(self.ks):
+            for metric in METRICS:
+                for k in self.ks[task]:
+                    yield (task, metric, k), self.values[task][metric][k]
+
 
 def evaluate_run(
     artifact: RunArtifact, ks: Mapping[str, Sequence[int]] | None = None
@@ -188,29 +197,15 @@ def evaluate_run(
     """Score both tasks at the configured k values (defaults mirror the
     usual report columns: overall {10, 20}, novel {5, 10})."""
     grid = {t: tuple(v) for t, v in (DEFAULT_KS if ks is None else ks).items()}
-    for task in grid:
-        if task not in TASKS:
-            raise EvalError(f"unknown task {task!r}")
-    records = artifact.records
-    values: dict[str, dict[str, dict[int, float | None]]] = {}
-    for task, task_ks in grid.items():
-        per_metric: dict[str, dict[int, float | None]] = {m: {} for m in METRICS}
-        for k in task_ks:
-            per_metric["visit_precision"][k] = _mean_visit_precision(records, k, task)
-            try:
-                per_metric["code_accuracy"][k] = code_accuracy_at_k(records, k, task)
-            except EvalError:
-                per_metric["code_accuracy"][k] = None
-        values[task] = per_metric
-    n_failed = len(artifact.failed)
-    n_novel_excluded = sum(
-        1 for r in records if not r.error and not r.target_novel
-    )
+    # Every task's views, for the exclusion count; an unknown grid task raises.
+    views = {t: _views(artifact.records, t) for t in dict.fromkeys((*grid, *TASKS))}
     return MetricsReport(
-        values=values,
-        n_instances=len(records),
-        n_failed=n_failed,
-        n_novel_excluded=n_novel_excluded,
+        values={task: {metric: {k: formula(views[task], k) for k in task_ks}
+                       for metric, formula in METRICS.items()}
+                for task, task_ks in grid.items()},
+        n_instances=len(artifact.records),
+        n_failed=len(artifact.failed),
+        n_novel_excluded=len(views["overall"]) - len(views["novel"]),
         ks=grid,
     )
 
@@ -239,12 +234,9 @@ def metrics_table(report: MetricsReport) -> str:
         f"novel_excluded={report.n_novel_excluded}",
         f"{'task':<9} {'metric':<16} {'k':>4} {'value':>8}",
     ]
-    for task in sorted(report.values):
-        for metric in METRICS:
-            for k in report.ks[task]:
-                v = report.values[task][metric][k]
-                shown = "n/a" if v is None else f"{v:.4f}"
-                lines.append(f"{task:<9} {metric:<16} {k:>4} {shown:>8}")
+    for (task, metric, k), v in report.cells():
+        shown = "n/a" if v is None else f"{v:.4f}"
+        lines.append(f"{task:<9} {metric:<16} {k:>4} {shown:>8}")
     return "\n".join(lines)
 
 
@@ -287,35 +279,17 @@ def compare_ablations(
     k-grid and compute consecutive deltas."""
     if not reports:
         raise EvalError("no reports to compare")
-    grid = reports[0][1].ks
-    for label, rep in reports[1:]:
-        if rep.ks != grid:
-            raise EvalError(f"report {label!r} has a different k-grid")
-    columns = tuple(
-        f"{task}.{metric}@{k}"
-        for task in sorted(grid)
-        for metric in METRICS
-        for k in grid[task]
-    )
-    rows = []
-    prev: dict[str, float | None] | None = None
+    rows: list[dict] = []
     for label, rep in reports:
-        vals = {
-            f"{task}.{metric}@{k}": rep.values[task][metric][k]
-            for task in sorted(grid)
-            for metric in METRICS
-            for k in grid[task]
-        }
-        deltas = None
-        if prev is not None:
-            deltas = {
-                col: (None if vals[col] is None or prev[col] is None
-                      else vals[col] - prev[col])
-                for col in columns
-            }
+        if rep.ks != reports[0][1].ks:
+            raise EvalError(f"report {label!r} has a different k-grid")
+        vals = {f"{task}.{metric}@{k}": v for (task, metric, k), v in rep.cells()}
+        prev = rows[-1]["values"] if rows else None
+        deltas = None if prev is None else {
+            col: None if v is None or prev[col] is None else v - prev[col]
+            for col, v in vals.items()}
         rows.append({"label": label, "values": vals, "deltas": deltas})
-        prev = vals
-    return ComparisonTable(columns=columns, rows=tuple(rows))
+    return ComparisonTable(columns=tuple(rows[0]["values"]), rows=tuple(rows))
 
 
 def save_comparison(table: ComparisonTable, path: str | Path) -> None:

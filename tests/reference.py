@@ -1,14 +1,15 @@
 """Reference implementations the tests compare the shipped code against:
 per-box volume math and pooling, log-softplus and its derivative, per-vector
-BCE, and a metrics.json reader. The pipeline itself scores packed batches,
-computes log-softplus in place and never reads metrics back, so none of this
-ships in `src/`."""
+BCE, run scoring one loop per metric, and a metrics.json reader. The
+pipeline itself scores packed batches, computes log-softplus in place, scores
+each task from one set of eligible records and never reads metrics back, so
+none of this ships in `src/`."""
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -16,7 +17,7 @@ from dxrank.backends.base import BackendError, LogitVector, code_index
 from dxrank.backends.boxes import VolumeConfig
 from dxrank.backends.numerics import ParamTree, bce_with_logits, sigmoid, softplus, \
     softplus_inv
-from dxrank.metrics import MetricsReport
+from dxrank.metrics import MetricsReport, RunArtifact, RunRecord
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -145,4 +146,50 @@ def load_metrics(path: str | Path) -> MetricsReport:
         n_failed=int(doc["n_failed"]),
         n_novel_excluded=int(doc["n_novel_excluded"]),
         ks={task: tuple(v) for task, v in doc["ks"].items()},
+    )
+
+
+def _task_view(rec: RunRecord, task: str) -> tuple[list[str], set[str]] | None:
+    """Ranking and target for one record under a task; None if ineligible."""
+    if rec.error:
+        return None
+    if task == "overall":
+        return list(rec.ranked), set(rec.target_overall)
+    if not rec.target_novel:
+        return None
+    history = set(rec.history_ccs)
+    return [c for c in rec.ranked if c not in history], set(rec.target_novel)
+
+
+def score_by_loops(artifact: RunArtifact, ks: Mapping[str, Sequence[int]]) -> MetricsReport:
+    """evaluate_run as one loop over the records per task, metric and k, each
+    deciding again which records count. A value is None when none does."""
+    values: dict = {}
+    for task, task_ks in ks.items():
+        values[task] = {"visit_precision": {}, "code_accuracy": {}}
+        for k in task_ks:
+            precisions = []
+            for rec in artifact.records:
+                view = _task_view(rec, task)
+                if view is not None:
+                    ranked, target = view
+                    hits = sum(1 for c in ranked[:k] if c in target)
+                    precisions.append(hits / min(k, len(target)))
+            values[task]["visit_precision"][k] = (
+                sum(precisions) / len(precisions) if precisions else None)
+            hit_total, target_total = 0, 0
+            for rec in artifact.records:
+                view = _task_view(rec, task)
+                if view is not None:
+                    ranked, target = view
+                    hit_total += sum(1 for c in ranked[:k] if c in target)
+                    target_total += len(target)
+            values[task]["code_accuracy"][k] = (
+                hit_total / target_total if target_total else None)
+    return MetricsReport(
+        values=values,
+        n_instances=len(artifact.records),
+        n_failed=sum(1 for r in artifact.records if r.error),
+        n_novel_excluded=sum(1 for r in artifact.records if not r.error and not r.target_novel),
+        ks={task: tuple(v) for task, v in ks.items()},
     )

@@ -35,7 +35,7 @@ from dxrank.cli import (
 )
 from dxrank import InputError
 from dxrank.ehr import DatasetError, OntologyError, SplitError, build_instances, \
-    load_dataset, load_ontology, split_patients
+    load_dataset, load_ontology, save_dataset, split_patients
 from dxrank.evidence import EvidenceError, load_cooccurrence
 from dxrank.backends import BACKENDS, BackendError, TrainedModel
 from dxrank.llm import LLM_BACKENDS, LlmClient, LlmConfig, LlmError, derive_seed, \
@@ -612,6 +612,23 @@ class TestPipeline:
         for name in (DATASET_FILE, MODEL_FILE, COOC_FILE, RUN_FILE,
                      METRICS_FILE):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+    def test_dataset_line_order_changes_nothing(self, tmp_path):
+        """Patients are ordered by id when a dataset is built, so the split,
+        and every artifact after it, depends on the ids and not on the
+        order of `dataset.jsonl`'s lines."""
+        out_a = run_chain(tmp_path, "a")
+        cfg_path, out_b = tmp_path / "cfg.json", tmp_path / "b"
+        assert cli("synth", cfg_path, out_b) == EXIT_OK
+        lines = (out_b / DATASET_FILE).read_text().splitlines(keepends=True)
+        (out_b / DATASET_FILE).write_text("".join(reversed(lines)))
+        for command in ("train", "cooc", "predict"):
+            assert cli(command, cfg_path, out_b) == EXIT_OK, command
+        for name in (MODEL_FILE, COOC_FILE, RUN_FILE):
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+        ontology = load_ontology(out_b / ONTOLOGY_FILE)
+        save_dataset(load_dataset(out_b / DATASET_FILE, ontology), tmp_path / "saved.jsonl")
+        assert (tmp_path / "saved.jsonl").read_bytes() == (out_a / DATASET_FILE).read_bytes()
 
     def test_base_stage_needs_no_cooc(self, tmp_path):
         cfg_path = write_cfg(tmp_path)

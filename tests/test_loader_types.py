@@ -20,7 +20,7 @@ import pytest
 
 from dxrank import InputError
 from dxrank.backends import TrainConfig, load_model, save_model, train
-from dxrank.cli import config_from_dict
+from dxrank.cli import config_from_dict, main
 from dxrank.ehr import build_instances, load_dataset, save_dataset
 from dxrank.metrics import EvalError, RunArtifact, RunRecord, evaluate_run, load_run, \
     save_run
@@ -45,25 +45,19 @@ def _paths(node, path=()):
             yield from _paths(child, path + (key,))
 
 
-def _check(load, write, docs, tmp_path, seed: int, cases: int = CASES,
-           all_raise: bool = False) -> None:
-    """Run `cases` mutations of a file whose lines are the JSON documents
+def _mutations(docs, seed: int, cases: int = CASES):
+    """`cases` seeded mutations of a file whose lines are the JSON documents
     `docs` (a single one for a plain JSON file). Each case picks a schema
     position (a path with array indices wildcarded) uniformly, so a long
-    tensor counts as much as a scalar, then one line and path at it. Some
-    cases must load and some raise, or with `all_raise` every case raise."""
+    tensor counts as much as a scalar, then one line and path at it, and puts
+    a value of another JSON type there. Yields the line, the path, the value
+    and the mutated documents."""
     rng = random.Random(seed)
     positions: dict[tuple, list] = defaultdict(list)
     for i, doc in enumerate(docs):
         for path in _paths(doc):
-            position = tuple("*" if isinstance(k, int) else k for k in path)
-            positions[position].append((i, path))
-    target = tmp_path / "mutated"
-    # Unmutated, the file loads, so each rejection below is its mutation's.
-    write(target, docs)
-    load(target)
-    raised = 0
-    for case in range(cases):
+            positions[_position(path)].append((i, path))
+    for _ in range(cases):
         i, path = rng.choice(positions[rng.choice(list(positions))])
         old = reduce(getitem, path, docs[i])
         value = rng.choice([v for v in REPLACEMENTS if _json_type(v) != _json_type(old)])
@@ -72,7 +66,24 @@ def _check(load, write, docs, tmp_path, seed: int, cases: int = CASES,
             reduce(getitem, path[:-1], mutated)[path[-1]] = copy.deepcopy(value)
         else:
             mutated = value
-        write(target, docs[:i] + [mutated] + docs[i + 1:])
+        yield i, path, value, docs[:i] + [mutated] + docs[i + 1:]
+
+
+def _position(path) -> tuple:
+    return tuple("*" if isinstance(k, int) else k for k in path)
+
+
+def _check(load, write, docs, tmp_path, seed: int, cases: int = CASES,
+           all_raise: bool = False) -> None:
+    """Load each of `_mutations`' files. Some cases must load and some
+    raise, or with `all_raise` every case raise."""
+    target = tmp_path / "mutated"
+    # Unmutated, the file loads, so each rejection below is its mutation's.
+    write(target, docs)
+    load(target)
+    raised = 0
+    for case, (i, path, value, mutated) in enumerate(_mutations(docs, seed, cases)):
+        write(target, mutated)
         try:
             load(target)
         except InputError:
@@ -201,11 +212,50 @@ def test_unknown_run_keys_rejected(tmp_path, dataset, line, kind):
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json"
 
 
-def test_config_type_mutations(tmp_path):
-    # A full config: the paper-box workload's, with every llm field in use.
+def _full_config() -> dict:
+    """The paper-box workload's config, with every llm field in use."""
     doc = json.loads(WORKLOADS.read_text(encoding="utf-8"))["paper-box"]["config"]
     doc["llm"] = dict(doc["llm"], backend="remote", endpoint_url="http://127.0.0.1:9")
+    return doc
+
+
+def test_config_type_mutations(tmp_path):
     # Every config field has one JSON type, so every case raises.
     _check(lambda path: config_from_dict(json.loads(path.read_text(encoding="utf-8"))),
            lambda path, docs: path.write_text(json.dumps(docs[0]), encoding="utf-8"),
-           [doc], tmp_path, seed=5, all_raise=True)
+           [_full_config()], tmp_path, seed=5, all_raise=True)
+
+
+def _unknown_keys(doc):
+    """`doc` with a key `unexpected` added to one of its objects, for each
+    object in turn. Its value would be valid under `eval_ks`, so the key
+    alone is what is wrong."""
+    for path in _paths(doc):
+        if isinstance(reduce(getitem, path, doc), dict):
+            mutated = copy.deepcopy(doc)
+            reduce(getitem, path, mutated)["unexpected"] = [1]
+            yield path, mutated
+
+
+def test_config_unknown_keys():
+    cases = list(_unknown_keys(_full_config()))
+    assert {_position(path) for path, _ in cases} == {
+        (), ("synth",), ("synth", "rules", "*"), ("train",), ("llm",), ("eval_ks",)}
+    for path, doc in cases:
+        with pytest.raises(InputError, match="'unexpected'"):
+            config_from_dict(doc)
+
+
+def test_bad_configs_exit_2_with_one_line(tmp_path, capsys):
+    """The mutated configs of the two tests above, through the command line."""
+    doc, rng = _full_config(), random.Random(6)
+    unknown = [mutated for _, mutated in _unknown_keys(doc)]
+    typed = [mutated for *_, [mutated] in _mutations([doc], seed=5)]
+    path = tmp_path / "cfg.json"
+    for case in rng.sample(unknown, 10) + rng.sample(typed, 40):
+        path.write_text(json.dumps(case), encoding="utf-8")
+        code = main(["eval", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2, case
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
