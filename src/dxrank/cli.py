@@ -52,15 +52,14 @@ LLM_CACHE_DIR = "llm_cache"
 # loads the scorers. A name already bound is kept: a wrapper set on this
 # module before `main` runs is the function that runs.
 _IMPORTS: dict[str, tuple[str, ...]] = {
-    "numpy": ("count_nonzero", "triu", "zeros"),
     ".ehr": ("Dataset", "LogitVector", "Ontology", "PredictionInstance", "build_instances",
              "load_dataset", "load_ontology", "save_dataset", "save_ontology",
              "split_patients"),
     ".synth": ("generate_synthetic",),
     ".backends": ("VolumeConfig", "load_model", "save_model", "train"),
-    ".evidence": ("CooccurrenceMatrix", "build_cooccurrence", "extract_relations",
-                  "load_cooccurrence", "prioritize_history", "propagate_to_icd",
-                  "save_cooccurrence", "select_candidates"),
+    ".evidence": ("CooccurrenceMatrix", "build_cooccurrence", "eligible_candidates",
+                  "extract_relations", "load_cooccurrence", "prioritize_history",
+                  "propagate_to_icd", "save_cooccurrence", "select_candidates"),
     ".prompting": ("SC_SAMPLES", "SC_TEMPERATURE", "AblationFlags", "PromptOptions",
                    "compose_prompt", "load_template", "parse_answer", "sc_aggregate"),
     ".llm": ("LlmClient", "LlmError"),
@@ -164,7 +163,7 @@ def _load_data(out_dir: Path) -> tuple[Dataset, Ontology]:
 
 def predict_record(
     instance: PredictionInstance,
-    logits: LogitVector,
+    logits: LogitVector | None,
     cooc: CooccurrenceMatrix | None,
     ontology: Ontology,
     flags: AblationFlags,
@@ -173,20 +172,17 @@ def predict_record(
     k: int,
 ) -> RunRecord:
     """Run the evidence pipeline and the LLM re-ranker for one instance,
-    given the scorer's logits for it. `flags` say which evidence the stage
-    computes; the prompt carries exactly that. An instance with no eligible
-    candidate gets an empty ranking without an LLM call.
+    given the scorer's logits for it if the stage reads any. `flags` say
+    which evidence the stage computes; the prompt carries exactly that. No
+    eligible candidate means an empty ranking and no LLM call.
 
     LLM failures become an error record; any other exception is a bug and
     propagates.
     """
     history = instance.history_ccs
 
-    # Without candidate selection every eligible code is a candidate, in
-    # code order: the top |vocab| of all-zero logits.
-    scored, size = (logits, k) if flags.candidates else (
-        LogitVector(logits.vocab, zeros(len(logits.vocab))), len(logits.vocab))
-    candidates = select_candidates(scored, size, options.task, history)
+    candidates = (select_candidates(logits, k, options.task, history) if flags.candidates
+                  else eligible_candidates(ontology.ccs_codes, options.task, history))
 
     # Evidence the stage does not compute stays None and out of the prompt:
     # without prioritization the prompt lists raw history, not ICD groups.
@@ -230,12 +226,12 @@ def predict_record(
 class PredictionInputs:
     """What every prediction run of one command reads: loaded and scored
     once, then shared by every stage and K. `logits[i]` is the scorer's
-    output for `instances[i]`."""
+    output for `instances[i]`, or None when no stage reads logits."""
 
     ontology: Ontology
     cooc: CooccurrenceMatrix | None
     instances: tuple[PredictionInstance, ...]
-    logits: tuple[LogitVector, ...]
+    logits: tuple[LogitVector | None, ...]
     options: PromptOptions
 
 
@@ -263,12 +259,9 @@ def load_prediction_inputs(
     instances = tuple(build_instances(test_ds))
     if not instances:
         raise ConfigError("test split yields no prediction instances")
-    # Logits only select candidates and order history; runs that do neither
-    # read an all-zero vector, so the scorer need not run.
-    if any(f.candidates or f.prioritization for f in flags):
-        logits = tuple(model.logits(instances))
-    else:
-        logits = (LogitVector(model.vocab, zeros(len(model.vocab))),) * len(instances)
+    # Only candidate selection and history order read logits.
+    scored = any(f.candidates or f.prioritization for f in flags)
+    logits = tuple(model.logits(instances)) if scored else (None,) * len(instances)
     return PredictionInputs(
         ontology=ontology, cooc=cooc, instances=instances, logits=logits,
         options=options,
@@ -296,7 +289,7 @@ def run_predictions(
     """
     flags = AblationFlags.for_stage(stage)
 
-    def one(instance: PredictionInstance, logits: LogitVector) -> RunRecord:
+    def one(instance: PredictionInstance, logits: LogitVector | None) -> RunRecord:
         return predict_record(instance, logits, inputs.cooc, inputs.ontology, flags,
                               inputs.options, client, k)
 
@@ -359,12 +352,11 @@ def cmd_train(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
 
 
 def cmd_cooc(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
-    _bind("numpy", ".ehr", ".evidence")
+    _bind(".ehr", ".evidence")
     dataset, ontology = _load_data(out_dir)
     train_ds, _, _ = split_patients(dataset, cfg.split_ratios, cfg.seed)
     matrix = build_cooccurrence(train_ds, ontology.ccs_codes)
-    save_cooccurrence(matrix, out_dir / COOC_FILE)
-    pairs = count_nonzero(triu(matrix.counts))
+    pairs = save_cooccurrence(matrix, out_dir / COOC_FILE)
     print(f"counted {pairs} code pairs over {matrix.n_patients} patients")
     return EXIT_OK
 

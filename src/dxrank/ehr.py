@@ -141,25 +141,23 @@ class Dataset:
 class PredictionInstance:
     """One next-visit prediction problem: an input prefix and its targets.
 
-    `target_novel` is the subset of the target visit's CCS codes absent from
-    every input visit; `days_to_target` is the gap between the target visit
-    and the last input visit, used for prompt phrasing.
+    Derived: `history_ccs`, the input visits' CCS codes, and `target_novel`, the
+    target's codes outside them. `days_to_target` counts from the last input visit.
     """
 
     patient_id: str
     input_visits: tuple[Visit, ...]
     target_overall: frozenset[str]
-    target_novel: frozenset[str]
-    history_ccs: frozenset[str]
+    target_novel: frozenset[str] = field(init=False)
+    history_ccs: frozenset[str] = field(init=False)
     days_to_target: int = 0
 
     def __post_init__(self):
         if not self.input_visits:
             raise DatasetError("prediction instance with empty input")
-        if self.target_novel != self.target_overall - self.history_ccs:
-            raise DatasetError(
-                f"inconsistent novel target for patient {self.patient_id!r}"
-            )
+        history = frozenset(c for v in self.input_visits for c in v.ccs)
+        object.__setattr__(self, "history_ccs", history)
+        object.__setattr__(self, "target_novel", self.target_overall - history)
 
 
 @dataclass(frozen=True)
@@ -229,6 +227,8 @@ def load_ontology(path: str | Path) -> Ontology:
                     f"{icd_to_ccs[icd]!r} and {ccs!r}"
                 )
             icd_to_ccs[icd] = ccs
+            if icd in icd_names and icd_names[icd] != row["icd_name"]:
+                raise OntologyError(f"line {lineno}: ICD {icd!r} renamed")
             icd_names[icd] = row["icd_name"]
             if ccs in ccs_names and ccs_names[ccs] != row["ccs_name"]:
                 raise OntologyError(f"line {lineno}: CCS {ccs!r} renamed")
@@ -382,15 +382,11 @@ def build_instances(
         for t in cut_points:
             inputs = p.visits[:t]
             target = p.visits[t]
-            history = frozenset(c for v in inputs for c in v.ccs)
-            overall = target.ccs_set
             instances.append(
                 PredictionInstance(
                     patient_id=p.patient_id,
                     input_visits=inputs,
-                    target_overall=overall,
-                    target_novel=overall - history,
-                    history_ccs=history,
+                    target_overall=target.ccs_set,
                     days_to_target=target.day - inputs[-1].day,
                 )
             )

@@ -84,9 +84,9 @@ def build_cooccurrence(train_dataset: Dataset, vocab: tuple[str, ...]) -> Cooccu
 COOC_COLUMNS = ["ccs_i", "ccs_j", "count"]
 
 
-def save_cooccurrence(matrix: CooccurrenceMatrix, path: str | Path) -> None:
-    """CSV triples of the nonzero upper triangle (i <= j) in row-major
-    order, under a comment line carrying n_patients."""
+def save_cooccurrence(matrix: CooccurrenceMatrix, path: str | Path) -> int:
+    """Write the nonzero upper triangle (i <= j) as CSV triples in row-major
+    order, under a comment line carrying n_patients; return the triple count."""
     upper = np.triu(matrix.counts)
     rows, cols = np.nonzero(upper)
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -95,13 +95,15 @@ def save_cooccurrence(matrix: CooccurrenceMatrix, path: str | Path) -> None:
         writer.writerow(COOC_COLUMNS)
         for i, j, v in zip(rows.tolist(), cols.tolist(), upper[rows, cols].tolist()):
             writer.writerow([matrix.vocab[i], matrix.vocab[j], v])
+    return len(rows)
 
 
 def load_cooccurrence(path: str | Path, vocab: tuple[str, ...]) -> CooccurrenceMatrix:
-    """Read counts over `vocab`; each row names two of its codes with
+    """Read counts over `vocab`; each row names a new pair of its codes with
     ccs_i <= ccs_j, and the lower triangle mirrors the upper one."""
     index = vocab_index(vocab)
     counts = np.zeros((len(vocab), len(vocab)), dtype=np.int64)
+    listed: set[tuple[int, int]] = set()
     with open(path, newline="", encoding="utf-8") as fh:
         first = fh.readline().strip()
         if not first.startswith("# n_patients="):
@@ -126,6 +128,9 @@ def load_cooccurrence(path: str | Path, vocab: tuple[str, ...]) -> CooccurrenceM
             i, j = _positions(index, row[:2])
             if i > j:
                 raise EvidenceError(f"co-occurrence row ({row[0]}, {row[1]}) has ccs_i > ccs_j")
+            if (i, j) in listed:
+                raise EvidenceError(f"co-occurrence pair ({row[0]}, {row[1]}) listed twice")
+            listed.add((i, j))
             counts[i, j] = counts[j, i] = v
     return CooccurrenceMatrix(vocab=vocab, counts=counts, n_patients=n_patients)
 
@@ -146,8 +151,8 @@ def _row_fields(row: list[str]) -> dict:
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Top-K candidate codes, descending by logit with code-id ascending
-    tie-break; in novel mode no code comes from the history."""
+    """Candidate codes, by descending logit with code-id ascending tie-break
+    or, with no scorer, in code order; in novel mode none is a history code."""
 
     codes: tuple[str, ...]
     mode: CandidateMode
@@ -167,8 +172,6 @@ def select_candidates(
     cut, so the set stays at K when enough codes remain."""
     if K < 1:
         raise EvidenceError("K must be at least 1")
-    if mode not in TASKS:
-        raise EvidenceError(f"unknown candidate mode {mode!r}")
     # The vocabulary is sorted, so a stable sort breaks logit ties by code.
     order = np.argsort(-logits.scores, kind="stable")
     if mode == "novel":
@@ -177,6 +180,12 @@ def select_candidates(
         keep[[index[c] for c in history_ccs if c in index]] = False
         order = order[keep[order]]
     return CandidateSet(codes=tuple(logits.vocab[i] for i in order[:K].tolist()), mode=mode)
+
+
+def eligible_candidates(vocab: Sequence[str], mode: CandidateMode,
+                        history: frozenset[str]) -> CandidateSet:
+    """Every code `mode` admits, in vocabulary order; no scorer output is read."""
+    return CandidateSet(tuple(c for c in vocab if mode == "overall" or c not in history), mode)
 
 
 def prioritize_history(

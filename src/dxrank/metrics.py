@@ -160,14 +160,6 @@ def _pooled_accuracy(views: Sequence[_View], k: int) -> float | None:
 METRICS = {"visit_precision": _mean_precision, "code_accuracy": _pooled_accuracy}
 
 
-def code_accuracy_at_k(records: Sequence[RunRecord], k: int, task: str) -> float:
-    """Pooled hit ratio: Σ|top-k ∩ Y| / Σ|Y| over eligible records."""
-    value = _pooled_accuracy(_views(records, task), k)
-    if value is None:
-        raise EvalError(f"no eligible records for task {task!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class MetricsReport:
     """Per-task, per-k metric values plus eligibility counts. A value is

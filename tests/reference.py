@@ -3,7 +3,8 @@ per-box volume math and pooling, log-softplus and its derivative, per-vector
 BCE, run scoring one loop per metric, and a metrics.json reader. The
 pipeline itself scores packed batches, computes log-softplus in place, scores
 each task from one set of eligible records and never reads metrics back, so
-none of this ships in `src/`."""
+none of this ships in `src/`. `code_accuracy_at_k` scores one metric of a
+bare record list through the shipped formula, which only tests need."""
 from __future__ import annotations
 
 import json
@@ -17,7 +18,8 @@ from dxrank.backends.base import BackendError, LogitVector, code_index
 from dxrank.backends.boxes import VolumeConfig
 from dxrank.backends.numerics import ParamTree, bce_with_logits, sigmoid, softplus, \
     softplus_inv
-from dxrank.metrics import MetricsReport, RunArtifact, RunRecord
+from dxrank.metrics import EvalError, MetricsReport, RunArtifact, RunRecord, _pooled_accuracy, \
+    _views
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -147,6 +149,14 @@ def load_metrics(path: str | Path) -> MetricsReport:
         n_novel_excluded=int(doc["n_novel_excluded"]),
         ks={task: tuple(v) for task, v in doc["ks"].items()},
     )
+
+
+def code_accuracy_at_k(records: Sequence[RunRecord], k: int, task: str) -> float:
+    """Pooled hit ratio: Σ|top-k ∩ Y| / Σ|Y| over eligible records."""
+    value = _pooled_accuracy(_views(records, task), k)
+    if value is None:
+        raise EvalError(f"no eligible records for task {task!r}")
+    return value
 
 
 def _task_view(rec: RunRecord, task: str) -> tuple[list[str], set[str]] | None:

@@ -70,7 +70,6 @@ def _chain(tmp_path, doc: dict, name: str, *, seed: int | None = None):
 
 def _instance(visits: list[list[str]], target: set[str],
               pid: str = "p") -> PredictionInstance:
-    history = frozenset(c for v in visits for c in v)
     return PredictionInstance(
         patient_id=pid,
         input_visits=tuple(
@@ -78,8 +77,6 @@ def _instance(visits: list[list[str]], target: set[str],
             for i, v in enumerate(visits)
         ),
         target_overall=frozenset(target),
-        target_novel=frozenset(target) - history,
-        history_ccs=history,
     )
 
 

@@ -131,7 +131,6 @@ class TestAggregation:
 
 def _instance(visits: list[list[str]]) -> PredictionInstance:
     codes = sorted({c for v in visits for c in v})
-    history = frozenset(c for v in visits for c in v)
     return PredictionInstance(
         patient_id="p",
         input_visits=tuple(
@@ -139,8 +138,6 @@ def _instance(visits: list[list[str]]) -> PredictionInstance:
             for i, v in enumerate(visits)
         ),
         target_overall=frozenset({codes[0]}),
-        target_novel=frozenset({codes[0]}) - history,
-        history_ccs=history,
     )
 
 

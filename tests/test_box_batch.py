@@ -233,7 +233,6 @@ def test_instance_logits_do_not_depend_on_the_batch():
 
 
 def _instance(visits: list[list[str]]) -> PredictionInstance:
-    history = frozenset(c for v in visits for c in v)
     return PredictionInstance(
         patient_id="p",
         input_visits=tuple(
@@ -241,8 +240,6 @@ def _instance(visits: list[list[str]]) -> PredictionInstance:
             for i, v in enumerate(visits)
         ),
         target_overall=frozenset({"C0"}),
-        target_novel=frozenset({"C0"}) - history,
-        history_ccs=history,
     )
 
 

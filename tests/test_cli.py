@@ -276,9 +276,9 @@ def _template(text):
     return apply
 
 
-def _cooc_row(row):
+def _append_row(name, row):
     def apply(out):
-        with open(out / COOC_FILE, "a", encoding="utf-8") as fh:
+        with open(out / name, "a", encoding="utf-8") as fh:
             fh.write(row + "\n")
     return apply
 
@@ -337,9 +337,9 @@ MALFORMED_INPUTS = {
         lambda path: path.write_bytes(b'{"seed": 0}\xff')), "bad.json"),
     "config-directory": ("predict", _config(lambda path: path.mkdir()), "bad.json"),
     "out-is-a-file": ("synth", _out_file, "--out"),
-    "cooc-code-off-ontology": ("predict", _cooc_row("CCS-001,CCS-999,1"),
+    "cooc-code-off-ontology": ("predict", _append_row(COOC_FILE, "CCS-001,CCS-999,1"),
                                "'CCS-999' is not in the vocabulary"),
-    "cooc-descending-pair": ("predict", _cooc_row("CCS-002,CCS-001,1"),
+    "cooc-descending-pair": ("predict", _append_row(COOC_FILE, "CCS-002,CCS-001,1"),
                              "has ccs_i > ccs_j"),
     **{f"endpoint-{name}": ("predict", _remote_endpoint(url), f"endpoint_url {url!r}")
        for name, url in (("bad-scheme", "htp://127.0.0.1:9"), ("no-scheme", "127.0.0.1:9"),
@@ -353,6 +353,10 @@ MALFORMED_INPUTS = {
     # The top-level seed is reported under its own key, not `train_config`.
     "model-seed-negative": ("predict", _edit_model(lambda d: dict(d, seed=-3)),
                             f"{MODEL_FILE}: seed must be non-negative, got -3"),
+    "cooc-pair-twice": ("predict", _append_row(COOC_FILE, "CCS-001,CCS-002,1"),
+                        "co-occurrence pair (CCS-001, CCS-002) listed twice"),
+    "ontology-icd-renamed": ("predict", _append_row(
+        ONTOLOGY_FILE, "ICD-001.1,renamed,CCS-001,CCS-001"), "ICD 'ICD-001.1' renamed"),
 }
 
 

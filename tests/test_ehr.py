@@ -10,6 +10,7 @@ from dxrank.ehr import (
     Ontology,
     OntologyError,
     PatientRecord,
+    PredictionInstance,
     SplitError,
     Visit,
     build_instances,
@@ -137,6 +138,25 @@ class TestOntologyIO:
         assert loaded.icd_names == ontology.icd_names
         assert loaded.ccs_names == ontology.ccs_names
 
+    @pytest.mark.parametrize("row,message", [
+        ("I01a,Essential hypertension,C02,Diabetes", "line 3: ICD 'I01a' mapped to both"),
+        ("I01b,Other,C01,Renamed", "line 3: CCS 'C01' renamed"),
+        ("I01a,Renamed,C01,Hypertension", "line 3: ICD 'I01a' renamed"),
+    ])
+    def test_conflicting_rows_rejected(self, tmp_path, row, message):
+        path = tmp_path / "o.csv"
+        path.write_text("icd_id,icd_name,ccs_id,ccs_name\n"
+                        f"I01a,Essential hypertension,C01,Hypertension\n{row}\n")
+        with pytest.raises(OntologyError) as info:
+            load_ontology(path)
+        assert str(info.value).startswith(message)
+
+    def test_identical_repeated_row_is_legal(self, tmp_path):
+        path = tmp_path / "o.csv"
+        row = "I01a,Essential hypertension,C01,Hypertension\n"
+        path.write_text("icd_id,icd_name,ccs_id,ccs_name\n" + row + row)
+        assert load_ontology(path).icd_names == {"I01a": "Essential hypertension"}
+
 
 class TestSplitPatients:
     def _many(self, n: int) -> Dataset:
@@ -173,6 +193,23 @@ class TestSplitPatients:
     def test_bad_ratios_rejected(self):
         with pytest.raises(SplitError):
             split_patients(self._many(5), ratios=(1.0, -0.5, 0.5))
+
+
+class TestPredictionInstance:
+    def test_history_and_novel_target_are_derived(self):
+        visits = (Visit(day=0, icd=("I01a", "I02a"), ccs=("C01", "C02")),
+                  Visit(day=3, icd=("I02a", "I03a"), ccs=("C02", "C03")))
+        inst = PredictionInstance(patient_id="p", input_visits=visits,
+                                  target_overall=frozenset({"C03", "C04", "C05"}))
+        assert inst.history_ccs == frozenset({"C01", "C02", "C03"})
+        assert inst.target_novel == frozenset({"C04", "C05"})
+
+    @pytest.mark.parametrize("name", ["history_ccs", "target_novel"])
+    def test_derived_fields_are_not_arguments(self, name):
+        visit = Visit(day=0, icd=("I01a",), ccs=("C01",))
+        with pytest.raises(TypeError, match=name):
+            PredictionInstance(patient_id="p", input_visits=(visit,),
+                               target_overall=frozenset({"C02"}), **{name: frozenset()})
 
 
 class TestBuildInstances:

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dxrank.backends.base import BackendError, LogitVector
-from dxrank.ehr import Visit, build_instances
+from dxrank.ehr import TASKS, Visit, build_instances
 from dxrank.evidence import (
     UNMAPPED_GROUP,
     CandidateSet,
@@ -13,6 +15,7 @@ from dxrank.evidence import (
     RelationalEvidence,
     RelationLink,
     build_cooccurrence,
+    eligible_candidates,
     extract_relations,
     load_cooccurrence,
     prioritize_history,
@@ -94,6 +97,8 @@ class TestCooccurrence:
         ("C01,C01,99999999999999999999999",
          "count(C01,C01)=99999999999999999999999 exceeds n_patients"),
         ("C01,C02,-1", "negative count for (C01, C02)"),
+        ("C01,C01,1", "co-occurrence pair (C01, C01) listed twice"),
+        ("C01,C01,2", "co-occurrence pair (C01, C01) listed twice"),
     ])
     def test_rows_off_the_vocabulary_order_or_range_rejected(self, tmp_path, row, message):
         path = tmp_path / "cooc.csv"
@@ -101,6 +106,15 @@ class TestCooccurrence:
         with pytest.raises(EvidenceError) as info:
             load_cooccurrence(path, VOCAB)
         assert str(info.value) == message
+
+    def test_save_returns_the_number_of_rows_written(self, tmp_path):
+        path = tmp_path / "cooc.csv"
+        for seed in range(5):
+            ds, ontology = generate_synthetic(SyntheticConfig(n_patients=20, n_ccs=40,
+                                                              seed=seed))
+            written = save_cooccurrence(build_cooccurrence(ds, ontology.ccs_codes), path)
+            # Below the 820 pairs of 40 codes: the file holds only nonzero ones.
+            assert 0 < written == len(path.read_text().splitlines()) - 2 < 820
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "cooc.csv"
@@ -210,7 +224,7 @@ class TestSelectCandidates:
             assert got.codes == tuple(want)
 
     def test_zero_logits_list_every_eligible_code_in_code_order(self):
-        # The no-selection stage: all-zero logits with K = |vocab|.
+        # Logit ties break by code: all-zero logits with K = |vocab|.
         vocab = self.LOGITS.vocab
         zero = LogitVector(vocab=vocab, scores=np.zeros(len(vocab)))
         history = frozenset({"C02", "C04"})
@@ -218,6 +232,22 @@ class TestSelectCandidates:
             got = select_candidates(zero, K=len(vocab), mode=mode, history_ccs=history)
             pool = sorted(c for c in vocab if mode == "overall" or c not in history)
             assert got.codes == tuple(pool)
+
+
+CODES = st.text("ABC", min_size=1, max_size=3)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(vocab=st.sets(CODES, min_size=1), mode=st.sampled_from(TASKS),
+       history=st.frozensets(CODES))
+def test_eligible_candidates_are_the_top_vocab_of_zero_logits(vocab, mode, history):
+    """The no-scorer candidate list equals what the scorer's path made of
+    all-zero logits with K = |vocab|. The history may hold codes off the
+    vocabulary."""
+    vocab = tuple(sorted(vocab))
+    zero = LogitVector(vocab=vocab, scores=np.zeros(len(vocab)))
+    assert eligible_candidates(vocab, mode, history) == select_candidates(
+        zero, len(vocab), mode, history)
 
 
 class TestPrioritizeHistory:

@@ -22,7 +22,6 @@ from .reference import bce_loss, dlog_softplus, log_softplus, softmax
 
 
 def _instance(visits: list[list[str]], target: set[str]) -> PredictionInstance:
-    history = frozenset(c for v in visits for c in v)
     return PredictionInstance(
         patient_id="p",
         input_visits=tuple(
@@ -30,8 +29,6 @@ def _instance(visits: list[list[str]], target: set[str]) -> PredictionInstance:
             for i, v in enumerate(visits)
         ),
         target_overall=frozenset(target),
-        target_novel=frozenset(target) - history,
-        history_ccs=history,
     )
 
 

@@ -13,7 +13,6 @@ from dxrank.metrics import (
     MetricsReport,
     RunArtifact,
     RunRecord,
-    code_accuracy_at_k,
     compare_ablations,
     evaluate_run,
     load_run,
@@ -25,7 +24,7 @@ from dxrank.metrics import (
     visit_precision_at_k,
 )
 
-from .reference import load_metrics
+from .reference import code_accuracy_at_k, load_metrics
 
 
 def rec(pid, ranked, target_overall, target_novel, history, error=""):

@@ -19,8 +19,6 @@ def _instance(visits: list[list[str]]) -> PredictionInstance:
             for i, v in enumerate(visits)
         ),
         target_overall=history,
-        target_novel=frozenset(),
-        history_ccs=history,
     )
 
 
