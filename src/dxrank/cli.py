@@ -238,19 +238,23 @@ class PredictionInputs:
 def load_prediction_inputs(
     cfg: RunConfig, out_dir: Path, stages: Sequence[str]
 ) -> PredictionInputs:
-    """Load the artifacts that runs of `stages` need; co-occurrence counts
-    only if one of them uses relational evidence."""
+    """Load the artifacts that runs of `stages` need: the model only if one
+    of them reads logits, co-occurrence counts only if one uses relational
+    evidence."""
     dataset, ontology = _load_data(out_dir)
-    model_path = out_dir / MODEL_FILE
-    model = _load(load_model, model_path, "run `dxrank train` first", ontology)
-    if model.backend != cfg.backend:
-        raise ConfigError(f"{model_path}: model has backend {model.backend!r}, "
-                          f"config has {cfg.backend!r}")
+    flags = [AblationFlags.for_stage(stage) for stage in stages]
+    # Only candidate selection and history order read logits.
+    scored = any(f.candidates or f.prioritization for f in flags)
+    if scored:
+        model_path = out_dir / MODEL_FILE
+        model = _load(load_model, model_path, "run `dxrank train` first", ontology)
+        if model.backend != cfg.backend:
+            raise ConfigError(f"{model_path}: model has backend {model.backend!r}, "
+                              f"config has {cfg.backend!r}")
     template_text = (_load(load_template, Path(cfg.template_path), "prompt template")
                      if cfg.template_path else load_template())
     options = PromptOptions(task=cfg.task, strategy=cfg.strategy,
                             template_text=template_text, max_chars=cfg.max_prompt_chars)
-    flags = [AblationFlags.for_stage(stage) for stage in stages]
     cooc = None
     if any(f.relations for f in flags):
         cooc = _load(load_cooccurrence, out_dir / COOC_FILE, "run `dxrank cooc` first",
@@ -259,8 +263,6 @@ def load_prediction_inputs(
     instances = tuple(build_instances(test_ds))
     if not instances:
         raise ConfigError("test split yields no prediction instances")
-    # Only candidate selection and history order read logits.
-    scored = any(f.candidates or f.prioritization for f in flags)
     logits = tuple(model.logits(instances)) if scored else (None,) * len(instances)
     return PredictionInputs(
         ontology=ontology, cooc=cooc, instances=instances, logits=logits,

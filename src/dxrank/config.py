@@ -58,7 +58,7 @@ def check_split_ratios(ratios: tuple[float, float, float]) -> None:
 
 
 def _check_seed(seed: int, error: type[InputError]) -> None:
-    """A seed that seeds a numpy generator, which takes none below 0."""
+    """A seed of a `default_rng` stream, which takes none below 0."""
     if seed < 0:
         raise error(f"seed must be non-negative, got {seed}")
 

@@ -12,12 +12,13 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from . import InputError, json_value
 from .config import TASKS, BackendError, SplitError, check_split_ratios
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class OntologyError(InputError):
@@ -169,6 +170,8 @@ class LogitVector:
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        import numpy as np  # here and in split_patients only: `synth` loads no numpy
+
         object.__setattr__(self, "vocab", tuple(self.vocab))
         object.__setattr__(self, "_index", vocab_index(self.vocab))
         scores = np.asarray(self.scores, dtype=float)
@@ -353,6 +356,8 @@ def split_patients(
         idx = max(range(3), key=lambda i: (remainders[i], -i))
         sizes[idx] += 1
         remainders[idx] = -1.0
+
+    import numpy as np
 
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)

@@ -8,11 +8,10 @@ appears in the next visit. Vocabulary ids are generated as ``CCS-<k>`` /
 """
 from __future__ import annotations
 
-import numpy as np
-
 from .config import ComorbidityRule, SyntheticConfig, SyntheticConfigError, \
     ccs_vocabulary
 from .ehr import Dataset, Ontology, PatientRecord, Visit
+from .rng import Pcg64
 
 # Probability that a patient's first visit is seeded with one rule trigger,
 # so triggers are prevalent enough for rules to manifest at desk scale.
@@ -46,22 +45,18 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[Dataset, Ontology]:
     """
     ontology = _synthetic_ontology(cfg)
     vocab = ccs_vocabulary(cfg.n_ccs)
-    rng = np.random.default_rng(cfg.seed)
+    rng = Pcg64(cfg.seed)
 
     id_width = max(5, len(str(cfg.n_patients)))
     patients: list[PatientRecord] = []
     for i in range(1, cfg.n_patients + 1):
         pid = f"P{i:0{id_width}d}"
-        n_visits = int(rng.integers(cfg.visits_range[0], cfg.visits_range[1] + 1))
-        size = int(
-            rng.integers(
-                cfg.codes_per_visit_range[0], cfg.codes_per_visit_range[1] + 1
-            )
-        )
+        n_visits = rng.integers(cfg.visits_range[0], cfg.visits_range[1] + 1)
+        size = rng.integers(cfg.codes_per_visit_range[0], cfg.codes_per_visit_range[1] + 1)
 
         first = set()
         if cfg.rules and rng.random() < TRIGGER_SEED_PROB:
-            rule = cfg.rules[int(rng.integers(len(cfg.rules)))]
+            rule = cfg.rules[rng.integers(len(cfg.rules))]
             first.add(rule.trigger)
         first |= _fresh_codes(rng, vocab, first, size - len(first))
 
@@ -80,24 +75,23 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[Dataset, Ontology]:
         for codes in ccs_visits:
             icds = [_pick_icd(rng, ontology, c) for c in sorted(codes)]
             visits.append(Visit(day=day, icd=tuple(icds), ccs=tuple(codes)))
-            day += int(rng.integers(DAY_GAP_RANGE[0], DAY_GAP_RANGE[1] + 1))
+            day += rng.integers(DAY_GAP_RANGE[0], DAY_GAP_RANGE[1] + 1)
         patients.append(PatientRecord(patient_id=pid, visits=tuple(visits)))
 
     return Dataset(patients=tuple(patients)), ontology
 
 
 def _fresh_codes(
-    rng: np.random.Generator, vocab: list[str], taken: set[str], need: int
+    rng: Pcg64, vocab: list[str], taken: set[str], need: int
 ) -> set[str]:
     """`need` distinct codes of `vocab` outside `taken`, drawn uniformly
     from the rest in `vocab`'s (sorted) order."""
     if need <= 0:
         return set()
     pool = [c for c in vocab if c not in taken]
-    picked = rng.choice(len(pool), size=min(need, len(pool)), replace=False)
-    return {pool[j] for j in picked}
+    return {pool[j] for j in rng.sample(len(pool), min(need, len(pool)))}
 
 
-def _pick_icd(rng: np.random.Generator, ontology: Ontology, ccs: str) -> str:
+def _pick_icd(rng: Pcg64, ontology: Ontology, ccs: str) -> str:
     children = ontology.ccs_to_icd[ccs]
-    return children[int(rng.integers(len(children)))]
+    return children[rng.integers(len(children))]

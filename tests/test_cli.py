@@ -850,6 +850,19 @@ class TestAblate:
         assert scored == []
         assert load_run(out / RUN_FILE).records
 
+    def test_base_run_needs_no_model(self, tmp_path):
+        """An LLM-only run reads no logits, so it neither loads nor checks
+        `model.json`."""
+        cfg_path = write_cfg(tmp_path)
+        out = tmp_path / "runs"
+        for command in ("synth", "train"):
+            assert cli(command, cfg_path, out) == EXIT_OK
+        assert cli("predict", cfg_path, out, "--stage", "base") == EXIT_OK
+        with_model = load_run(out / RUN_FILE).records
+        (out / MODEL_FILE).unlink()
+        assert cli("predict", cfg_path, out, "--stage", "base") == EXIT_OK
+        assert load_run(out / RUN_FILE).records == with_model
+
     def test_icd_groups_only_for_prioritized_stages(self, tmp_path, monkeypatch):
         cfg_path = write_cfg(tmp_path)
         out = tmp_path / "runs"

@@ -67,14 +67,27 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
 
     mods = {f"dxrank.{m}" for m in ("backends", "evidence", "llm", "prompting",
                                      "metrics", "synth")}
-    assert not loaded("synth", "--n-patients", "30", "--n-ccs", "12") & (
-        mods - {"dxrank.synth"})
+    synth_loads = loaded("synth", "--n-patients", "30", "--n-ccs", "12")
+    assert not synth_loads & (mods - {"dxrank.synth"})
+    assert "numpy" not in synth_loads
     assert not loaded("train", "--epochs", "1", "--d", "4") & (
         mods - {"dxrank.backends"})
     assert not loaded("cooc") & (mods - {"dxrank.evidence"})
     assert "concurrent.futures" not in loaded(
         "predict", "--llm-backend", "mock_evidence", "--k", "5")
     assert "numpy" not in loaded("eval")
+
+
+def test_the_data_model_loads_no_numpy():
+    """`dxrank.ehr` imports numpy only inside the logit vector and the
+    patient split, so reading and writing datasets needs none."""
+    out = _python("""
+        import sys
+        import dxrank.ehr
+        print("numpy" in sys.modules)
+    """)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_the_evidence_layer_loads_no_scorer():

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
+from dxrank.cli import DATASET_FILE, ONTOLOGY_FILE, main
 from dxrank.ehr import save_dataset
 from dxrank.synth import (
     ComorbidityRule,
@@ -10,6 +15,10 @@ from dxrank.synth import (
     ccs_vocabulary,
     generate_synthetic,
 )
+
+from .test_acceptance import ABLATION_DOC
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json"
 
 
 class TestConfigValidation:
@@ -123,3 +132,32 @@ class TestPlantedRules:
         assert abs(f - q) < 0.1
         assert g < 0.15
         assert f > g + 0.5
+
+
+# sha256 of what `dxrank synth --seed <seed>` writes for the criterion-5
+# config and the paper-like `paper-box` config. These bytes are the
+# generator's contract: a change to the draws or to the files' format
+# shows here first.
+GOLDEN = {
+    ("criterion-5", 0): ("5e56e6ebe2b81cb1483cda4ab761481a3fb007c29fcfaa2283f0e07f7711a908",
+                         "8bf8f1867762f1bb503ed10a4bc8877a392a635c479505b1917e1b172f1e34a9"),
+    ("criterion-5", 1): ("7dac51617fb28a5995b7cc797ab36ab2c4f5fa23cc6d91e39a2b4bdda0742b96",
+                         "8bf8f1867762f1bb503ed10a4bc8877a392a635c479505b1917e1b172f1e34a9"),
+    ("paper-box", 0): ("6fd6e88a30fb5072b3c78ba079838e527f6351837e0e8221063ff4ee063dc23c",
+                       "09a183b05a68e30f07debaa180d9ae012700d10d4631f4a83a97462bbb2950cd"),
+    ("paper-box", 1): ("3469e8ee72700e335ae1d0a89e28ff75694fcd8dc7b246d29ae13be989db5269",
+                       "09a183b05a68e30f07debaa180d9ae012700d10d4631f4a83a97462bbb2950cd"),
+}
+
+
+@pytest.mark.parametrize("name,seed", sorted(GOLDEN))
+def test_synth_bytes_are_pinned(tmp_path, name, seed):
+    doc = (ABLATION_DOC if name == "criterion-5"
+           else json.loads(WORKLOADS.read_text())[name]["config"])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["synth", "--config", str(cfg), "--out", str(out), "--seed", str(seed)]) == 0
+    got = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
+                for f in (DATASET_FILE, ONTOLOGY_FILE))
+    assert got == GOLDEN[name, seed]
