@@ -11,12 +11,13 @@ placeholders included).
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from . import InputError
 from .config import ABLATION_STAGES, BACKEND_KINDS, DEFAULT_K, LLM_BACKENDS, STRATEGIES, \
@@ -52,14 +53,14 @@ LLM_CACHE_DIR = "llm_cache"
 # loads the scorers. A name already bound is kept: a wrapper set on this
 # module before `main` runs is the function that runs.
 _IMPORTS: dict[str, tuple[str, ...]] = {
-    ".ehr": ("Dataset", "LogitVector", "Ontology", "PredictionInstance", "build_instances",
-             "load_dataset", "load_ontology", "save_dataset", "save_ontology",
-             "split_patients"),
+    ".ehr": ("Dataset", "Ontology", "PredictionInstance", "build_instances", "load_dataset",
+             "load_ontology", "save_dataset", "save_ontology", "split_patients"),
     ".synth": ("generate_synthetic",),
     ".backends": ("VolumeConfig", "load_model", "save_model", "train"),
-    ".evidence": ("CooccurrenceMatrix", "build_cooccurrence", "eligible_candidates",
-                  "extract_relations", "load_cooccurrence", "prioritize_history",
-                  "propagate_to_icd", "save_cooccurrence", "select_candidates"),
+    ".evidence": ("CandidateSet", "CooccurrenceMatrix", "build_cooccurrence",
+                  "eligible_candidates", "extract_relations", "load_cooccurrence",
+                  "prioritize_history", "propagate_to_icd", "save_cooccurrence",
+                  "select_candidates"),
     ".prompting": ("SC_SAMPLES", "SC_TEMPERATURE", "AblationFlags", "PromptOptions",
                    "compose_prompt", "load_template", "parse_answer", "sc_aggregate"),
     ".llm": ("LlmClient", "LlmError"),
@@ -163,7 +164,8 @@ def _load_data(out_dir: Path) -> tuple[Dataset, Ontology]:
 
 def predict_record(
     instance: PredictionInstance,
-    logits: LogitVector | None,
+    shortlist: CandidateSet | None,
+    groups: tuple[HistoryGroup, ...] | None,
     cooc: CooccurrenceMatrix | None,
     ontology: Ontology,
     flags: AblationFlags,
@@ -172,30 +174,32 @@ def predict_record(
     k: int,
 ) -> RunRecord:
     """Run the evidence pipeline and the LLM re-ranker for one instance,
-    given the scorer's logits for it if the stage reads any. `flags` say
-    which evidence the stage computes; the prompt carries exactly that. No
-    eligible candidate means an empty ranking and no LLM call.
+    given its scorer-derived evidence if the stage reads any: `shortlist`,
+    its candidates at the command's largest K, and `groups`, its history's
+    ICD groups in logit order. `flags` say which evidence the stage uses; the
+    prompt carries exactly that. No eligible candidate means an empty
+    ranking and no LLM call.
 
     LLM failures become an error record; any other exception is a bug and
     propagates.
     """
     history = instance.history_ccs
 
-    candidates = (select_candidates(logits, k, options.task, history) if flags.candidates
+    # Selection is one stable order cut at K, so the top k of the largest
+    # K's candidates are the top k.
+    candidates = (CandidateSet(shortlist.codes[:k], shortlist.mode) if flags.candidates
                   else eligible_candidates(ontology.ccs_codes, options.task, history))
 
-    # Evidence the stage does not compute stays None and out of the prompt:
+    # Evidence the stage does not use stays None and out of the prompt:
     # without prioritization the prompt lists raw history, not ICD groups.
-    groups = relations = None
-    if flags.prioritization:
-        groups = propagate_to_icd(prioritize_history(history, logits),
-                                  instance.input_visits, ontology)
+    relations = None
     if flags.relations:
         if cooc is None:
             raise ConfigError("relational stage requires co-occurrence counts")
         relations = extract_relations(history, candidates, cooc)
 
-    prompt = compose_prompt(instance, groups, relations, candidates, ontology, options)
+    prompt = compose_prompt(instance, groups if flags.prioritization else None, relations,
+                            candidates, ontology, options)
     base = dict(
         patient_id=instance.patient_id,
         prompt=prompt,
@@ -224,28 +228,33 @@ def predict_record(
 
 @dataclass(frozen=True)
 class PredictionInputs:
-    """What every prediction run of one command reads: loaded and scored
-    once, then shared by every stage and K. `logits[i]` is the scorer's
-    output for `instances[i]`, or None when no stage reads logits."""
+    """What every prediction run of one command reads: loaded and derived
+    once, then shared by every stage and K. `shortlists[i]` holds the
+    scorer's top codes of `instances[i]` at the command's largest K, and
+    `groups[i]` its history's ICD groups in logit order; each is None when
+    no stage uses it."""
 
     ontology: Ontology
     cooc: CooccurrenceMatrix | None
     instances: tuple[PredictionInstance, ...]
-    logits: tuple[LogitVector | None, ...]
+    shortlists: tuple[CandidateSet | None, ...]
+    groups: tuple[tuple[HistoryGroup, ...] | None, ...]
     options: PromptOptions
 
 
 def load_prediction_inputs(
-    cfg: RunConfig, out_dir: Path, stages: Sequence[str]
+    cfg: RunConfig, out_dir: Path, variants: Sequence[tuple[str, int]]
 ) -> PredictionInputs:
-    """Load the artifacts that runs of `stages` need: the model only if one
-    of them reads logits, co-occurrence counts only if one uses relational
-    evidence."""
+    """Load the artifacts that runs of the (stage, K) `variants` need: the
+    model only if one of them reads logits, co-occurrence counts only if
+    one uses relational evidence. The scorer-derived evidence is built here,
+    once per instance."""
     dataset, ontology = _load_data(out_dir)
-    flags = [AblationFlags.for_stage(stage) for stage in stages]
+    flags = [AblationFlags.for_stage(stage) for stage, _ in variants]
+    selects = any(f.candidates for f in flags)
+    prioritizes = any(f.prioritization for f in flags)
     # Only candidate selection and history order read logits.
-    scored = any(f.candidates or f.prioritization for f in flags)
-    if scored:
+    if selects or prioritizes:
         model_path = out_dir / MODEL_FILE
         model = _load(load_model, model_path, "run `dxrank train` first", ontology)
         if model.backend != cfg.backend:
@@ -263,10 +272,20 @@ def load_prediction_inputs(
     instances = tuple(build_instances(test_ds))
     if not instances:
         raise ConfigError("test split yields no prediction instances")
-    logits = tuple(model.logits(instances)) if scored else (None,) * len(instances)
+    shortlists = groups = (None,) * len(instances)
+    if selects or prioritizes:
+        logits = model.logits(instances)
+        if selects:
+            k_max = max(k for f, (_, k) in zip(flags, variants) if f.candidates)
+            shortlists = tuple(select_candidates(scores, k_max, cfg.task, instance.history_ccs)
+                               for instance, scores in zip(instances, logits))
+        if prioritizes:
+            groups = tuple(propagate_to_icd(prioritize_history(instance.history_ccs, scores),
+                                            instance.input_visits, ontology)
+                           for instance, scores in zip(instances, logits))
     return PredictionInputs(
-        ontology=ontology, cooc=cooc, instances=instances, logits=logits,
-        options=options,
+        ontology=ontology, cooc=cooc, instances=instances, shortlists=shortlists,
+        groups=groups, options=options,
     )
 
 
@@ -291,17 +310,19 @@ def run_predictions(
     """
     flags = AblationFlags.for_stage(stage)
 
-    def one(instance: PredictionInstance, logits: LogitVector | None) -> RunRecord:
-        return predict_record(instance, logits, inputs.cooc, inputs.ontology, flags,
+    def one(instance: PredictionInstance, shortlist: CandidateSet | None,
+            groups: tuple[HistoryGroup, ...] | None) -> RunRecord:
+        return predict_record(instance, shortlist, groups, inputs.cooc, inputs.ontology, flags,
                               inputs.options, client, k)
 
     if client.remote:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=2 * cfg.llm.max_in_flight) as pool:
-            records = list(pool.map(one, inputs.instances, inputs.logits))
+            records = list(pool.map(one, inputs.instances, inputs.shortlists,
+                                        inputs.groups))
     else:
-        records = list(map(one, inputs.instances, inputs.logits))
+        records = list(map(one, inputs.instances, inputs.shortlists, inputs.groups))
 
     artifact = RunArtifact(
         records=tuple(sorted(records, key=lambda r: r.patient_id)),
@@ -368,7 +389,7 @@ def _run_variants(cfg: RunConfig, out_dir: Path, variants: Sequence[tuple[str, i
     """Run each (stage, K, run file) on inputs loaded once and one LLM client
     with its completion cache; return the artifacts and the closed client."""
     _bind(*_PREDICTION)
-    inputs = load_prediction_inputs(cfg, out_dir, [stage for stage, _, _ in variants])
+    inputs = load_prediction_inputs(cfg, out_dir, [(stage, k) for stage, k, _ in variants])
     with LlmClient(cfg.llm) as client:
         client.cache_in(out_dir / LLM_CACHE_DIR)
         artifacts = [run_predictions(cfg, out_dir, inputs, client, stage, k, run_file)
@@ -508,5 +529,20 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_BAD_CONFIG
 
 
+def process_main(argv: Sequence[str] | None = None) -> NoReturn:
+    """Run one command as its own process and exit with its code; this is
+    what `python -m dxrank.cli` and the `dxrank` script run.
+
+    The process ends with the command, so the cyclic collector stays off,
+    and the heap is frozen before exit so that the interpreter's final
+    collection does not scan memory the operating system reclaims anyway.
+    `main` leaves the collector as it finds it, for callers that go on.
+    """
+    gc.disable()
+    code = main(argv)
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    process_main()

@@ -102,8 +102,8 @@ def load_cooccurrence(path: str | Path, vocab: tuple[str, ...]) -> CooccurrenceM
     """Read counts over `vocab`; each row names a new pair of its codes with
     ccs_i <= ccs_j, and the lower triangle mirrors the upper one."""
     index = vocab_index(vocab)
-    counts = np.zeros((len(vocab), len(vocab)), dtype=np.int64)
-    listed: set[tuple[int, int]] = set()
+    # Each listed pair's count, filled into the matrix at the end.
+    listed: dict[tuple[int, int], int] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         first = fh.readline().strip()
         if not first.startswith("# n_patients="):
@@ -125,13 +125,21 @@ def load_cooccurrence(path: str | Path, vocab: tuple[str, ...]) -> CooccurrenceM
                 raise EvidenceError(f"bad co-occurrence row {_row_fields(row)!r}") from None
             if not 0 <= v <= n_patients:  # checked here, as int64 cannot hold every int
                 raise EvidenceError(_bound_error(row[0], row[1], v, n_patients, n_patients))
-            i, j = _positions(index, row[:2])
+            try:
+                i, j = index[row[0]], index[row[1]]
+            except KeyError:  # a call per row would cost a quarter of the load
+                _positions(index, row[:2])  # raises, naming the unknown code
             if i > j:
                 raise EvidenceError(f"co-occurrence row ({row[0]}, {row[1]}) has ccs_i > ccs_j")
             if (i, j) in listed:
                 raise EvidenceError(f"co-occurrence pair ({row[0]}, {row[1]}) listed twice")
-            listed.add((i, j))
-            counts[i, j] = counts[j, i] = v
+            listed[i, j] = v
+    counts = np.zeros((len(vocab), len(vocab)), dtype=np.int64)
+    if listed:
+        rows, cols = zip(*listed)
+        values = list(listed.values())
+        counts[rows, cols] = values
+        counts[cols, rows] = values
     return CooccurrenceMatrix(vocab=vocab, counts=counts, n_patients=n_patients)
 
 

@@ -298,6 +298,8 @@ def _candidate_names(prompt: str) -> list[str]:
 
 
 def _supported_names(prompt: str) -> set[str]:
+    if "⇒" not in prompt:  # no relational line, so nothing to scan for
+        return set()
     pairs = re.findall(r'"([^"]*)"\s*⇒\s*"([^"]*)"', prompt)
     return {rhs for _, rhs in pairs}
 

@@ -191,15 +191,11 @@ def _normalize(token: str) -> str:
     return token.strip().strip("\"'").strip().rstrip(".").casefold()
 
 
-def _match_token(
-    norm: str, folded: Sequence[str], exact: Mapping[str, int]
-) -> int | None:
-    """Resolve one answer token to a candidate index, or None. `exact` maps
-    each folded name to its first index in `folded`."""
+def _match_token(norm: str, folded: Sequence[str]) -> int | None:
+    """Resolve one answer token that names no candidate exactly to a
+    candidate index by containment, or None."""
     if not norm:
         return None
-    if norm in exact:
-        return exact[norm]
     # Name contained in the token: prefer the longest (most specific) name.
     best: int | None = None
     for i, f in enumerate(folded):
@@ -234,9 +230,11 @@ def parse_answer(
     codes = candidates.codes
     names = [ccs_names.get(c, c) if ccs_names else c for c in codes]
     folded = [n.casefold() for n in names]
+    # Each non-empty folded name's first index; an empty token matches none.
     exact: dict[str, int] = {}
     for i, f in enumerate(folded):
-        exact.setdefault(f, i)
+        if f:
+            exact.setdefault(f, i)
 
     answer_body: str | None = None
     for line in text.splitlines():
@@ -247,8 +245,10 @@ def parse_answer(
     matched: list[int] = []
     if answer_body is not None:
         seen: set[int] = set()
-        for token in answer_body.split(","):
-            idx = _match_token(_normalize(token), folded, exact)
+        for norm in [_normalize(token) for token in answer_body.split(",")]:
+            idx = exact.get(norm)
+            if idx is None:
+                idx = _match_token(norm, folded)
             if idx is not None and idx not in seen:
                 seen.add(idx)
                 matched.append(idx)
@@ -278,6 +278,8 @@ def sc_aggregate(rankings: Sequence[ParsedPrediction]) -> ParsedPrediction:
     n·K minus its position sum, and that sum alone gives the order."""
     if not rankings:
         raise PromptError("no rankings to aggregate")
+    if len(rankings) == 1:  # a vote of one is its own ranking
+        return rankings[0]
     base = set(rankings[0].ranked)
     for r in rankings[1:]:
         if set(r.ranked) != base:

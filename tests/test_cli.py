@@ -2,10 +2,15 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
+import os
 import shutil
+import subprocess
+import sys
 import threading
 from dataclasses import fields, is_dataclass
+from pathlib import Path
 
 import pytest
 
@@ -41,7 +46,8 @@ from dxrank.backends import BACKENDS, BackendError, TrainedModel
 from dxrank.llm import LLM_BACKENDS, LlmClient, LlmConfig, LlmError, derive_seed, \
     mock_evidence_aware
 from dxrank.metrics import EvalError, load_run
-from dxrank.prompting import ABLATION_STAGES, SC_SAMPLES, PromptError
+from dxrank.prompting import ABLATION_STAGES, HISTORY_TITLE_PRIORITIZED, SC_SAMPLES, \
+    AblationFlags, PromptError
 from dxrank.synth import SyntheticConfigError
 
 from .loopback import LoopbackLlm
@@ -833,6 +839,22 @@ class TestAblate:
         records = load_run(out / "run_base.jsonl").records
         assert sorted(scored) == sorted(r.patient_id for r in records)
 
+    @pytest.mark.parametrize("command, run_file", [("ablate", "run_base.jsonl"),
+                                                   ("sweep-k", "run_k10.jsonl")])
+    def test_evidence_is_derived_once_per_instance(self, tmp_path, monkeypatch, command,
+                                                   run_file):
+        """Every stage and K takes a prefix of one selection and the same
+        history order, so each is computed once per test instance."""
+        doc = dict(SMALL_CFG, llm={"backend": "mock_evidence"})
+        cfg_path = write_cfg(tmp_path, doc)
+        out = tmp_path / "runs"
+        for command_before in ("synth", "train", "cooc"):
+            assert cli(command_before, cfg_path, out) == EXIT_OK
+        calls = count_calls(monkeypatch, "select_candidates", "prioritize_history")
+        assert cli(command, cfg_path, out) == EXIT_OK
+        n = len(load_run(out / run_file).records)
+        assert calls == {"select_candidates": n, "prioritize_history": n}
+
     def test_runs_that_read_no_logit_score_nothing(self, tmp_path, monkeypatch):
         cfg_path = write_cfg(tmp_path)
         out = tmp_path / "runs"
@@ -869,10 +891,17 @@ class TestAblate:
         for command in ("synth", "train", "cooc"):
             assert cli(command, cfg_path, out) == EXIT_OK
         calls = count_calls(monkeypatch, "propagate_to_icd")
+        assert cli("predict", cfg_path, out, "--stage", "candidate") == EXIT_OK
+        assert calls["propagate_to_icd"] == 0
         assert cli("ablate", cfg_path, out) == EXIT_OK
         n = len(load_run(out / "run_base.jsonl").records)
-        # Of the four stages, prioritization and relational group history.
-        assert calls["propagate_to_icd"] == 2 * n
+        # Grouped once per instance; of the four stages, prioritization and
+        # relational carry the groups.
+        assert calls["propagate_to_icd"] == n
+        for stage in ABLATION_STAGES:
+            grouped = AblationFlags.for_stage(stage).prioritization
+            for record in load_run(out / f"run_{stage}.jsonl").records:
+                assert (HISTORY_TITLE_PRIORITIZED in record.prompt) == grouped, stage
 
 
 class TestSweepK:
@@ -901,6 +930,68 @@ class TestSweepK:
         calls = count_calls(monkeypatch, "load_model", "run_predictions")
         assert cli("sweep-k", cfg_path, out) == EXIT_OK
         assert calls == {"load_model": 1, "run_predictions": len(SWEEP_KS)}
+
+
+class TestProcessEntry:
+    """`python -m dxrank.cli` and the `dxrank` script run `process_main`,
+    which exits with `main`'s code and prints what `main` prints."""
+
+    @staticmethod
+    def _process(*argv):
+        src = str(Path(cli_module.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        return subprocess.run([sys.executable, "-m", "dxrank.cli", *map(str, argv)],
+                              capture_output=True, env=dict(os.environ, PYTHONPATH=path))
+
+    def test_eval_of_a_finished_chain_exits_0(self, tmp_path):
+        out = run_chain(tmp_path)
+        done = self._process("eval", "--config", tmp_path / "cfg.json", "--out", out)
+        assert done.returncode == EXIT_OK, done.stderr
+        assert done.stderr == b""
+
+    def test_eval_of_an_empty_out_exits_2_with_one_line(self, tmp_path):
+        done = self._process("eval", "--out", tmp_path / "empty")
+        assert done.returncode == EXIT_BAD_CONFIG
+        lines = done.stderr.decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+    def test_predict_process_writes_and_prints_what_main_does(self, tmp_path, capsys):
+        out = run_chain(tmp_path)
+        capsys.readouterr()
+        assert cli("predict", tmp_path / "cfg.json", out) == EXIT_OK
+        printed, in_process = capsys.readouterr().out, (out / RUN_FILE).read_bytes()
+        # `main` leaves the collector as it finds it.
+        assert gc.isenabled()
+        (out / RUN_FILE).unlink()
+        done = self._process("predict", "--config", tmp_path / "cfg.json", "--out", out)
+        assert done.returncode == EXIT_OK, done.stderr
+        assert done.stdout.decode() == printed
+        assert (out / RUN_FILE).read_bytes() == in_process
+
+    def test_collector_is_off_for_the_command_and_frozen_before_exit(self, monkeypatch):
+        events = []
+
+        class Collector:
+            def disable(self):
+                events.append("disable")
+
+            def freeze(self):
+                events.append("freeze")
+
+        def command(argv):
+            events.append(("main", argv))
+            return EXIT_RUN_FAILURES
+
+        monkeypatch.setattr(cli_module, "gc", Collector())
+        monkeypatch.setattr(cli_module, "main", command)
+        with pytest.raises(SystemExit) as exited:
+            cli_module.process_main(["eval"])
+        assert exited.value.code == EXIT_RUN_FAILURES
+        assert events == ["disable", ("main", ["eval"]), "freeze"]
+
+    def test_console_script_runs_process_main(self):
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        assert 'dxrank = "dxrank.cli:process_main"' in pyproject.read_text().splitlines()
 
 
 def _stub_remote_client(cfg):

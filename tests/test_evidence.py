@@ -93,6 +93,7 @@ class TestCooccurrence:
 
     @pytest.mark.parametrize("row,message", [
         ("C01,C09,1", "CCS code 'C09' is not in the vocabulary"),
+        ("C08,C09,1", "CCS code 'C08' is not in the vocabulary"),
         ("C02,C01,1", "co-occurrence row (C02, C01) has ccs_i > ccs_j"),
         ("C01,C01,99999999999999999999999",
          "count(C01,C01)=99999999999999999999999 exceeds n_patients"),
