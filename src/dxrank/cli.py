@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
 import importlib
 import json
 import sys
@@ -36,6 +37,7 @@ DATASET_FILE = "dataset.jsonl"
 ONTOLOGY_FILE = "ontology.csv"
 MODEL_FILE = "model.json"
 LOSSES_FILE = "losses.csv"
+RANKINGS_FILE = "rankings.jsonl"
 COOC_FILE = "cooc.csv"
 RUN_FILE = "run.jsonl"
 METRICS_FILE = "metrics.json"
@@ -49,12 +51,14 @@ LLM_CACHE_DIR = "llm_cache"
 
 # The names this module uses from each module, imported only when a command
 # runs that module (`_bind`) or another module looks one of them up here
-# (PEP 562 `__getattr__`), so `eval` never loads numpy and `synth` never
-# loads the scorers. A name already bound is kept: a wrapper set on this
-# module before `main` runs is the function that runs.
+# (PEP 562 `__getattr__`), so only `train` and a prediction command that
+# must score the test split itself load the scorers and numpy. A name
+# already bound is kept: a wrapper set on this module before `main` runs is
+# the function that runs.
 _IMPORTS: dict[str, tuple[str, ...]] = {
     ".ehr": ("Dataset", "Ontology", "PredictionInstance", "build_instances", "load_dataset",
-             "load_ontology", "save_dataset", "save_ontology", "split_patients"),
+             "load_ontology", "load_rankings", "save_dataset", "save_ontology",
+             "save_rankings", "split_patients"),
     ".synth": ("generate_synthetic",),
     ".backends": ("VolumeConfig", "load_model", "save_model", "train"),
     ".evidence": ("CandidateSet", "CooccurrenceMatrix", "build_cooccurrence",
@@ -69,8 +73,9 @@ _IMPORTS: dict[str, tuple[str, ...]] = {
                  "save_metrics", "save_run"),
 }
 _MODULE_OF = {name: module for module, names in _IMPORTS.items() for name in names}
-# What `predict`, `ablate` and `sweep-k` run: every module but the generator.
-_PREDICTION = tuple(module for module in _IMPORTS if module != ".synth")
+# What `predict`, `ablate` and `sweep-k` run: every module but the generator
+# and the scorers, which `_load_model` binds when it must.
+_PREDICTION = tuple(module for module in _IMPORTS if module not in (".synth", ".backends"))
 
 
 def _bind(*modules: str) -> None:
@@ -162,6 +167,25 @@ def _load_data(out_dir: Path) -> tuple[Dataset, Ontology]:
     return dataset, ontology
 
 
+def _load_model(cfg: RunConfig, out_dir: Path, ontology: Ontology) -> TrainedModel:
+    """`model.json`, checked against the ontology and the config's backend."""
+    _bind(".backends")
+    model_path = out_dir / MODEL_FILE
+    model = _load(load_model, model_path, "run `dxrank train` first", ontology)
+    if model.backend != cfg.backend:
+        raise ConfigError(f"{model_path}: model has backend {model.backend!r}, "
+                          f"config has {cfg.backend!r}")
+    return model
+
+
+def _rankings_meta(cfg: RunConfig, out_dir: Path) -> dict:
+    """What the scorer's rankings of the test split follow from: the bytes
+    of the model, dataset and ontology files, the split and the backend."""
+    return {"backend": cfg.backend, "seed": cfg.seed, "split_ratios": list(cfg.split_ratios),
+            "sha256": {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+                       for name in (DATASET_FILE, MODEL_FILE, ONTOLOGY_FILE)}}
+
+
 def predict_record(
     instance: PredictionInstance,
     shortlist: CandidateSet | None,
@@ -176,7 +200,7 @@ def predict_record(
     """Run the evidence pipeline and the LLM re-ranker for one instance,
     given its scorer-derived evidence if the stage reads any: `shortlist`,
     its candidates at the command's largest K, and `groups`, its history's
-    ICD groups in logit order. `flags` say which evidence the stage uses; the
+    ICD groups in ranking order. `flags` say which evidence the stage uses; the
     prompt carries exactly that. No eligible candidate means an empty
     ranking and no LLM call.
 
@@ -231,8 +255,8 @@ class PredictionInputs:
     """What every prediction run of one command reads: loaded and derived
     once, then shared by every stage and K. `shortlists[i]` holds the
     scorer's top codes of `instances[i]` at the command's largest K, and
-    `groups[i]` its history's ICD groups in logit order; each is None when
-    no stage uses it."""
+    `groups[i]` its history's ICD groups in ranking order; each is None
+    when no stage uses it."""
 
     ontology: Ontology
     cooc: CooccurrenceMatrix | None
@@ -246,20 +270,26 @@ def load_prediction_inputs(
     cfg: RunConfig, out_dir: Path, variants: Sequence[tuple[str, int]]
 ) -> PredictionInputs:
     """Load the artifacts that runs of the (stage, K) `variants` need: the
-    model only if one of them reads logits, co-occurrence counts only if
-    one uses relational evidence. The scorer-derived evidence is built here,
-    once per instance."""
+    scorer's rankings only if one of them reads them, co-occurrence counts
+    only if one uses relational evidence. The rankings are those `train`
+    wrote for these inputs, or else the loaded model's scores of the test
+    split. The scorer-derived evidence is built here, once per instance."""
     dataset, ontology = _load_data(out_dir)
     flags = [AblationFlags.for_stage(stage) for stage, _ in variants]
     selects = any(f.candidates for f in flags)
     prioritizes = any(f.prioritization for f in flags)
-    # Only candidate selection and history order read logits.
+    # Only candidate selection and history order read the scorer: from the
+    # rankings `train` wrote for exactly these inputs, or else from the model,
+    # loaded where it always was so that its errors come first as before.
+    model = stored = None
     if selects or prioritizes:
-        model_path = out_dir / MODEL_FILE
-        model = _load(load_model, model_path, "run `dxrank train` first", ontology)
-        if model.backend != cfg.backend:
-            raise ConfigError(f"{model_path}: model has backend {model.backend!r}, "
-                              f"config has {cfg.backend!r}")
+        try:
+            stored = load_rankings(out_dir / RANKINGS_FILE, _rankings_meta(cfg, out_dir),
+                                   ontology.ccs_codes)
+        except OSError:  # an unreadable input, which loading the model reports
+            pass
+        if stored is None:
+            model = _load_model(cfg, out_dir, ontology)
     template_text = (_load(load_template, Path(cfg.template_path), "prompt template")
                      if cfg.template_path else load_template())
     options = PromptOptions(task=cfg.task, strategy=cfg.strategy,
@@ -274,15 +304,18 @@ def load_prediction_inputs(
         raise ConfigError("test split yields no prediction instances")
     shortlists = groups = (None,) * len(instances)
     if selects or prioritizes:
-        logits = model.logits(instances)
+        if stored is not None and list(stored) == [i.patient_id for i in instances]:
+            rankings = list(stored.values())
+        else:
+            rankings = (model or _load_model(cfg, out_dir, ontology)).logits(instances)
         if selects:
             k_max = max(k for f, (_, k) in zip(flags, variants) if f.candidates)
-            shortlists = tuple(select_candidates(scores, k_max, cfg.task, instance.history_ccs)
-                               for instance, scores in zip(instances, logits))
+            shortlists = tuple(select_candidates(ranking, k_max, cfg.task, instance.history_ccs)
+                               for instance, ranking in zip(instances, rankings))
         if prioritizes:
-            groups = tuple(propagate_to_icd(prioritize_history(instance.history_ccs, scores),
+            groups = tuple(propagate_to_icd(prioritize_history(instance.history_ccs, ranking),
                                             instance.input_visits, ontology)
-                           for instance, scores in zip(instances, logits))
+                           for instance, ranking in zip(instances, rankings))
     return PredictionInputs(
         ontology=ontology, cooc=cooc, instances=instances, shortlists=shortlists,
         groups=groups, options=options,
@@ -358,7 +391,7 @@ def cmd_synth(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
 def cmd_train(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
     _bind(".ehr", ".backends")
     dataset, ontology = _load_data(out_dir)
-    train_ds, _, _ = split_patients(dataset, cfg.split_ratios, cfg.seed)
+    train_ds, _, test_ds = split_patients(dataset, cfg.split_ratios, cfg.seed)
     model = train(
         cfg.backend, train_ds, ontology, cfg.train, VolumeConfig(beta=cfg.beta)
     )
@@ -367,6 +400,11 @@ def cmd_train(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
         fh.write("epoch,loss\n")
         for epoch, loss in enumerate(model.losses):
             fh.write(f"{epoch},{loss:.10f}\n")
+    # The prediction commands read the test split's rankings from here, so
+    # they need neither the model nor numpy.
+    instances = build_instances(test_ds)
+    save_rankings(out_dir / RANKINGS_FILE, _rankings_meta(cfg, out_dir), instances,
+                  model.logits(instances))
     print(
         f"trained {cfg.backend} on {len(train_ds)} patients: "
         f"loss {model.losses[0]:.4f} -> {model.losses[-1]:.4f}"

@@ -12,10 +12,11 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from . import InputError, json_value
 from .config import TASKS, BackendError, SplitError, check_split_ratios
+from .rng import Pcg64
 
 if TYPE_CHECKING:
     import numpy as np
@@ -162,15 +163,37 @@ class PredictionInstance:
 
 
 @dataclass(frozen=True)
-class LogitVector:
-    """A scorer's per-CCS scores, aligned to a sorted vocabulary."""
+class Ranking:
+    """A scorer's order of a sorted vocabulary: `positions` holds each
+    vocabulary position once, from the highest score down, ties in code
+    order. It is all the evidence layer reads of a scorer."""
 
     vocab: tuple[str, ...]
+    positions: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "vocab", tuple(self.vocab))
+        object.__setattr__(self, "positions", tuple(self.positions))
+        if (not set(map(type, self.positions)) <= {int}
+                or sorted(self.positions) != list(range(len(self.vocab)))):
+            raise BackendError("ranking is not a permutation of the vocabulary")
+
+    def codes(self) -> Iterator[str]:
+        """The vocabulary in ranking order."""
+        return map(self.vocab.__getitem__, self.positions)
+
+
+@dataclass(frozen=True)
+class LogitVector(Ranking):
+    """A scorer's per-CCS scores, aligned to a sorted vocabulary, and the
+    ranking they give: numpy's stable argsort of the negated scores."""
+
+    positions: tuple[int, ...] = field(init=False)
     scores: np.ndarray
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        import numpy as np  # here and in split_patients only: `synth` loads no numpy
+        import numpy as np  # here only: `synth` and the ranking readers load no numpy
 
         object.__setattr__(self, "vocab", tuple(self.vocab))
         object.__setattr__(self, "_index", vocab_index(self.vocab))
@@ -183,6 +206,9 @@ class LogitVector:
             )
         if not np.all(np.isfinite(scores)):
             raise BackendError("non-finite logit")
+        # The vocabulary is sorted, so a stable sort breaks score ties by code.
+        object.__setattr__(self, "positions", np.argsort(-scores, kind="stable").tolist())
+        super().__post_init__()
 
     def score(self, code: str) -> float:
         try:
@@ -338,7 +364,8 @@ def split_patients(
 ) -> tuple[Dataset, Dataset, Dataset]:
     """Partition patients into train/val/test with largest-remainder sizing.
 
-    Deterministic for a given seed; parts keep the original patient order.
+    The order is `numpy.random.default_rng(seed).permutation(n)`, drawn by
+    `dxrank.rng`; parts keep the original patient order.
     """
     check_split_ratios(ratios)
     n = len(dataset.patients)
@@ -357,15 +384,12 @@ def split_patients(
         sizes[idx] += 1
         remainders[idx] = -1.0
 
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    bounds = np.cumsum([0] + sizes)
-    parts = []
-    for i in range(3):
-        chosen = sorted(order[bounds[i] : bounds[i + 1]])
+    order = Pcg64(seed).permutation(n)
+    parts, start = [], 0
+    for size in sizes:
+        chosen = sorted(order[start:start + size])
         parts.append(Dataset(patients=tuple(dataset.patients[j] for j in chosen)))
+        start += size
     return parts[0], parts[1], parts[2]
 
 
@@ -396,3 +420,35 @@ def build_instances(
                 )
             )
     return instances
+
+
+# ---------------------------------------------------------------------------
+# Scorer rankings (JSONL: a meta line, then one prediction instance per line)
+# ---------------------------------------------------------------------------
+
+
+def save_rankings(path: str | Path, meta: dict, instances: Sequence[PredictionInstance],
+                  rankings: Sequence[Ranking]) -> None:
+    """Write `meta`, then each instance's patient id and ranking positions."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(meta, sort_keys=True) + "\n")
+        for instance, ranking in zip(instances, rankings):
+            fh.write(json.dumps({"patient_id": instance.patient_id,
+                                 "positions": list(ranking.positions)}) + "\n")
+
+
+def load_rankings(path: str | Path, meta: dict,
+                  vocab: tuple[str, ...]) -> dict[str, Ranking] | None:
+    """The rankings over `vocab` that `save_rankings` wrote under `meta`, by
+    patient id in file order; None for a file that is missing, unreadable or
+    malformed, or whose meta line is not `meta`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            if json.loads(fh.readline()) != meta:
+                return None
+            rows = [json.loads(line) for line in fh]
+        return {row["patient_id"]: Ranking(vocab, row["positions"]) for row in rows}
+    # ValueError: not UTF-8, not JSON or not a ranking; TypeError and
+    # KeyError: a line of another shape; RecursionError: nested too deep.
+    except (OSError, ValueError, TypeError, KeyError, RecursionError):
+        return None

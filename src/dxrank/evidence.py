@@ -1,18 +1,20 @@
 """Evidence extraction around a trained scorer: top-K candidate selection,
-logit-ranked history prioritization with ICD propagation, and co-occurrence
-based relational links between history and candidates.
+ranked history prioritization with ICD propagation, and co-occurrence
+based relational links between history and candidates. It reads only the
+scorer's ranking of the vocabulary and counts in Python ints, so it loads
+no numpy.
 """
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from . import InputError
-from .ehr import TASKS, Dataset, LogitVector, Ontology, Visit, vocab_index
+from .ehr import TASKS, Dataset, Ontology, Ranking, Visit, vocab_index
 
 UNMAPPED_GROUP = "unmapped"
 
@@ -33,25 +35,30 @@ class CooccurrenceMatrix:
     """Symmetric patient-level co-occurrence counts over a sorted CCS
     vocabulary.
 
-    counts[i, j] is the number of patients carrying both vocab[i] and
+    counts[i][j] is the number of patients carrying both vocab[i] and
     vocab[j] in any of their visits (binary per patient); the diagonal is
-    the per-code patient count.
+    the per-code patient count. Counts are exact Python ints, one row tuple
+    per code.
     """
 
     vocab: tuple[str, ...]
-    counts: np.ndarray
+    counts: tuple[tuple[int, ...], ...]
     n_patients: int
 
     def __post_init__(self):
         n, counts = self.n_patients, self.counts
         if n < 0:
             raise EvidenceError("negative n_patients")
-        diagonal = np.diagonal(counts)
-        bad = (counts < 0) | (counts > n) | (counts > diagonal) | (counts > diagonal[:, None])
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            raise EvidenceError(_bound_error(self.vocab[i], self.vocab[j], counts[i, j],
-                                             n, min(diagonal[i], diagonal[j])))
+        diagonal = [row[i] for i, row in enumerate(counts)]
+        # Whole rows are checked at C speed; only a bad row is searched for
+        # its first bad entry, so the message names the first in row-major order.
+        for i, row in enumerate(counts):
+            if (min(row) < 0 or max(row) > min(n, diagonal[i])
+                    or any(map(operator.gt, row, diagonal))):
+                j = next(j for j, v in enumerate(row)
+                         if not 0 <= v <= min(n, diagonal[i], diagonal[j]))
+                raise EvidenceError(_bound_error(self.vocab[i], self.vocab[j], row[j],
+                                                 n, min(diagonal[i], diagonal[j])))
 
 
 def _bound_error(i: str, j: str, v: int, n_patients: int, diagonal: int) -> str:
@@ -69,16 +76,28 @@ def _positions(index: dict[str, int], codes: Iterable[str]) -> list[int]:
         raise EvidenceError(f"CCS code {exc.args[0]!r} is not in the vocabulary") from None
 
 
+def _symmetric(vocab: tuple[str, ...], upper: dict[tuple[int, int], int]
+               ) -> tuple[tuple[int, ...], ...]:
+    """The dense symmetric counts whose upper triangle holds `upper`'s
+    (i, j) -> count entries and is 0 elsewhere."""
+    rows = [[0] * len(vocab) for _ in vocab]
+    for (i, j), v in upper.items():
+        rows[i][j] = rows[j][i] = v
+    return tuple(map(tuple, rows))
+
+
 def build_cooccurrence(train_dataset: Dataset, vocab: tuple[str, ...]) -> CooccurrenceMatrix:
-    """counts(i, j) = number of patients diagnosed with both i and j, as
-    XᵀX over one multi-hot row of codes per patient."""
+    """counts(i, j) = number of patients diagnosed with both i and j,
+    counted pair by pair over each patient's codes."""
     index = vocab_index(vocab)
-    hot = np.zeros((len(train_dataset), len(vocab)))
-    for row, patient in zip(hot, train_dataset.patients):
-        row[_positions(index, patient.all_ccs())] = 1.0
-    # Float products are exact integers far beyond any patient count.
-    counts = (hot.T @ hot).astype(np.int64)
-    return CooccurrenceMatrix(vocab=vocab, counts=counts, n_patients=len(train_dataset))
+    upper: dict[tuple[int, int], int] = {}
+    for patient in train_dataset.patients:
+        codes = sorted(_positions(index, patient.all_ccs()))
+        for a, i in enumerate(codes):
+            for j in codes[a:]:
+                upper[i, j] = upper.get((i, j), 0) + 1
+    return CooccurrenceMatrix(vocab=vocab, counts=_symmetric(vocab, upper),
+                              n_patients=len(train_dataset))
 
 
 COOC_COLUMNS = ["ccs_i", "ccs_j", "count"]
@@ -87,15 +106,15 @@ COOC_COLUMNS = ["ccs_i", "ccs_j", "count"]
 def save_cooccurrence(matrix: CooccurrenceMatrix, path: str | Path) -> int:
     """Write the nonzero upper triangle (i <= j) as CSV triples in row-major
     order, under a comment line carrying n_patients; return the triple count."""
-    upper = np.triu(matrix.counts)
-    rows, cols = np.nonzero(upper)
+    vocab = matrix.vocab
+    triples = [(vocab[i], vocab[j], v) for i, row in enumerate(matrix.counts)
+               for j, v in enumerate(row[i:], start=i) if v]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# n_patients={matrix.n_patients}\n")
         writer = csv.writer(fh)
         writer.writerow(COOC_COLUMNS)
-        for i, j, v in zip(rows.tolist(), cols.tolist(), upper[rows, cols].tolist()):
-            writer.writerow([matrix.vocab[i], matrix.vocab[j], v])
-    return len(rows)
+        writer.writerows(triples)
+    return len(triples)
 
 
 def load_cooccurrence(path: str | Path, vocab: tuple[str, ...]) -> CooccurrenceMatrix:
@@ -123,7 +142,7 @@ def load_cooccurrence(path: str | Path, vocab: tuple[str, ...]) -> CooccurrenceM
                 v = int(row[2])
             except (IndexError, ValueError):
                 raise EvidenceError(f"bad co-occurrence row {_row_fields(row)!r}") from None
-            if not 0 <= v <= n_patients:  # checked here, as int64 cannot hold every int
+            if not 0 <= v <= n_patients:
                 raise EvidenceError(_bound_error(row[0], row[1], v, n_patients, n_patients))
             try:
                 i, j = index[row[0]], index[row[1]]
@@ -134,13 +153,8 @@ def load_cooccurrence(path: str | Path, vocab: tuple[str, ...]) -> CooccurrenceM
             if (i, j) in listed:
                 raise EvidenceError(f"co-occurrence pair ({row[0]}, {row[1]}) listed twice")
             listed[i, j] = v
-    counts = np.zeros((len(vocab), len(vocab)), dtype=np.int64)
-    if listed:
-        rows, cols = zip(*listed)
-        values = list(listed.values())
-        counts[rows, cols] = values
-        counts[cols, rows] = values
-    return CooccurrenceMatrix(vocab=vocab, counts=counts, n_patients=n_patients)
+    return CooccurrenceMatrix(vocab=vocab, counts=_symmetric(vocab, listed),
+                              n_patients=n_patients)
 
 
 def _row_fields(row: list[str]) -> dict:
@@ -171,23 +185,19 @@ class CandidateSet:
 
 
 def select_candidates(
-    logits: LogitVector,
+    ranking: Ranking,
     K: int,
     mode: CandidateMode,
     history_ccs: frozenset[str] = frozenset(),
 ) -> CandidateSet:
-    """Top-K codes by logit; novel mode removes history codes before the
-    cut, so the set stays at K when enough codes remain."""
+    """The top K codes of the scorer's ranking; novel mode removes history
+    codes before the cut, so the set stays at K when enough codes remain."""
     if K < 1:
         raise EvidenceError("K must be at least 1")
-    # The vocabulary is sorted, so a stable sort breaks logit ties by code.
-    order = np.argsort(-logits.scores, kind="stable")
+    codes = ranking.codes()
     if mode == "novel":
-        index = vocab_index(logits.vocab)
-        keep = np.ones(len(order), dtype=bool)
-        keep[[index[c] for c in history_ccs if c in index]] = False
-        order = order[keep[order]]
-    return CandidateSet(codes=tuple(logits.vocab[i] for i in order[:K].tolist()), mode=mode)
+        codes = (c for c in codes if c not in history_ccs)
+    return CandidateSet(codes=tuple(islice(codes, K)), mode=mode)
 
 
 def eligible_candidates(vocab: Sequence[str], mode: CandidateMode,
@@ -197,15 +207,16 @@ def eligible_candidates(vocab: Sequence[str], mode: CandidateMode,
 
 
 def prioritize_history(
-    history_ccs: Iterable[str], logits: LogitVector
+    history_ccs: Iterable[str], ranking: Ranking
 ) -> list[str]:
-    """History codes ordered by descending logit, ties by code id."""
-    history = sorted(set(history_ccs))
-    index = set(logits.vocab)
-    for h in history:
+    """History codes in the scorer's ranking order: by descending logit,
+    ties by code id."""
+    history = set(history_ccs)
+    index = vocab_index(ranking.vocab)
+    for h in sorted(history):
         if h not in index:
             raise EvidenceError(f"history code {h!r} has no logit")
-    return sorted(history, key=lambda c: (-logits.score(c), c))
+    return [c for c in ranking.codes() if c in history]
 
 
 @dataclass(frozen=True)
@@ -290,12 +301,14 @@ def extract_relations(
     if not history:
         return RelationalEvidence(links=())
     index = vocab_index(G.vocab)
-    # Rows follow the sorted history, so argmax's first maximum is the
-    # smallest history code.
-    block = G.counts[np.ix_(_positions(index, history), _positions(index, novel))]
-    best = block.argmax(axis=0)
-    counts = block[best, np.arange(len(novel))].tolist()
-    return RelationalEvidence(links=tuple(
-        RelationLink(history_ccs=history[b], candidate_ccs=c, count=n)
-        for b, c, n in zip(best.tolist(), novel, counts) if n > 0
-    ))
+    rows = [G.counts[i] for i in _positions(index, history)]
+    links = []
+    for candidate, j in zip(novel, _positions(index, novel)):
+        column = [row[j] for row in rows]
+        best = max(column)
+        # Rows follow the sorted history, so the first maximum is the
+        # smallest history code.
+        if best > 0:
+            links.append(RelationLink(history_ccs=history[column.index(best)],
+                                      candidate_ccs=candidate, count=best))
+    return RelationalEvidence(links=tuple(links))

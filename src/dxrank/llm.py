@@ -18,11 +18,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
-
 from . import InputError
 from .config import LLM_BACKENDS, LlmConfig
 from .prompting import CANDIDATES_TITLE_OVERALL, HISTORY_TITLE_PRIORITIZED
+from .rng import Pcg64
 
 # Each offline backend's answer to (prompt, per-prompt seed). The lambdas
 # look the mocks up at call time, so they are defined further down.
@@ -318,6 +317,8 @@ def mock_evidence_aware(prompt: str, seed: int, swap_prob: float = 0.1) -> str:
     swap_prob normally, or a full shuffle when the history section is not
     prioritized (an unorganized history gives the mock much less to anchor
     on, mirroring the re-ranking quality drop the flags exist to measure).
+    The noise is `numpy.random.default_rng(seed)`'s stream, drawn by
+    `dxrank.rng`.
     """
     names = _candidate_names(prompt)
     supported_set = _supported_names(prompt)
@@ -327,7 +328,7 @@ def mock_evidence_aware(prompt: str, seed: int, swap_prob: float = 0.1) -> str:
     supported = [n for n in names if n in supported_set]
     rest = [n for n in names if n not in supported_set]
 
-    rng = np.random.default_rng(seed)
+    rng = Pcg64(seed)
     if not prioritized:
         rest = [rest[i] for i in rng.permutation(len(rest))]
     else:

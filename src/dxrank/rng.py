@@ -1,14 +1,16 @@
 """numpy's `default_rng` stream without numpy.
 
 `Pcg64(seed)` draws exactly what `numpy.random.default_rng(seed)` draws for
-the three calls the synthetic generator makes: `integers`, `random` and
-`choice(n, k, replace=False)` (here `sample`). It seeds as numpy's
-`SeedSequence` does and steps O'Neill's PCG64 ("PCG: A Family of Simple
-Fast Space-Efficient Statistically Good Algorithms for Random Number
-Generation", 2014); bounded integers use Lemire's nearly-divisionless
-method (ACM TOMACS 2019), as numpy's do. A dataset's bytes thus follow
-this module and not the installed numpy, whose `Generator` streams NEP 19
-does not promise to keep across releases.
+the calls the synthetic generator, the patient split and the mock
+re-ranker make: `integers`, `random`, `choice(n, k, replace=False)` (here
+`sample`) and `permutation(n)`. It seeds as numpy's `SeedSequence` does and
+steps O'Neill's PCG64 ("PCG: A Family of Simple Fast Space-Efficient
+Statistically Good Algorithms for Random Number Generation", 2014); bounded
+integers use Lemire's nearly-divisionless method (ACM TOMACS 2019), as
+numpy's do, except in `permutation`, whose shuffle draws each swap by
+masked rejection, as numpy's `shuffle` does. Datasets, splits and mock
+answers thus follow this module and not the installed numpy, whose
+`Generator` streams NEP 19 does not promise to keep across releases.
 """
 from __future__ import annotations
 
@@ -145,6 +147,27 @@ class Pcg64:
             picked.append(t)
         self._shuffle(picked)
         return picked
+
+    def _masked(self, top: int) -> int:
+        """Uniform on `[0, top]` for `top >= 1`: numpy's `random_interval`,
+        which masks a 32-bit draw (64-bit above 2**32 - 1) to the bits of
+        `top` and draws again while the value exceeds it."""
+        draw = self._next32 if top <= MASK32 else self._next64
+        mask = (1 << top.bit_length()) - 1
+        value = draw() & mask
+        while value > top:
+            value = draw() & mask
+        return value
+
+    def permutation(self, n: int) -> list[int]:
+        """`range(n)` shuffled as numpy's `permutation(n)` shuffles it:
+        positions n - 1 down to 1 each swap with a masked draw at or
+        below them."""
+        values = list(range(n))
+        for i in range(n - 1, 0, -1):
+            j = self._masked(i)
+            values[i], values[j] = values[j], values[i]
+        return values
 
     def _shuffle(self, values: list[int], first: int = 0) -> None:
         """Swap each position from the last down to `first` with a uniform

@@ -52,14 +52,14 @@ def make_patient(pid: str, visits: list[tuple[int, list[str]]]) -> PatientRecord
 
 
 def dense_counts(pairs: dict[tuple[str, str], int],
-                 vocab: tuple[str, ...]) -> np.ndarray:
-    """Pair counts keyed by code, in either order, as the symmetric (C, C)
-    array a CooccurrenceMatrix over `vocab` holds; absent pairs are 0."""
+                 vocab: tuple[str, ...]) -> tuple[tuple[int, ...], ...]:
+    """Pair counts keyed by code, in either order, as the symmetric row
+    tuples a CooccurrenceMatrix over `vocab` holds; absent pairs are 0."""
     index = {c: i for i, c in enumerate(vocab)}
-    counts = np.zeros((len(vocab), len(vocab)), dtype=np.int64)
+    counts = [[0] * len(vocab) for _ in vocab]
     for (a, b), v in pairs.items():
-        counts[index[a], index[b]] = counts[index[b], index[a]] = v
-    return counts
+        counts[index[a]][index[b]] = counts[index[b]][index[a]] = v
+    return tuple(map(tuple, counts))
 
 
 def softmax_vjp(y: np.ndarray, dy: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -1,13 +1,16 @@
 """Reference implementations the tests compare the shipped code against:
 per-box volume math and pooling, log-softplus and its derivative, per-vector
-BCE, run scoring one loop per metric, and a metrics.json reader. The
+BCE, run scoring one loop per metric, a metrics.json reader, and the patient
+split and evidence-aware mock drawn from numpy's own generator. The
 pipeline itself scores packed batches, computes log-softplus in place, scores
-each task from one set of eligible records and never reads metrics back, so
-none of this ships in `src/`. `code_accuracy_at_k` scores one metric of a
-bare record list through the shipped formula, which only tests need."""
+each task from one set of eligible records, never reads metrics back and
+draws its streams from `dxrank.rng`, so none of this ships in `src/`.
+`code_accuracy_at_k` scores one metric of a bare record list through the
+shipped formula, which only tests need."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -18,6 +21,9 @@ from dxrank.backends.base import BackendError, LogitVector, code_index
 from dxrank.backends.boxes import VolumeConfig
 from dxrank.backends.numerics import ParamTree, bce_with_logits, sigmoid, softplus, \
     softplus_inv
+from dxrank.ehr import Dataset
+from dxrank.llm import _candidate_names, _supported_names
+from dxrank.prompting import HISTORY_TITLE_PRIORITIZED
 from dxrank.metrics import EvalError, MetricsReport, RunArtifact, RunRecord, _pooled_accuracy, \
     _views
 
@@ -203,3 +209,44 @@ def score_by_loops(artifact: RunArtifact, ks: Mapping[str, Sequence[int]]) -> Me
         n_novel_excluded=sum(1 for r in artifact.records if not r.error and not r.target_novel),
         ks={task: tuple(v) for task, v in ks.items()},
     )
+
+
+def numpy_split(dataset: Dataset, ratios: tuple[float, float, float],
+                seed: int) -> tuple[Dataset, Dataset, Dataset]:
+    """`ehr.split_patients` as it was while numpy's `default_rng(seed)`
+    drew its permutation."""
+    n = len(dataset.patients)
+    exact = [r * n for r in ratios]
+    sizes = [int(math.floor(x)) for x in exact]
+    remainders = [x - s for x, s in zip(exact, sizes)]
+    while sum(sizes) < n:
+        idx = max(range(3), key=lambda i: (remainders[i], -i))
+        sizes[idx] += 1
+        remainders[idx] = -1.0
+    order = np.random.default_rng(seed).permutation(n)
+    bounds = np.cumsum([0] + sizes)
+    parts = []
+    for i in range(3):
+        chosen = sorted(order[bounds[i]:bounds[i + 1]])
+        parts.append(Dataset(patients=tuple(dataset.patients[j] for j in chosen)))
+    return parts[0], parts[1], parts[2]
+
+
+def numpy_mock_evidence_aware(prompt: str, seed: int, swap_prob: float = 0.1) -> str:
+    """`llm.mock_evidence_aware` as it was while numpy drew its noise."""
+    names = _candidate_names(prompt)
+    supported_set = _supported_names(prompt)
+    prioritized = any(
+        line.startswith(HISTORY_TITLE_PRIORITIZED) for line in prompt.splitlines()
+    )
+    supported = [n for n in names if n in supported_set]
+    rest = [n for n in names if n not in supported_set]
+
+    rng = np.random.default_rng(seed)
+    if not prioritized:
+        rest = [rest[i] for i in rng.permutation(len(rest))]
+    else:
+        for i in range(len(rest) - 1):
+            if rng.random() < swap_prob:
+                rest[i], rest[i + 1] = rest[i + 1], rest[i]
+    return "Answer: " + ", ".join(supported + rest)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import hashlib
 import json
 import os
 import shutil
@@ -12,6 +13,7 @@ import threading
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dxrank.cli as cli_module
@@ -27,6 +29,7 @@ from dxrank.cli import (
     METRICS_FILE,
     MODEL_FILE,
     ONTOLOGY_FILE,
+    RANKINGS_FILE,
     RUN_FILE,
     SWEEP_FILE,
     SWEEP_KS,
@@ -42,7 +45,7 @@ from dxrank import InputError
 from dxrank.ehr import DatasetError, OntologyError, SplitError, build_instances, \
     load_dataset, load_ontology, save_dataset, split_patients
 from dxrank.evidence import EvidenceError, load_cooccurrence
-from dxrank.backends import BACKENDS, BackendError, TrainedModel
+from dxrank.backends import BACKENDS, BackendError, TrainedModel, load_model
 from dxrank.llm import LLM_BACKENDS, LlmClient, LlmConfig, LlmError, derive_seed, \
     mock_evidence_aware
 from dxrank.metrics import EvalError, load_run
@@ -657,6 +660,127 @@ class TestPipeline:
         assert cli("predict", cfg_path, out, "--task", "overall") == EXIT_OK
         assert load_run(out / RUN_FILE).task == "overall"
 
+    def test_counts_past_int64_load(self, tmp_path):
+        """Co-occurrence counts are Python ints, so a count no int64 holds
+        loads like any other."""
+        cfg_path = write_cfg(tmp_path)
+        out = tmp_path / "runs"
+        for command in ("synth", "train", "cooc"):
+            assert cli(command, cfg_path, out) == EXIT_OK
+        _, columns, first, *rest = (out / COOC_FILE).read_text().splitlines()
+        first = first.rsplit(",", 1)[0] + f",{2**64}"
+        (out / COOC_FILE).write_text("\n".join([f"# n_patients={2**70}", columns, first,
+                                                *rest]) + "\n")
+        assert cli("predict", cfg_path, out) == EXIT_OK
+        ontology = load_ontology(out / ONTOLOGY_FILE)
+        assert load_cooccurrence(out / COOC_FILE, ontology.ccs_codes).counts[0][0] == 2**64
+
+
+class TestRankings:
+    """`train` writes the scorer's rankings of the test split. The
+    prediction commands read them when they were written for exactly their
+    inputs, and load the model and score the split themselves otherwise,
+    writing the same files either way."""
+
+    @pytest.fixture(scope="class")
+    def chain(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("rankings")
+        cfg_path = write_cfg(tmp, dict(SMALL_CFG, llm={"backend": "mock_evidence"}))
+        for command in ("synth", "train", "cooc"):
+            assert cli(command, cfg_path, tmp / "runs") == EXIT_OK, command
+        return cfg_path, tmp / "runs"
+
+    def test_rankings_are_the_stable_argsort_of_the_logits(self, chain):
+        _, out = chain
+        ontology = load_ontology(out / ONTOLOGY_FILE)
+        _, _, test_ds = split_patients(load_dataset(out / DATASET_FILE, ontology),
+                                       (0.7, 0.1, 0.2), SMALL_CFG["seed"])
+        instances = build_instances(test_ds)
+        meta, *rows = map(json.loads, (out / RANKINGS_FILE).read_text().splitlines())
+        assert meta == {"backend": "box", "seed": 0, "split_ratios": [0.7, 0.1, 0.2],
+                        "sha256": {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                                   for name in (DATASET_FILE, MODEL_FILE, ONTOLOGY_FILE)}}
+        assert [row["patient_id"] for row in rows] == [i.patient_id for i in instances]
+        logits = load_model(out / MODEL_FILE).logits(instances)
+        for row, vector in zip(rows, logits):
+            assert row["positions"] == np.argsort(-vector.scores, kind="stable").tolist()
+
+    def test_read_path_and_fallback_write_the_same_files(self, chain, tmp_path,
+                                                         monkeypatch):
+        cfg_path, base = chain
+        calls = count_calls(monkeypatch, "load_model")
+        outs = []
+        for name in ("read", "fallback"):
+            out = shutil.copytree(base, tmp_path / name)
+            if name == "fallback":
+                (out / RANKINGS_FILE).unlink()
+            for command in ("predict", "ablate", "sweep-k"):
+                assert cli(command, cfg_path, out) == EXIT_OK, command
+            outs.append(out)
+            # The read path loads no model; the fallback loads it once per command.
+            assert calls["load_model"] == (0 if name == "read" else 3)
+        files = [RUN_FILE, ABLATION_FILE, SWEEP_FILE,
+                 *(f"run_{stage}.jsonl" for stage in ABLATION_STAGES),
+                 *(f"run_k{k}.jsonl" for k in SWEEP_KS)]
+        for name in files:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+    @staticmethod
+    def _truncate_last_line(out):
+        lines = (out / RANKINGS_FILE).read_text().splitlines(keepends=True)
+        lines[-1] = lines[-1][:len(lines[-1]) // 2]
+        (out / RANKINGS_FILE).write_text("".join(lines))
+
+    @staticmethod
+    def _repeat_a_position(out):
+        meta, first, *rest = (out / RANKINGS_FILE).read_text().splitlines()
+        row = json.loads(first)
+        row["positions"][1] = row["positions"][0]
+        (out / RANKINGS_FILE).write_text("\n".join([meta, json.dumps(row), *rest]) + "\n")
+
+    @pytest.mark.parametrize("edit", ["removed", "model-byte", "seed", "truncated",
+                                      "not-a-permutation"])
+    def test_other_inputs_take_the_fallback(self, chain, tmp_path, monkeypatch, edit):
+        cfg_path, base = chain
+        out = shutil.copytree(base, tmp_path / "runs")
+        assert cli("predict", cfg_path, out) == EXIT_OK
+        read = (out / RUN_FILE).read_bytes()
+        extra = []
+        if edit == "removed":
+            (out / RANKINGS_FILE).unlink()
+        elif edit == "model-byte":
+            # The first loss, which no logit depends on: the same scorer in
+            # other bytes.
+            text = (out / MODEL_FILE).read_text()
+            assert '"losses":[0.' in text
+            (out / MODEL_FILE).write_text(text.replace('"losses":[0.', '"losses":[1.'))
+        elif edit == "seed":
+            extra = ["--seed", "7"]
+        elif edit == "truncated":
+            self._truncate_last_line(out)
+        else:
+            self._repeat_a_position(out)
+        rankings = (out / RANKINGS_FILE).read_bytes() if edit != "removed" else None
+        calls = count_calls(monkeypatch, "load_model")
+        assert cli("predict", cfg_path, out, *extra) == EXIT_OK
+        assert calls == {"load_model": 1}
+        if edit != "seed":
+            assert (out / RUN_FILE).read_bytes() == read
+        # Prediction commands never write the rankings.
+        if rankings is not None:
+            assert (out / RANKINGS_FILE).read_bytes() == rankings
+
+    def test_train_with_an_empty_test_split(self, tmp_path, capsys):
+        cfg_path = write_cfg(tmp_path, dict(SMALL_CFG, split_ratios=[0.9, 0.1, 0.0]))
+        out = tmp_path / "runs"
+        for command in ("synth", "train"):
+            assert cli(command, cfg_path, out) == EXIT_OK, command
+        assert len((out / RANKINGS_FILE).read_text().splitlines()) == 1
+        capsys.readouterr()
+        assert cli("predict", cfg_path, out, "--stage", "candidate") == EXIT_BAD_CONFIG
+        assert capsys.readouterr().err == (
+            "error: test split yields no prediction instances\n")
+
 
 class TestSeedOverride:
     def test_seed_propagates_to_all_sections(self, tmp_path):
@@ -801,8 +925,13 @@ class TestAblate:
         calls = count_calls(monkeypatch, "load_model", "load_dataset",
                             "load_cooccurrence", "run_predictions")
         assert cli("ablate", cfg_path, out) == EXIT_OK
-        assert calls == {"load_model": 1, "load_dataset": 1,
+        # `train`'s rankings stand in for the model; without them it is loaded once.
+        assert calls == {"load_model": 0, "load_dataset": 1,
                          "load_cooccurrence": 1, "run_predictions": 4}
+        (out / RANKINGS_FILE).unlink()
+        assert cli("ablate", cfg_path, out) == EXIT_OK
+        assert calls == {"load_model": 1, "load_dataset": 2,
+                         "load_cooccurrence": 2, "run_predictions": 8}
 
     def test_ablate_runs_match_predict(self, tmp_path):
         doc = dict(SMALL_CFG, llm={"backend": "mock_evidence"})
@@ -827,6 +956,7 @@ class TestAblate:
         out = tmp_path / "runs"
         for command in ("synth", "train", "cooc"):
             assert cli(command, cfg_path, out) == EXIT_OK
+        (out / RANKINGS_FILE).unlink()  # so that `ablate` scores the test split
         scored = []
         real = TrainedModel.logits
 
@@ -929,7 +1059,10 @@ class TestSweepK:
         assert single[1:] == (out / "run_k10.jsonl").read_bytes().splitlines()[1:]
         calls = count_calls(monkeypatch, "load_model", "run_predictions")
         assert cli("sweep-k", cfg_path, out) == EXIT_OK
-        assert calls == {"load_model": 1, "run_predictions": len(SWEEP_KS)}
+        assert calls == {"load_model": 0, "run_predictions": len(SWEEP_KS)}
+        (out / RANKINGS_FILE).unlink()
+        assert cli("sweep-k", cfg_path, out) == EXIT_OK
+        assert calls == {"load_model": 1, "run_predictions": 2 * len(SWEEP_KS)}
 
 
 class TestProcessEntry:

@@ -72,10 +72,22 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     assert "numpy" not in synth_loads
     assert not loaded("train", "--epochs", "1", "--d", "4") & (
         mods - {"dxrank.backends"})
-    assert not loaded("cooc") & (mods - {"dxrank.evidence"})
-    assert "concurrent.futures" not in loaded(
-        "predict", "--llm-backend", "mock_evidence", "--k", "5")
+    cooc_loads = loaded("cooc")
+    assert not cooc_loads & (mods - {"dxrank.evidence"})
+    assert "numpy" not in cooc_loads
+    predict = ("predict", "--llm-backend", "mock_evidence", "--k", "5")
+    assert "concurrent.futures" not in loaded(*predict)
     assert "numpy" not in loaded("eval")
+    # With `train`'s rankings the prediction commands load no scorer and no
+    # numpy; without them they load the model and score the test split.
+    scorer = {"numpy", "dxrank.backends"}
+    commands = (predict, ("ablate", "--llm-backend", "mock_evidence", "--k", "5"),
+                ("sweep-k", "--llm-backend", "mock_evidence"))
+    for argv in commands:
+        assert not loaded(*argv) & scorer, argv
+    (tmp_path / "rankings.jsonl").unlink()
+    for argv in commands:
+        assert loaded(*argv) >= scorer, argv
 
 
 def test_the_data_model_loads_no_numpy():
@@ -91,12 +103,15 @@ def test_the_data_model_loads_no_numpy():
 
 
 def test_the_evidence_layer_loads_no_scorer():
-    """The logit vector lives in `dxrank.ehr`, so the evidence, prompt and
-    LLM modules import none of the training package."""
+    """The evidence layer reads a scorer's ranking from `dxrank.ehr`, counts
+    in Python ints and draws the mock's noise from `dxrank.rng`, so the
+    evidence, prompt and LLM modules import neither the training package
+    nor numpy."""
     for module in ("dxrank.evidence", "dxrank.prompting", "dxrank.llm"):
         out = _python(f"""
             import sys, {module}
-            print(sorted(m for m in sys.modules if m.startswith("dxrank.backends")))
+            print(sorted(m for m in sys.modules
+                         if m.startswith("dxrank.backends") or m == "numpy"))
         """)
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "[]", module

@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dxrank.ehr import (
     Dataset,
@@ -23,6 +25,7 @@ from dxrank.ehr import (
 from dxrank.synth import SyntheticConfig, generate_synthetic
 
 from .conftest import make_patient
+from .reference import numpy_split
 
 
 class TestVisit:
@@ -193,6 +196,15 @@ class TestSplitPatients:
     def test_bad_ratios_rejected(self):
         with pytest.raises(SplitError):
             split_patients(self._many(5), ratios=(1.0, -0.5, 0.5))
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(3, 400), weights=st.tuples(*[st.integers(0, 20)] * 3).filter(any),
+           seed=st.integers(0, 2**70) | st.integers(0, 50))
+    def test_split_equals_the_numpy_drawn_split(self, n, weights, seed):
+        """`dxrank.rng` draws the permutation numpy's `default_rng` drew."""
+        ratios = tuple(w / sum(weights) for w in weights)
+        ds = self._many(n)
+        assert split_patients(ds, ratios, seed) == numpy_split(ds, ratios, seed)
 
 
 class TestPredictionInstance:

@@ -43,7 +43,7 @@ def brute_force_counts(dataset) -> dict[tuple[str, str], int]:
 
 
 def count(matrix: CooccurrenceMatrix, i: str, j: str) -> int:
-    return matrix.counts[matrix.vocab.index(i), matrix.vocab.index(j)]
+    return matrix.counts[matrix.vocab.index(i)][matrix.vocab.index(j)]
 
 
 class TestCooccurrence:
@@ -62,7 +62,7 @@ class TestCooccurrence:
     def test_symmetric_lookup(self, dataset):
         m = build_cooccurrence(dataset, VOCAB)
         assert count(m, "C01", "C02") == count(m, "C02", "C01")
-        assert np.array_equal(m.counts, m.counts.T)
+        assert np.array_equal(m.counts, np.transpose(m.counts))
 
     def test_diagonal_counts_patients_with_code(self, dataset):
         m = build_cooccurrence(dataset, VOCAB)
@@ -107,6 +107,20 @@ class TestCooccurrence:
         with pytest.raises(EvidenceError) as info:
             load_cooccurrence(path, VOCAB)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("n_patients,rows,want", [
+        (3, "C01,C01,2\nC01,C02,1\nC02,C02,1\n",
+         {("C01", "C01"): 2, ("C01", "C02"): 1, ("C02", "C02"): 1}),
+        # Counts are Python ints: no int64 holds 2**64, which loads exactly.
+        (2**70, f"C01,C01,{2**64}\nC01,C02,{2**63}\nC02,C02,{2**63}\n",
+         {("C01", "C01"): 2**64, ("C01", "C02"): 2**63, ("C02", "C02"): 2**63}),
+    ])
+    def test_rows_in_range_load_exactly(self, tmp_path, n_patients, rows, want):
+        path = tmp_path / "cooc.csv"
+        path.write_text(f"# n_patients={n_patients}\nccs_i,ccs_j,count\n{rows}")
+        m = load_cooccurrence(path, VOCAB)
+        assert m.counts == dense_counts(want, VOCAB) and m.n_patients == n_patients
+        assert {type(v) for row in m.counts for v in row} == {int}
 
     def test_save_returns_the_number_of_rows_written(self, tmp_path):
         path = tmp_path / "cooc.csv"

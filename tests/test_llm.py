@@ -14,6 +14,8 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dxrank
 from dxrank import InputError
@@ -33,6 +35,7 @@ from dxrank.llm import (
 )
 
 from .loopback import LoopbackLlm
+from .reference import numpy_mock_evidence_aware
 
 REMOTE = dict(backend="remote", endpoint_url="http://h/v1", model_name="m")
 
@@ -511,6 +514,21 @@ class TestMockEvidence:
             names = got[len("Answer: "):].split(", ")
             assert sorted(names) == sorted(NAMES)
             assert names[0] == "D"
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(names=st.lists(st.text("abcdefgh", min_size=1, max_size=4), unique=True,
+                          min_size=1, max_size=300),
+           prioritized=st.booleans(), data=st.data(),
+           seed=st.integers(0, 2**64 - 1) | st.integers(0, 100),
+           swap_prob=st.sampled_from([0.1, 0.5, 1.0]))
+    def test_answers_equal_the_numpy_drawn_mock(self, names, prioritized, data, seed,
+                                                swap_prob):
+        """`dxrank.rng` draws the noise numpy's `default_rng` drew, for
+        prompts with and without prioritized history and `⇒` lines."""
+        supported = data.draw(st.lists(st.sampled_from(names), unique=True))
+        text = prompt_text(names, prioritized=prioritized, supported=supported)
+        assert mock_evidence_aware(text, seed, swap_prob) == numpy_mock_evidence_aware(
+            text, seed, swap_prob)
 
     def test_via_client_uses_sample_tag(self):
         cfg = LlmConfig(backend="mock_evidence", seed=0)

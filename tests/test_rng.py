@@ -51,6 +51,8 @@ def _numpy_draw(gen: np.random.Generator, name: str, args: tuple):
         return int(gen.integers(*args))
     if name == "random":
         return float(gen.random())
+    if name == "permutation":
+        return gen.permutation(*args).tolist()
     return [int(v) for v in gen.choice(*args, replace=False)]
 
 
@@ -79,6 +81,26 @@ def test_mixed_draws_equal_default_rng(seed, ops):
     _assert_same_draws(seed, ops)
 
 
+# Permutations of every length up to 300, where most swaps are drawn from
+# few bits, and a few past 2**14, interleaved with the other draws so that a
+# permutation that leaves the 32-bit buffer in another state shows.
+PERMUTATIONS = st.lists(st.one_of(
+    st.integers(0, 300).map(lambda n: ("permutation", (n,))),
+    st.integers(16385, 20000).map(lambda n: ("permutation", (n,))),
+    _integers(),
+    st.just(("random", ())),
+), min_size=1, max_size=6).filter(
+    lambda ops: sum(args[0] for name, args in ops if name == "permutation") <= 25000)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**128) | st.integers(2**96, 2**128), PERMUTATIONS)
+def test_permutation_equals_default_rng(seed, ops):
+    """numpy's `permutation` draws each swap by masked rejection, not by
+    Lemire's method as `integers` and `choice` do."""
+    _assert_same_draws(seed, ops)
+
+
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
 @given(SEEDS, st.lists(_choice(10001, 12000, tail=True), min_size=1, max_size=2))
 def test_tail_shuffle_choice_equals_default_rng(seed, ops):
@@ -87,6 +109,7 @@ def test_tail_shuffle_choice_equals_default_rng(seed, ops):
 
 def test_edge_draws_equal_default_rng():
     ops = [("integers", (-5, -4)), ("choice", (0, 0)), ("choice", (1, 1)),
+           ("permutation", (0,)), ("permutation", (1,)), ("permutation", (2,)),
            ("choice", (300, 300)), ("choice", (10001, 10001)),
            ("integers", (-2**63, 2**63)), ("integers", (0, 2**32)),
            ("integers", (-3, 2**32 - 3)), ("random", ())]
