@@ -12,13 +12,12 @@ initializer alone; `load_model` checks a file against them.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .. import from_json, json_value
+from .. import asdict, from_json, json_value, record, replace
 from ..ehr import Dataset, Ontology, PredictionInstance, build_instances
 from .base import (
     BackendError,
@@ -42,7 +41,7 @@ from .numerics import (
 from .retain import init_retain_params, retain_backward, retain_forward, retain_logits
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Backend:
     """One scorer kind: its seeded initializer (vocab, d, rng), which names
     and shapes its tensors, and its kernels over a packed batch: the forward
@@ -139,7 +138,7 @@ def infer_logits(backend_kind: str, vocab: tuple[str, ...], tensors: ParamTree,
     return _backend(backend_kind).logits(patients, vocab, tensors, volume)
 
 
-@dataclass
+@record
 class TrainedModel:
     """A trained backend plus everything needed to reuse it: its vocabulary
     and tensors, its loss history and the configs that produced it.
@@ -208,7 +207,7 @@ def train(backend_kind: str, dataset: Dataset, ontology: Ontology,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GradCheckReport:
     max_rel_error: float
     worst_param: str

@@ -3,16 +3,16 @@ vocabulary into the packed ragged batch both scorers take. The logit vector
 both scorers emit lives beside the vocabulary in `dxrank.ehr`."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .. import record
 from ..config import BackendError, TrainConfig
 from ..ehr import LogitVector, PredictionInstance, code_index, vocab_index
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EncodedInstance:
     """One prediction instance as vocabulary indices: per-visit code index
     arrays plus a multi-hot target over the full vocabulary."""
@@ -44,7 +44,7 @@ def encode_batch(patients: Sequence[PredictionInstance],
     return [encode_instance(p, index) for p in patients]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PackedBatch:
     """Encoded instances packed for batched scoring: every visit's code
     indices concatenated in order, the offset in `codes` of each visit's

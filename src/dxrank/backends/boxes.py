@@ -13,11 +13,11 @@ segment reductions; `boxlm_logits` scores a sequence of instances as one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .. import record
 from ..ehr import PredictionInstance
 from .base import BackendError, LogitVector, PackedBatch, encode_batch, pack_instances
 from .numerics import ParamTree, segment_ids, segment_softmax, segment_softmax_vjp, \
@@ -26,7 +26,7 @@ from .numerics import ParamTree, segment_ids, segment_softmax, segment_softmax_v
 GAMMA = 0.5772156649
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class VolumeConfig:
     beta: float = 0.1
     gamma: float = GAMMA

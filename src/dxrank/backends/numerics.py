@@ -4,9 +4,9 @@ binary cross-entropy with logits, and an Adam optimizer over flat parameter
 dicts."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+
+from .. import record
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -76,7 +76,7 @@ def zeros_like_tree(params: ParamTree) -> ParamTree:
     return {k: np.zeros_like(v) for k, v in params.items()}
 
 
-@dataclass
+@record
 class AdamState:
     m: ParamTree
     v: ParamTree

@@ -16,11 +16,10 @@ import hashlib
 import importlib
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NoReturn, Sequence
 
-from . import InputError
+from . import InputError, record
 from .config import ABLATION_STAGES, BACKEND_KINDS, DEFAULT_K, LLM_BACKENDS, STRATEGIES, \
     TASKS, ConfigError, RunConfig, config_from_dict, fingerprint_config
 
@@ -107,7 +106,7 @@ def _apply_overrides(doc: dict, args: argparse.Namespace) -> None:
     """Fold CLI flags into the config document before validation, so the
     resolved config on disk reflects exactly what ran."""
     for dest, value in vars(args).items():
-        if value is None or dest.split(".")[0] not in RunConfig.__dataclass_fields__:
+        if value is None or dest.split(".")[0] not in RunConfig.__record_fields__:
             continue
         for path in SEED_PATHS if dest == "seed" else (dest,):
             *sections, key = path.split(".")
@@ -250,7 +249,7 @@ def predict_record(
     )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PredictionInputs:
     """What every prediction run of one command reads: loaded and derived
     once, then shared by every stage and K. `shortlists[i]` holds the

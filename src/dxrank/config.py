@@ -11,10 +11,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
 from urllib.parse import urlsplit
 
-from . import InputError, from_json
+from . import InputError, asdict, field, from_json, record
 
 # The two prediction tasks: every next-visit code, or only codes absent from
 # the history. Candidate selection uses the same names for its modes.
@@ -63,7 +62,7 @@ def _check_seed(seed: int, error: type[InputError]) -> None:
         raise error(f"seed must be non-negative, got {seed}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TrainConfig:
     epochs: int = 20
     learning_rate: float = 1e-2
@@ -81,7 +80,7 @@ class TrainConfig:
         _check_seed(self.seed, BackendError)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LlmConfig:
     backend: str = "mock_echo"
     endpoint_url: str = ""
@@ -128,7 +127,7 @@ def _check_endpoint(url: str) -> None:
         raise InputError(f"endpoint_url {url!r} has a query or fragment")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ComorbidityRule:
     """If `trigger` is present in a visit, `onset` joins the next visit
     with probability `q` (independently per visit transition)."""
@@ -138,7 +137,7 @@ class ComorbidityRule:
     q: float
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SyntheticConfig:
     n_patients: int = 500
     n_ccs: int = 60
@@ -193,10 +192,10 @@ def ccs_vocabulary(n_ccs: int) -> list[str]:
     return [f"CCS-{k:0{width}d}" for k in range(1, n_ccs + 1)]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RunConfig:
     """One config drives every subcommand; unused sections are ignored.
-    The fields, and those of the nested dataclasses, are the whole JSON
+    The fields, and those of the nested records, are the whole JSON
     schema: `config_from_dict` reads it off their type hints."""
 
     seed: int = 0

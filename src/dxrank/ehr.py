@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from . import InputError, json_value
+from . import InputError, field, json_value, record
 from .config import TASKS, BackendError, SplitError, check_split_ratios
 from .rng import Pcg64
 
@@ -30,7 +29,7 @@ class DatasetError(InputError):
     """Raised for malformed dataset files or codes that do not resolve."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Ontology:
     """Many-to-one ICD -> CCS map with display names for both levels."""
 
@@ -74,7 +73,7 @@ class Ontology:
         return frozenset(self.ccs_of(i) for i in icds)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Visit:
     """One encounter: a day offset plus the diagnosis codes recorded there.
 
@@ -99,7 +98,7 @@ class Visit:
         return frozenset(self.ccs)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PatientRecord:
     """Ordered visit sequence for one patient."""
 
@@ -120,7 +119,7 @@ class PatientRecord:
         return frozenset(c for v in self.visits for c in v.ccs)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Dataset:
     """Patients in id order, whatever order the input listed them in."""
 
@@ -139,7 +138,7 @@ class Dataset:
         return len(self.patients)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PredictionInstance:
     """One next-visit prediction problem: an input prefix and its targets.
 
@@ -162,7 +161,7 @@ class PredictionInstance:
         object.__setattr__(self, "target_novel", self.target_overall - history)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Ranking:
     """A scorer's order of a sorted vocabulary: `positions` holds each
     vocabulary position once, from the highest score down, ties in code
@@ -183,20 +182,18 @@ class Ranking:
         return map(self.vocab.__getitem__, self.positions)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LogitVector(Ranking):
     """A scorer's per-CCS scores, aligned to a sorted vocabulary, and the
     ranking they give: numpy's stable argsort of the negated scores."""
 
     positions: tuple[int, ...] = field(init=False)
     scores: np.ndarray
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         import numpy as np  # here only: `synth` and the ranking readers load no numpy
 
         object.__setattr__(self, "vocab", tuple(self.vocab))
-        object.__setattr__(self, "_index", vocab_index(self.vocab))
         scores = np.asarray(self.scores, dtype=float)
         object.__setattr__(self, "scores", scores)
         if scores.shape != (len(self.vocab),):
@@ -209,12 +206,6 @@ class LogitVector(Ranking):
         # The vocabulary is sorted, so a stable sort breaks score ties by code.
         object.__setattr__(self, "positions", np.argsort(-scores, kind="stable").tolist())
         super().__post_init__()
-
-    def score(self, code: str) -> float:
-        try:
-            return float(self.scores[self._index[code]])
-        except KeyError:
-            raise BackendError(f"CCS code {code!r} not in logit vector") from None
 
 
 def code_index(vocab: tuple[str, ...]) -> dict[str, int]:

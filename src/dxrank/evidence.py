@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import csv
 import operator
-from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from . import InputError
+from . import InputError, record
 from .ehr import TASKS, Dataset, Ontology, Ranking, Visit, vocab_index
 
 UNMAPPED_GROUP = "unmapped"
@@ -30,7 +29,7 @@ class EvidenceError(InputError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CooccurrenceMatrix:
     """Symmetric patient-level co-occurrence counts over a sorted CCS
     vocabulary.
@@ -171,7 +170,7 @@ def _row_fields(row: list[str]) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CandidateSet:
     """Candidate codes, by descending logit with code-id ascending tie-break
     or, with no scorer, in code order; in novel mode none is a history code."""
@@ -219,7 +218,7 @@ def prioritize_history(
     return [c for c in ranking.codes() if c in history]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HistoryGroup:
     ccs: str
     icds: tuple[str, ...]
@@ -264,14 +263,14 @@ def propagate_to_icd(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RelationLink:
     history_ccs: str
     candidate_ccs: str
     count: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RelationalEvidence:
     links: tuple[RelationLink, ...]
 

@@ -14,11 +14,10 @@ import queue
 import re
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from . import InputError
+from . import InputError, record
 from .config import LLM_BACKENDS, LlmConfig
 from .prompting import CANDIDATES_TITLE_OVERALL, HISTORY_TITLE_PRIORITIZED
 from .rng import Pcg64
@@ -46,7 +45,7 @@ class LlmProtocolError(LlmError):
     """Response arrived but is not a usable chat completion."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CompletionResult:
     text: str
     latency_ms: int

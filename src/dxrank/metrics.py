@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from . import InputError, from_json
+from . import InputError, field, fields, from_json, record, replace
 from .config import DEFAULT_KS, TASKS
 
 
@@ -23,7 +22,7 @@ class EvalError(InputError):
     """Raised for unusable artifacts or mismatched reports."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RunRecord:
     """One scored instance. `error` is non-empty when the LLM call failed;
     such records are excluded from metrics but kept for the failure count.
@@ -41,7 +40,7 @@ class RunRecord:
     error: str = ""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RunArtifact:
     """The records of one run; the other fields are its meta line's schema."""
 
@@ -160,7 +159,7 @@ def _pooled_accuracy(views: Sequence[_View], k: int) -> float | None:
 METRICS = {"visit_precision": _mean_precision, "code_accuracy": _pooled_accuracy}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MetricsReport:
     """Per-task, per-k metric values plus eligibility counts. A value is
     None when no record was eligible for that task."""
@@ -237,7 +236,7 @@ def metrics_table(report: MetricsReport) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ComparisonTable:
     """Labeled metric rows in configuration order, with deltas between
     consecutive rows (None on the first row)."""

@@ -8,12 +8,10 @@ back into a full permutation of the candidate codes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from . import InputError
+from . import InputError, record
 from .config import ABLATION_STAGES, DEFAULT_MAX_PROMPT_CHARS, STRATEGIES, TASKS
 from .ehr import Ontology, PredictionInstance
 from .evidence import UNMAPPED_GROUP, CandidateSet, HistoryGroup, RelationalEvidence
@@ -36,7 +34,7 @@ class PromptError(InputError):
     """Raised for inconsistent prompt inputs or bad templates."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AblationFlags:
     """Which evidence an ablation stage computes: the scorer's top-K
     candidates (else every eligible code), prioritized history and
@@ -57,7 +55,7 @@ class AblationFlags:
         )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PromptOptions:
     """How to prompt in every run of a command. `strategy` says only how the
     LLM is asked; what the prompt carries is the evidence it is given."""
@@ -76,7 +74,7 @@ class PromptOptions:
             raise PromptError("max_chars must be positive")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ParsedPrediction:
     ranked: tuple[str, ...]
     matched_count: int
@@ -92,11 +90,8 @@ def load_template(path: str | Path | None = None) -> str:
     """Read a prompt template, stripping '#' comment lines. With no path the
     packaged default is used."""
     if path is None:
-        text = (resources.files("dxrank") / "prompt_template.txt").read_text(
-            encoding="utf-8"
-        )
-    else:
-        text = Path(path).read_text(encoding="utf-8")
+        path = Path(__file__).with_name("prompt_template.txt")
+    text = Path(path).read_text(encoding="utf-8")
     kept = [ln for ln in text.splitlines() if not ln.startswith("#")]
     return "\n".join(kept)
 

@@ -6,7 +6,7 @@ pipeline itself scores packed batches, computes log-softplus in place, scores
 each task from one set of eligible records, never reads metrics back and
 draws its streams from `dxrank.rng`, so none of this ships in `src/`.
 `code_accuracy_at_k` scores one metric of a bare record list through the
-shipped formula, which only tests need."""
+shipped formula, and `score` reads one code's logit, which only tests need."""
 from __future__ import annotations
 
 import json
@@ -126,6 +126,14 @@ def visit_box(boxes: Sequence[BoxEmbed], tensors: ParamTree) -> BoxEmbed:
 def patient_box(visit_boxes: Sequence[BoxEmbed], tensors: ParamTree) -> BoxEmbed:
     """Temporal pooling of visit boxes with the visit weight vector."""
     return _aggregate(visit_boxes, tensors["visit_weight_vec"], "patient")
+
+
+def score(logits: LogitVector, code: str) -> float:
+    """The score `logits` gives `code`; the pipeline reads only the ranking."""
+    try:
+        return float(logits.scores[code_index(logits.vocab)[code]])
+    except KeyError:
+        raise BackendError(f"CCS code {code!r} not in logit vector") from None
 
 
 def bce_loss(logits: LogitVector, target: Sequence[str]) -> float:

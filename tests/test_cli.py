@@ -10,13 +10,13 @@ import shutil
 import subprocess
 import sys
 import threading
-from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dxrank.cli as cli_module
+from dxrank import fields, is_record
 from dxrank.cli import (
     ABLATION_FILE,
     COOC_FILE,
@@ -169,7 +169,7 @@ class TestConfigFromDict:
 
     def test_to_dict_keys_are_the_field_names(self):
         def check(obj, doc):
-            if is_dataclass(obj):
+            if is_record(obj):
                 assert set(doc) == {f.name for f in fields(obj)}, type(obj)
                 for f in fields(obj):
                     check(getattr(obj, f.name), doc[f.name])

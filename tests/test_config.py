@@ -51,7 +51,9 @@ def test_reading_a_config_loads_no_other_module():
 
 
 def test_each_command_loads_only_what_it_runs(tmp_path):
-    """A fresh interpreter per command of a tiny mock chain."""
+    """A fresh interpreter per command of a tiny mock chain. No command loads
+    `dataclasses`, and those that load no numpy load no `inspect` either:
+    numpy imports it itself."""
 
     def loaded(*argv: str) -> set[str]:
         out = _python(f"""
@@ -63,6 +65,9 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
         assert out.returncode == 0, out.stderr
         code, modules = json.loads(out.stdout.splitlines()[-1])
         assert code == 0, argv
+        assert "dataclasses" not in modules, argv
+        if "numpy" not in modules:
+            assert "inspect" not in modules, argv
         return set(modules)
 
     mods = {f"dxrank.{m}" for m in ("backends", "evidence", "llm", "prompting",
