@@ -1,15 +1,36 @@
-"""Shared backend plumbing: the encoding of instances over a fixed CCS
-vocabulary into the packed ragged batch both scorers take. The logit vector
-both scorers emit lives beside the vocabulary in `dxrank.ehr`."""
+"""Shared backend plumbing: the logit vector both scorers emit, which only
+`train` builds, and the encoding of instances over a fixed CCS vocabulary
+into the packed ragged batch both scorers take."""
 from __future__ import annotations
 
 from typing import Sequence
 
 import numpy as np
 
-from .. import record
+from .. import field, record
 from ..config import BackendError, TrainConfig
-from ..ehr import LogitVector, PredictionInstance, code_index, vocab_index
+from ..ehr import PredictionInstance, Ranking, code_index, vocab_index
+
+
+@record(frozen=True)
+class LogitVector(Ranking):
+    """A scorer's per-CCS scores, aligned to a sorted vocabulary, and the
+    ranking they give: numpy's stable argsort of the negated scores."""
+
+    positions: tuple[int, ...] = field(init=False)
+    scores: np.ndarray
+
+    def __post_init__(self):
+        scores = np.asarray(self.scores, dtype=float)
+        object.__setattr__(self, "scores", scores)
+        if scores.shape != (len(self.vocab),):
+            raise BackendError(f"scores shape {scores.shape} does not match vocabulary "
+                               f"size {len(self.vocab)}")
+        if not np.all(np.isfinite(scores)):
+            raise BackendError("non-finite logit")
+        # The vocabulary is sorted, so a stable sort breaks score ties by code.
+        object.__setattr__(self, "positions", np.argsort(-scores, kind="stable").tolist())
+        super().__post_init__()
 
 
 @record(frozen=True)

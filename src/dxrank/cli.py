@@ -50,10 +50,10 @@ LLM_CACHE_DIR = "llm_cache"
 
 # The names this module uses from each module, imported only when a command
 # runs that module (`_bind`) or another module looks one of them up here
-# (PEP 562 `__getattr__`), so only `train` and a prediction command that
-# must score the test split itself load the scorers and numpy. A name
-# already bound is kept: a wrapper set on this module before `main` runs is
-# the function that runs.
+# (PEP 562 `__getattr__`), so only `train` loads the scorers and numpy. A
+# name already bound is kept: a wrapper set on this module before `main`
+# runs is the function that runs. No command calls `load_model`; it is
+# listed because perfbench/spans.py wraps `dxrank.cli.load_model`.
 _IMPORTS: dict[str, tuple[str, ...]] = {
     ".ehr": ("Dataset", "Ontology", "PredictionInstance", "build_instances", "load_dataset",
              "load_ontology", "load_rankings", "save_dataset", "save_ontology",
@@ -73,7 +73,7 @@ _IMPORTS: dict[str, tuple[str, ...]] = {
 }
 _MODULE_OF = {name: module for module, names in _IMPORTS.items() for name in names}
 # What `predict`, `ablate` and `sweep-k` run: every module but the generator
-# and the scorers, which `_load_model` binds when it must.
+# and the scorers, which only `train` loads: they read `train`'s rankings.
 _PREDICTION = tuple(module for module in _IMPORTS if module not in (".synth", ".backends"))
 
 
@@ -153,8 +153,8 @@ def _load(loader, path: Path, source: str, *args):
     input error that names it; `source` says where the file comes from."""
     try:
         return loader(path, *args)
-    except FileNotFoundError:
-        raise ConfigError(f"missing {path} ({source})") from None
+    except FileNotFoundError as exc:  # `path` or an input it is checked against
+        raise ConfigError(f"missing {exc.filename} ({source})") from None
     except (InputError, OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -166,23 +166,17 @@ def _load_data(out_dir: Path) -> tuple[Dataset, Ontology]:
     return dataset, ontology
 
 
-def _load_model(cfg: RunConfig, out_dir: Path, ontology: Ontology) -> TrainedModel:
-    """`model.json`, checked against the ontology and the config's backend."""
-    _bind(".backends")
-    model_path = out_dir / MODEL_FILE
-    model = _load(load_model, model_path, "run `dxrank train` first", ontology)
-    if model.backend != cfg.backend:
-        raise ConfigError(f"{model_path}: model has backend {model.backend!r}, "
-                          f"config has {cfg.backend!r}")
-    return model
+def _split_meta(cfg: RunConfig, out_dir: Path, *files: str) -> dict:
+    """The split an artifact follows from: seed, ratios, sha256 of `dataset.jsonl` and `files`."""
+    return {"seed": cfg.seed, "split_ratios": list(cfg.split_ratios),
+            "sha256": {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+                       for name in (DATASET_FILE, *files)}}
 
 
 def _rankings_meta(cfg: RunConfig, out_dir: Path) -> dict:
     """What the scorer's rankings of the test split follow from: the bytes
     of the model, dataset and ontology files, the split and the backend."""
-    return {"backend": cfg.backend, "seed": cfg.seed, "split_ratios": list(cfg.split_ratios),
-            "sha256": {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
-                       for name in (DATASET_FILE, MODEL_FILE, ONTOLOGY_FILE)}}
+    return {"backend": cfg.backend, **_split_meta(cfg, out_dir, MODEL_FILE, ONTOLOGY_FILE)}
 
 
 def predict_record(
@@ -270,43 +264,24 @@ def load_prediction_inputs(
 ) -> PredictionInputs:
     """Load the artifacts that runs of the (stage, K) `variants` need: the
     scorer's rankings only if one of them reads them, co-occurrence counts
-    only if one uses relational evidence. The rankings are those `train`
-    wrote for these inputs, or else the loaded model's scores of the test
-    split. The scorer-derived evidence is built here, once per instance."""
+    only if one uses relational evidence, each written for this split and
+    the current bytes of its inputs. The scorer-derived evidence is built
+    here, once per instance."""
     dataset, ontology = _load_data(out_dir)
-    flags = [AblationFlags.for_stage(stage) for stage, _ in variants]
-    selects = any(f.candidates for f in flags)
-    prioritizes = any(f.prioritization for f in flags)
-    # Only candidate selection and history order read the scorer: from the
-    # rankings `train` wrote for exactly these inputs, or else from the model,
-    # loaded where it always was so that its errors come first as before.
-    model = stored = None
-    if selects or prioritizes:
-        try:
-            stored = load_rankings(out_dir / RANKINGS_FILE, _rankings_meta(cfg, out_dir),
-                                   ontology.ccs_codes)
-        except OSError:  # an unreadable input, which loading the model reports
-            pass
-        if stored is None:
-            model = _load_model(cfg, out_dir, ontology)
-    template_text = (_load(load_template, Path(cfg.template_path), "prompt template")
-                     if cfg.template_path else load_template())
-    options = PromptOptions(task=cfg.task, strategy=cfg.strategy,
-                            template_text=template_text, max_chars=cfg.max_prompt_chars)
-    cooc = None
-    if any(f.relations for f in flags):
-        cooc = _load(load_cooccurrence, out_dir / COOC_FILE, "run `dxrank cooc` first",
-                     ontology.ccs_codes)
     _, _, test_ds = split_patients(dataset, cfg.split_ratios, cfg.seed)
     instances = tuple(build_instances(test_ds))
     if not instances:
         raise ConfigError("test split yields no prediction instances")
+    flags = [AblationFlags.for_stage(stage) for stage, _ in variants]
+    selects = any(f.candidates for f in flags)
+    prioritizes = any(f.prioritization for f in flags)
     shortlists = groups = (None,) * len(instances)
+    # Only candidate selection and history order read the scorer, from `train`'s
+    # rankings; their meta is computed in `_load`, which reports a bad `model.json`.
     if selects or prioritizes:
-        if stored is not None and list(stored) == [i.patient_id for i in instances]:
-            rankings = list(stored.values())
-        else:
-            rankings = (model or _load_model(cfg, out_dir, ontology)).logits(instances)
+        rankings = _load(lambda path: load_rankings(path, _rankings_meta(cfg, out_dir),
+                                                    instances, ontology.ccs_codes),
+                         out_dir / RANKINGS_FILE, "run `dxrank train` first")
         if selects:
             k_max = max(k for f, (_, k) in zip(flags, variants) if f.candidates)
             shortlists = tuple(select_candidates(ranking, k_max, cfg.task, instance.history_ccs)
@@ -315,6 +290,14 @@ def load_prediction_inputs(
             groups = tuple(propagate_to_icd(prioritize_history(instance.history_ccs, ranking),
                                             instance.input_visits, ontology)
                            for instance, ranking in zip(instances, rankings))
+    template_text = (_load(load_template, Path(cfg.template_path), "prompt template")
+                     if cfg.template_path else load_template())
+    options = PromptOptions(task=cfg.task, strategy=cfg.strategy,
+                            template_text=template_text, max_chars=cfg.max_prompt_chars)
+    cooc = None
+    if any(f.relations for f in flags):
+        cooc = _load(load_cooccurrence, out_dir / COOC_FILE, "run `dxrank cooc` first",
+                     ontology.ccs_codes, _split_meta(cfg, out_dir))
     return PredictionInputs(
         ontology=ontology, cooc=cooc, instances=instances, shortlists=shortlists,
         groups=groups, options=options,
@@ -416,7 +399,7 @@ def cmd_cooc(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
     dataset, ontology = _load_data(out_dir)
     train_ds, _, _ = split_patients(dataset, cfg.split_ratios, cfg.seed)
     matrix = build_cooccurrence(train_ds, ontology.ccs_codes)
-    pairs = save_cooccurrence(matrix, out_dir / COOC_FILE)
+    pairs = save_cooccurrence(matrix, out_dir / COOC_FILE, _split_meta(cfg, out_dir))
     print(f"counted {pairs} code pairs over {matrix.n_patients} patients")
     return EXIT_OK
 

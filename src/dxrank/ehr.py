@@ -1,4 +1,4 @@
-"""Core EHR data model: diagnosis vocabularies and logits over them, patient
+"""Core EHR data model: diagnosis vocabularies and rankings of them, patient
 records, dataset I/O, patient-level splitting, and instance construction.
 
 Diagnosis codes live at two granularities: fine-grained ICD codes and the
@@ -11,14 +11,11 @@ import json
 import math
 from functools import lru_cache
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import InputError, field, json_value, record
 from .config import TASKS, BackendError, SplitError, check_split_ratios
 from .rng import Pcg64
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class OntologyError(InputError):
@@ -182,37 +179,11 @@ class Ranking:
         return map(self.vocab.__getitem__, self.positions)
 
 
-@record(frozen=True)
-class LogitVector(Ranking):
-    """A scorer's per-CCS scores, aligned to a sorted vocabulary, and the
-    ranking they give: numpy's stable argsort of the negated scores."""
-
-    positions: tuple[int, ...] = field(init=False)
-    scores: np.ndarray
-
-    def __post_init__(self):
-        import numpy as np  # here only: `synth` and the ranking readers load no numpy
-
-        object.__setattr__(self, "vocab", tuple(self.vocab))
-        scores = np.asarray(self.scores, dtype=float)
-        object.__setattr__(self, "scores", scores)
-        if scores.shape != (len(self.vocab),):
-            raise BackendError(
-                f"scores shape {scores.shape} does not match vocabulary "
-                f"size {len(self.vocab)}"
-            )
-        if not np.all(np.isfinite(scores)):
-            raise BackendError("non-finite logit")
-        # The vocabulary is sorted, so a stable sort breaks score ties by code.
-        object.__setattr__(self, "positions", np.argsort(-scores, kind="stable").tolist())
-        super().__post_init__()
-
-
 def code_index(vocab: tuple[str, ...]) -> dict[str, int]:
     return {c: i for i, c in enumerate(vocab)}
 
 
-# Every logit vector of a model shares one vocabulary, so its code -> position
+# Every ranking of a model shares one vocabulary, so its code -> position
 # map is built once. Callers must not mutate the returned dict.
 vocab_index = lru_cache(maxsize=8)(code_index)
 
@@ -418,6 +389,24 @@ def build_instances(
 # ---------------------------------------------------------------------------
 
 
+def check_provenance(line: str, expected: dict, command: str) -> None:
+    """Raise InputError unless `line` is the JSON of `expected`, the record `command`
+    writes of the inputs at hand, naming the first field or file sha256 that differs."""
+    again = f"(run `dxrank {command}` again)"
+    try:
+        found = json.loads(line)
+    except (ValueError, RecursionError):  # not JSON, or nested too deep
+        found = None
+    if not isinstance(found, dict) or found.keys() != expected.keys():
+        raise InputError(f"no record of the inputs it was built from {again}")
+    for key, want in expected.items():
+        if key != "sha256" and found[key] != want:
+            raise InputError(f"written for {key} {found[key]!r}, not {want!r} {again}")
+    for name, digest in expected["sha256"].items():
+        if not isinstance(found["sha256"], dict) or found["sha256"].get(name) != digest:
+            raise InputError(f"{name} changed since `dxrank {command}` ran {again}")
+
+
 def save_rankings(path: str | Path, meta: dict, instances: Sequence[PredictionInstance],
                   rankings: Sequence[Ranking]) -> None:
     """Write `meta`, then each instance's patient id and ranking positions."""
@@ -428,18 +417,17 @@ def save_rankings(path: str | Path, meta: dict, instances: Sequence[PredictionIn
                                  "positions": list(ranking.positions)}) + "\n")
 
 
-def load_rankings(path: str | Path, meta: dict,
-                  vocab: tuple[str, ...]) -> dict[str, Ranking] | None:
-    """The rankings over `vocab` that `save_rankings` wrote under `meta`, by
-    patient id in file order; None for a file that is missing, unreadable or
-    malformed, or whose meta line is not `meta`."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            if json.loads(fh.readline()) != meta:
-                return None
+def load_rankings(path: str | Path, meta: dict, instances: Sequence[PredictionInstance],
+                  vocab: tuple[str, ...]) -> list[Ranking]:
+    """The rankings over `vocab` that `save_rankings` wrote under `meta` for `instances`, in
+    order; a meta line other than `meta`, a malformed line or other patients is an input error."""
+    with open(path, encoding="utf-8") as fh:
+        check_provenance(fh.readline(), meta, "train")
+        try:
             rows = [json.loads(line) for line in fh]
-        return {row["patient_id"]: Ranking(vocab, row["positions"]) for row in rows}
-    # ValueError: not UTF-8, not JSON or not a ranking; TypeError and
-    # KeyError: a line of another shape; RecursionError: nested too deep.
-    except (OSError, ValueError, TypeError, KeyError, RecursionError):
-        return None
+            if [row["patient_id"] for row in rows] != [i.patient_id for i in instances]:
+                raise InputError("its patients are not the test split's (run `dxrank train` again)")
+            return [Ranking(vocab, row["positions"]) for row in rows]
+        # Not JSON, another shape, or nested too deep; the InputErrors above pass.
+        except (json.JSONDecodeError, TypeError, KeyError, RecursionError):
+            raise InputError("malformed ranking line") from None

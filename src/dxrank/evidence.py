@@ -7,13 +7,14 @@ no numpy.
 from __future__ import annotations
 
 import csv
+import json
 import operator
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import InputError, record
-from .ehr import TASKS, Dataset, Ontology, Ranking, Visit, vocab_index
+from .ehr import TASKS, Dataset, Ontology, Ranking, Visit, check_provenance, vocab_index
 
 UNMAPPED_GROUP = "unmapped"
 
@@ -102,23 +103,24 @@ def build_cooccurrence(train_dataset: Dataset, vocab: tuple[str, ...]) -> Cooccu
 COOC_COLUMNS = ["ccs_i", "ccs_j", "count"]
 
 
-def save_cooccurrence(matrix: CooccurrenceMatrix, path: str | Path) -> int:
-    """Write the nonzero upper triangle (i <= j) as CSV triples in row-major
-    order, under a comment line carrying n_patients; return the triple count."""
+def save_cooccurrence(matrix: CooccurrenceMatrix, path: str | Path, split: dict) -> int:
+    """Write the nonzero upper triangle (i <= j) as CSV triples in row-major order, under
+    comment lines carrying n_patients and `split`, the split counted; return the triple count."""
     vocab = matrix.vocab
     triples = [(vocab[i], vocab[j], v) for i, row in enumerate(matrix.counts)
                for j, v in enumerate(row[i:], start=i) if v]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# n_patients={matrix.n_patients}\n")
+        fh.write(f"# split={json.dumps(split, sort_keys=True)}\n")
         writer = csv.writer(fh)
         writer.writerow(COOC_COLUMNS)
         writer.writerows(triples)
     return len(triples)
 
 
-def load_cooccurrence(path: str | Path, vocab: tuple[str, ...]) -> CooccurrenceMatrix:
-    """Read counts over `vocab`; each row names a new pair of its codes with
-    ccs_i <= ccs_j, and the lower triangle mirrors the upper one."""
+def load_cooccurrence(path: str | Path, vocab: tuple[str, ...], split: dict) -> CooccurrenceMatrix:
+    """Read counts over `vocab` of the split `split` records; each row names
+    a new pair of its codes with ccs_i <= ccs_j, and the lower triangle mirrors the upper one."""
     index = vocab_index(vocab)
     # Each listed pair's count, filled into the matrix at the end.
     listed: dict[tuple[int, int], int] = {}
@@ -130,6 +132,8 @@ def load_cooccurrence(path: str | Path, vocab: tuple[str, ...]) -> CooccurrenceM
             n_patients = int(first.split("=", 1)[1])
         except ValueError:
             raise EvidenceError(f"bad n_patients header {first!r}") from None
+        tag, _, found = fh.readline().partition("=")
+        check_provenance(found if tag == "# split" else "", split, "cooc")
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != COOC_COLUMNS:

@@ -88,6 +88,12 @@ def run_chain(tmp_path, out_name="runs", cfg_doc=None, seed_args=()):
     return out
 
 
+def split_record(out):
+    """What `cooc` records of the SMALL_CFG split it counts in `out`."""
+    return {"seed": 0, "split_ratios": [0.7, 0.1, 0.2], "sha256": {
+        DATASET_FILE: hashlib.sha256((out / DATASET_FILE).read_bytes()).hexdigest()}}
+
+
 def count_calls(monkeypatch, *names):
     """Wrap each named function of dxrank.cli; the dict counts their calls."""
     calls = dict.fromkeys(names, 0)
@@ -359,9 +365,10 @@ MALFORMED_INPUTS = {
         dict(SMALL_CFG, llm={"backend": "remote", "endpoint_url": "http://127.0.0.1:9",
                              "api_key_env": "DXRANK_UNSET_TEST_KEY"})))),
         "'DXRANK_UNSET_TEST_KEY'"),
-    # The top-level seed is reported under its own key, not `train_config`.
+    # A prediction command reads `model.json` only as the rankings' hash of
+    # it, so any edit is a change since `train`.
     "model-seed-negative": ("predict", _edit_model(lambda d: dict(d, seed=-3)),
-                            f"{MODEL_FILE}: seed must be non-negative, got -3"),
+                            f"{MODEL_FILE} changed since `dxrank train` ran"),
     "cooc-pair-twice": ("predict", _append_row(COOC_FILE, "CCS-001,CCS-002,1"),
                         "co-occurrence pair (CCS-001, CCS-002) listed twice"),
     "ontology-icd-renamed": ("predict", _append_row(
@@ -457,7 +464,7 @@ class TestInputErrors:
             assert cli(command, bad, out) == EXIT_BAD_CONFIG, command
             err = capsys.readouterr().err.strip()
             assert len(err.splitlines()) == 1, err
-            assert MODEL_FILE in err and "'retain'" in err, err
+            assert f"{RANKINGS_FILE}: written for backend 'box', not 'retain'" in err, err
         assert not (out / RUN_FILE).exists()
         assert not (out / "config_predict.json").exists()
 
@@ -488,7 +495,7 @@ class TestInputErrors:
             assert cli(command, cfg_path, out) == EXIT_BAD_CONFIG, command
             err = capsys.readouterr().err.strip()
             assert len(err.splitlines()) == 1, err
-            assert MODEL_FILE in err and "non-finite" in err, err
+            assert f"{MODEL_FILE} changed since `dxrank train` ran" in err, err
         assert not (out / RUN_FILE).exists()
 
     def test_unknown_icd_in_dataset_rejected(self, tmp_path, capsys):
@@ -616,7 +623,7 @@ class TestPipeline:
         ontology = load_ontology(out / ONTOLOGY_FILE)
         dataset = load_dataset(out / DATASET_FILE, ontology)
         train_ds, _, _ = split_patients(dataset, (0.7, 0.1, 0.2), 0)
-        matrix = load_cooccurrence(out / COOC_FILE, ontology.ccs_codes)
+        matrix = load_cooccurrence(out / COOC_FILE, ontology.ccs_codes, split_record(out))
         assert matrix.n_patients == len(train_ds.patients)
 
     def test_chain_is_reproducible(self, tmp_path):
@@ -637,8 +644,11 @@ class TestPipeline:
         (out_b / DATASET_FILE).write_text("".join(reversed(lines)))
         for command in ("train", "cooc", "predict"):
             assert cli(command, cfg_path, out_b) == EXIT_OK, command
-        for name in (MODEL_FILE, COOC_FILE, RUN_FILE):
+        for name in (MODEL_FILE, RUN_FILE):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+        # Only `cooc.csv`'s split line, which hashes `dataset.jsonl`, differs.
+        cooc_a, cooc_b = ((out / COOC_FILE).read_text().splitlines() for out in (out_a, out_b))
+        assert cooc_a[1] != cooc_b[1] and cooc_a[:1] + cooc_a[2:] == cooc_b[:1] + cooc_b[2:]
         ontology = load_ontology(out_b / ONTOLOGY_FILE)
         save_dataset(load_dataset(out_b / DATASET_FILE, ontology), tmp_path / "saved.jsonl")
         assert (tmp_path / "saved.jsonl").read_bytes() == (out_a / DATASET_FILE).read_bytes()
@@ -667,20 +677,21 @@ class TestPipeline:
         out = tmp_path / "runs"
         for command in ("synth", "train", "cooc"):
             assert cli(command, cfg_path, out) == EXIT_OK
-        _, columns, first, *rest = (out / COOC_FILE).read_text().splitlines()
+        _, split, columns, first, *rest = (out / COOC_FILE).read_text().splitlines()
         first = first.rsplit(",", 1)[0] + f",{2**64}"
-        (out / COOC_FILE).write_text("\n".join([f"# n_patients={2**70}", columns, first,
+        (out / COOC_FILE).write_text("\n".join([f"# n_patients={2**70}", split, columns, first,
                                                 *rest]) + "\n")
         assert cli("predict", cfg_path, out) == EXIT_OK
         ontology = load_ontology(out / ONTOLOGY_FILE)
-        assert load_cooccurrence(out / COOC_FILE, ontology.ccs_codes).counts[0][0] == 2**64
+        matrix = load_cooccurrence(out / COOC_FILE, ontology.ccs_codes, split_record(out))
+        assert matrix.counts[0][0] == 2**64
 
 
 class TestRankings:
     """`train` writes the scorer's rankings of the test split. The
-    prediction commands read them when they were written for exactly their
-    inputs, and load the model and score the split themselves otherwise,
-    writing the same files either way."""
+    prediction commands read the scorer only from them, and refuse them,
+    with exit 2 and one line, unless they were written for exactly this
+    split and the current bytes of its inputs."""
 
     @pytest.fixture(scope="class")
     def chain(self, tmp_path_factory):
@@ -705,25 +716,17 @@ class TestRankings:
         for row, vector in zip(rows, logits):
             assert row["positions"] == np.argsort(-vector.scores, kind="stable").tolist()
 
-    def test_read_path_and_fallback_write_the_same_files(self, chain, tmp_path,
-                                                         monkeypatch):
+    def test_base_stage_reads_neither_rankings_nor_model(self, chain, tmp_path):
         cfg_path, base = chain
-        calls = count_calls(monkeypatch, "load_model")
-        outs = []
-        for name in ("read", "fallback"):
+        runs = []
+        for name in ("kept", "deleted"):
             out = shutil.copytree(base, tmp_path / name)
-            if name == "fallback":
+            if name == "deleted":
                 (out / RANKINGS_FILE).unlink()
-            for command in ("predict", "ablate", "sweep-k"):
-                assert cli(command, cfg_path, out) == EXIT_OK, command
-            outs.append(out)
-            # The read path loads no model; the fallback loads it once per command.
-            assert calls["load_model"] == (0 if name == "read" else 3)
-        files = [RUN_FILE, ABLATION_FILE, SWEEP_FILE,
-                 *(f"run_{stage}.jsonl" for stage in ABLATION_STAGES),
-                 *(f"run_k{k}.jsonl" for k in SWEEP_KS)]
-        for name in files:
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+                (out / MODEL_FILE).unlink()
+            assert cli("predict", cfg_path, out, "--stage", "base") == EXIT_OK, name
+            runs.append((out / RUN_FILE).read_bytes())
+        assert runs[0] == runs[1]
 
     @staticmethod
     def _truncate_last_line(out):
@@ -738,13 +741,30 @@ class TestRankings:
         row["positions"][1] = row["positions"][0]
         (out / RANKINGS_FILE).write_text("\n".join([meta, json.dumps(row), *rest]) + "\n")
 
-    @pytest.mark.parametrize("edit", ["removed", "model-byte", "seed", "truncated",
-                                      "not-a-permutation"])
-    def test_other_inputs_take_the_fallback(self, chain, tmp_path, monkeypatch, edit):
+    @staticmethod
+    def _move_a_visit(out):
+        """One visit a day later: still a valid dataset, with the same split."""
+        first, *rest = (out / DATASET_FILE).read_text().splitlines(keepends=True)
+        record = json.loads(first)
+        record["visits"][-1]["day"] += 1
+        (out / DATASET_FILE).write_text(json.dumps(record, sort_keys=True) + "\n"
+                                        + "".join(rest))
+
+    # Each edit of a `train`ed directory, and what the one error line says.
+    REFUSALS = {
+        "removed": "missing {out}/rankings.jsonl (run `dxrank train` first)",
+        "model-byte": "{out}/rankings.jsonl: model.json changed since `dxrank train` ran",
+        "seed": "{out}/rankings.jsonl: written for seed 0, not 7",
+        "truncated": "{out}/rankings.jsonl: malformed ranking line",
+        "not-a-permutation":
+            "{out}/rankings.jsonl: ranking is not a permutation of the vocabulary",
+        "dataset-byte": "{out}/rankings.jsonl: dataset.jsonl changed since `dxrank train` ran",
+    }
+
+    @pytest.mark.parametrize("edit", list(REFUSALS))
+    def test_other_inputs_are_refused(self, chain, tmp_path, capsys, edit):
         cfg_path, base = chain
         out = shutil.copytree(base, tmp_path / "runs")
-        assert cli("predict", cfg_path, out) == EXIT_OK
-        read = (out / RUN_FILE).read_bytes()
         extra = []
         if edit == "removed":
             (out / RANKINGS_FILE).unlink()
@@ -758,17 +778,57 @@ class TestRankings:
             extra = ["--seed", "7"]
         elif edit == "truncated":
             self._truncate_last_line(out)
-        else:
+        elif edit == "not-a-permutation":
             self._repeat_a_position(out)
+        else:
+            self._move_a_visit(out)
         rankings = (out / RANKINGS_FILE).read_bytes() if edit != "removed" else None
-        calls = count_calls(monkeypatch, "load_model")
-        assert cli("predict", cfg_path, out, *extra) == EXIT_OK
-        assert calls == {"load_model": 1}
-        if edit != "seed":
-            assert (out / RUN_FILE).read_bytes() == read
+        capsys.readouterr()
+        assert cli("predict", cfg_path, out, *extra) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: "), err
+        assert self.REFUSALS[edit].format(out=out) in err, err
+        assert not (out / RUN_FILE).exists()
         # Prediction commands never write the rankings.
         if rankings is not None:
             assert (out / RANKINGS_FILE).read_bytes() == rankings
+
+    @pytest.mark.parametrize("command", ["predict", "ablate", "sweep-k"])
+    def test_another_seed_is_refused(self, chain, tmp_path, capsys, command):
+        """Seed 7's test split holds seed 0's training patients."""
+        cfg_path, base = chain
+        out = shutil.copytree(base, tmp_path / "runs")
+        capsys.readouterr()
+        assert cli(command, cfg_path, out, "--seed", "7") == EXIT_BAD_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {out / RANKINGS_FILE}: written for seed 0, not 7 "
+            "(run `dxrank train` again)\n")
+
+    def test_counts_of_another_split_are_refused_by_relational_stages(self, chain, tmp_path,
+                                                                      capsys):
+        cfg_path, base = chain
+        out = shutil.copytree(base, tmp_path / "runs")
+        assert cli("cooc", cfg_path, out, "--seed", "7") == EXIT_OK
+        capsys.readouterr()
+        for command, extra in [("predict", ["--stage", "relational"]), ("ablate", []),
+                               ("sweep-k", [])]:
+            assert cli(command, cfg_path, out, *extra) == EXIT_BAD_CONFIG, command
+            assert capsys.readouterr().err == (
+                f"error: {out / COOC_FILE}: written for seed 7, not 0 "
+                "(run `dxrank cooc` again)\n"), command
+        for stage in ("base", "candidate", "prioritization"):
+            assert cli("predict", cfg_path, out, "--stage", stage) == EXIT_OK, stage
+
+    def test_counts_without_a_split_line_are_refused(self, chain, tmp_path, capsys):
+        cfg_path, base = chain
+        out = shutil.copytree(base, tmp_path / "runs")
+        count, _, *rows = (out / COOC_FILE).read_text().splitlines(keepends=True)
+        (out / COOC_FILE).write_text("".join([count, *rows]))
+        capsys.readouterr()
+        assert cli("predict", cfg_path, out) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out / COOC_FILE}: ") and err.count("\n") == 1, err
+        assert "(run `dxrank cooc` again)" in err, err
 
     def test_train_with_an_empty_test_split(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, dict(SMALL_CFG, split_ratios=[0.9, 0.1, 0.0]))
@@ -922,16 +982,12 @@ class TestAblate:
         out = tmp_path / "runs"
         for command in ("synth", "train", "cooc"):
             assert cli(command, cfg_path, out) == EXIT_OK
-        calls = count_calls(monkeypatch, "load_model", "load_dataset",
+        calls = count_calls(monkeypatch, "load_model", "load_dataset", "load_rankings",
                             "load_cooccurrence", "run_predictions")
         assert cli("ablate", cfg_path, out) == EXIT_OK
-        # `train`'s rankings stand in for the model; without them it is loaded once.
-        assert calls == {"load_model": 0, "load_dataset": 1,
+        # Each input is read once, and the scorer only as `train`'s rankings.
+        assert calls == {"load_model": 0, "load_dataset": 1, "load_rankings": 1,
                          "load_cooccurrence": 1, "run_predictions": 4}
-        (out / RANKINGS_FILE).unlink()
-        assert cli("ablate", cfg_path, out) == EXIT_OK
-        assert calls == {"load_model": 1, "load_dataset": 2,
-                         "load_cooccurrence": 2, "run_predictions": 8}
 
     def test_ablate_runs_match_predict(self, tmp_path):
         doc = dict(SMALL_CFG, llm={"backend": "mock_evidence"})
@@ -951,12 +1007,11 @@ class TestAblate:
 
 
     def test_ablate_scores_each_instance_once(self, tmp_path, monkeypatch):
+        """Over a whole chain, `train` scores each test instance once, for
+        `rankings.jsonl`, and `ablate` scores none."""
         doc = dict(SMALL_CFG, llm={"backend": "mock_evidence"})
         cfg_path = write_cfg(tmp_path, doc)
         out = tmp_path / "runs"
-        for command in ("synth", "train", "cooc"):
-            assert cli(command, cfg_path, out) == EXIT_OK
-        (out / RANKINGS_FILE).unlink()  # so that `ablate` scores the test split
         scored = []
         real = TrainedModel.logits
 
@@ -965,7 +1020,8 @@ class TestAblate:
             return real(model, patients)
 
         monkeypatch.setattr(TrainedModel, "logits", counted)
-        assert cli("ablate", cfg_path, out) == EXIT_OK
+        for command in ("synth", "train", "cooc", "ablate"):
+            assert cli(command, cfg_path, out) == EXIT_OK
         records = load_run(out / "run_base.jsonl").records
         assert sorted(scored) == sorted(r.patient_id for r in records)
 
@@ -1060,9 +1116,6 @@ class TestSweepK:
         calls = count_calls(monkeypatch, "load_model", "run_predictions")
         assert cli("sweep-k", cfg_path, out) == EXIT_OK
         assert calls == {"load_model": 0, "run_predictions": len(SWEEP_KS)}
-        (out / RANKINGS_FILE).unlink()
-        assert cli("sweep-k", cfg_path, out) == EXIT_OK
-        assert calls == {"load_model": 1, "run_predictions": 2 * len(SWEEP_KS)}
 
 
 class TestProcessEntry:

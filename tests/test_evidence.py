@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dxrank import InputError
 from dxrank.backends.base import BackendError, LogitVector
 from dxrank.ehr import TASKS, Visit, build_instances
 from dxrank.evidence import (
@@ -29,6 +32,9 @@ from .conftest import CCS_NAMES, dense_counts
 from .reference import score
 
 VOCAB = tuple(sorted(CCS_NAMES))
+# The record of a split that `cooc` writes and the loader is handed back.
+SPLIT = {"seed": 0, "split_ratios": [0.7, 0.1, 0.2], "sha256": {"dataset.jsonl": "0" * 64}}
+SPLIT_LINE = f"# split={json.dumps(SPLIT, sort_keys=True)}\n"
 
 
 def brute_force_counts(dataset) -> dict[tuple[str, str], int]:
@@ -76,17 +82,17 @@ class TestCooccurrence:
     def test_round_trip(self, dataset, tmp_path):
         m = build_cooccurrence(dataset, VOCAB)
         path = tmp_path / "cooc.csv"
-        save_cooccurrence(m, path)
-        again = load_cooccurrence(path, VOCAB)
+        save_cooccurrence(m, path, SPLIT)
+        again = load_cooccurrence(path, VOCAB, SPLIT)
         assert np.array_equal(again.counts, m.counts)
         assert again.n_patients == m.n_patients
         assert path.read_text().startswith("# n_patients=4\n")
 
     def test_file_holds_nonzero_upper_triangle_in_row_major_order(self, dataset, tmp_path):
         path = tmp_path / "cooc.csv"
-        save_cooccurrence(build_cooccurrence(dataset, VOCAB), path)
+        save_cooccurrence(build_cooccurrence(dataset, VOCAB), path, SPLIT)
         assert path.read_text().splitlines() == [
-            "# n_patients=4", "ccs_i,ccs_j,count",
+            "# n_patients=4", SPLIT_LINE.strip(), "ccs_i,ccs_j,count",
             "C01,C01,2", "C01,C02,1", "C01,C03,1", "C01,C04,1", "C01,C05,1",
             "C02,C02,2", "C02,C03,1", "C03,C03,2", "C04,C04,1", "C04,C05,1",
             "C05,C05,1",
@@ -104,9 +110,9 @@ class TestCooccurrence:
     ])
     def test_rows_off_the_vocabulary_order_or_range_rejected(self, tmp_path, row, message):
         path = tmp_path / "cooc.csv"
-        path.write_text(f"# n_patients=3\nccs_i,ccs_j,count\nC01,C01,2\n{row}\n")
+        path.write_text(f"# n_patients=3\n{SPLIT_LINE}ccs_i,ccs_j,count\nC01,C01,2\n{row}\n")
         with pytest.raises(EvidenceError) as info:
-            load_cooccurrence(path, VOCAB)
+            load_cooccurrence(path, VOCAB, SPLIT)
         assert str(info.value) == message
 
     @pytest.mark.parametrize("n_patients,rows,want", [
@@ -118,8 +124,8 @@ class TestCooccurrence:
     ])
     def test_rows_in_range_load_exactly(self, tmp_path, n_patients, rows, want):
         path = tmp_path / "cooc.csv"
-        path.write_text(f"# n_patients={n_patients}\nccs_i,ccs_j,count\n{rows}")
-        m = load_cooccurrence(path, VOCAB)
+        path.write_text(f"# n_patients={n_patients}\n{SPLIT_LINE}ccs_i,ccs_j,count\n{rows}")
+        m = load_cooccurrence(path, VOCAB, SPLIT)
         assert m.counts == dense_counts(want, VOCAB) and m.n_patients == n_patients
         assert {type(v) for row in m.counts for v in row} == {int}
 
@@ -128,15 +134,16 @@ class TestCooccurrence:
         for seed in range(5):
             ds, ontology = generate_synthetic(SyntheticConfig(n_patients=20, n_ccs=40,
                                                               seed=seed))
-            written = save_cooccurrence(build_cooccurrence(ds, ontology.ccs_codes), path)
+            written = save_cooccurrence(build_cooccurrence(ds, ontology.ccs_codes), path,
+                                        SPLIT)
             # Below the 820 pairs of 40 codes: the file holds only nonzero ones.
-            assert 0 < written == len(path.read_text().splitlines()) - 2 < 820
+            assert 0 < written == len(path.read_text().splitlines()) - 3 < 820
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "cooc.csv"
         path.write_text("ccs_i,ccs_j,count\nC01,C01,1\n")
         with pytest.raises(EvidenceError):
-            load_cooccurrence(path, VOCAB)
+            load_cooccurrence(path, VOCAB, SPLIT)
 
     @pytest.mark.parametrize("body,message", [
         ("ccs_j,ccs_i,count\nC01,C01,1\n", "co-occurrence columns"),
@@ -149,16 +156,34 @@ class TestCooccurrence:
     ])
     def test_malformed_file_rejected(self, tmp_path, body, message):
         path = tmp_path / "cooc.csv"
-        path.write_text("# n_patients=3\n" + body)
+        path.write_text(f"# n_patients=3\n{SPLIT_LINE}" + body)
         with pytest.raises(EvidenceError) as info:
-            load_cooccurrence(path, VOCAB)
+            load_cooccurrence(path, VOCAB, SPLIT)
         assert str(info.value).startswith(message)
+
+    @pytest.mark.parametrize("line, message", [
+        ("", "no record of the inputs it was built from (run `dxrank cooc` again)"),
+        ("ccs_i,ccs_j,count\n", "no record of the inputs it was built from"),
+        ("# split=[1]\n", "no record of the inputs it was built from"),
+        (SPLIT_LINE.replace('"seed": 0', '"seed": 7'),
+         "written for seed 7, not 0 (run `dxrank cooc` again)"),
+        (SPLIT_LINE.replace("0.1, 0.2", "0.2, 0.1"),
+         "written for split_ratios [0.7, 0.2, 0.1], not [0.7, 0.1, 0.2]"),
+        (SPLIT_LINE.replace("0" * 64, "1" * 64),
+         "dataset.jsonl changed since `dxrank cooc` ran (run `dxrank cooc` again)"),
+    ], ids=["none", "columns", "not-an-object", "seed", "split-ratios", "dataset-sha256"])
+    def test_counts_of_another_split_rejected(self, tmp_path, line, message):
+        path = tmp_path / "cooc.csv"
+        path.write_text(f"# n_patients=3\n{line}ccs_i,ccs_j,count\nC01,C01,2\n")
+        with pytest.raises(InputError) as info:
+            load_cooccurrence(path, VOCAB, SPLIT)
+        assert str(info.value).startswith(message), info.value
 
     def test_blank_lines_and_extra_fields_are_read_as_before(self, tmp_path):
         path = tmp_path / "cooc.csv"
-        path.write_text("# n_patients=3\nccs_i,ccs_j,count\nC01,C01,2\n\nC01,C02,1,\n"
-                        "C02,C02,1\n")
-        m = load_cooccurrence(path, VOCAB)
+        path.write_text(f"# n_patients=3\n{SPLIT_LINE}ccs_i,ccs_j,count\nC01,C01,2\n\n"
+                        "C01,C02,1,\nC02,C02,1\n")
+        m = load_cooccurrence(path, VOCAB, SPLIT)
         want = {("C01", "C01"): 2, ("C01", "C02"): 1, ("C02", "C02"): 1}
         assert np.array_equal(m.counts, dense_counts(want, VOCAB))
 

@@ -7,14 +7,20 @@ against fixed outputs.
 Under `mock_echo` the LLM returns the candidates in prompt order, so a
 ranking is the scorer-derived candidate list that every stage and K of a
 command takes a prefix of.
+
+The input-order relations draw their permutations with Hypothesis
+(MacIver et al., JOSS 2019), derandomized like the property tests.
 """
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from dxrank.cli import EXIT_OK, main
+from dxrank.cli import COOC_FILE, DATASET_FILE, EXIT_OK, ONTOLOGY_FILE, RANKINGS_FILE, main
 from dxrank.metrics import load_run
 
 DOC = {
@@ -56,3 +62,60 @@ def test_evidence_stages_return_the_same_rankings(chain):
     assert any(ranked for _, ranked in first)
     for stage, rankings in zip(EVIDENCE_STAGES[1:], rest):
         assert rankings == first, stage
+
+
+def _lines(path):
+    return path.read_text(encoding="utf-8").splitlines()
+
+
+@pytest.fixture(scope="module")
+def reference(tmp_path_factory):
+    """A chain through `ablate` on the dataset as `synth` wrote it."""
+    root = tmp_path_factory.mktemp("reference")
+    cfg_path = root / "cfg.json"
+    cfg_path.write_text(json.dumps(DOC))
+    out = root / "runs"
+    for command in ("synth", "train", "cooc", "ablate"):
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+    return cfg_path, out
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_visit_and_count_row_order_change_no_output_byte(reference, tmp_path_factory, rng):
+    """Visits are ordered by day when a patient is built, and counts are
+    keyed by their code pair, so permuting the visits within each line of
+    `dataset.jsonl` before `train`, and the data rows of `cooc.csv` before
+    `ablate`, changes no output byte. The exceptions are `dataset.jsonl`
+    and the two lines that hash it: `rankings.jsonl`'s meta line and
+    `cooc.csv`'s split line."""
+    cfg_path, ref = reference
+    out = tmp_path_factory.getbasetemp() / "permuted"
+    shutil.rmtree(out, ignore_errors=True)
+    out.mkdir()
+    shutil.copy(ref / ONTOLOGY_FILE, out)
+    patients = [json.loads(line) for line in _lines(ref / DATASET_FILE)]
+    for patient in patients:
+        rng.shuffle(patient["visits"])
+    text = "".join(json.dumps(patient, sort_keys=True) + "\n" for patient in patients)
+    assume(text != (ref / DATASET_FILE).read_text(encoding="utf-8"))
+    (out / DATASET_FILE).write_text(text, encoding="utf-8")
+
+    def run(command):
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+
+    run("train")
+    run("cooc")
+    assert _lines(out / RANKINGS_FILE)[1:] == _lines(ref / RANKINGS_FILE)[1:]
+    count, split, columns, *rows = _lines(out / COOC_FILE)
+    ref_count, ref_split, *ref_rest = _lines(ref / COOC_FILE)
+    assert [count, columns, *rows] == [ref_count, *ref_rest]
+    rng.shuffle(rows)
+    (out / COOC_FILE).write_text("\n".join([count, split, columns, *rows]) + "\n",
+                                 encoding="utf-8")
+    run("ablate")
+    hashed = {DATASET_FILE, RANKINGS_FILE, COOC_FILE}
+    written = sorted(path.name for path in out.iterdir() if path.name not in hashed)
+    assert "ablation.csv" in written and "model.json" in written
+    for name in written:
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name

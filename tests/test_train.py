@@ -202,6 +202,19 @@ class TestSerialization:
             with pytest.raises(BackendError, match="non-finite"):
                 load_model(path.with_name("bad.json"), onto)
 
+    def test_negative_seed_rejected(self, data, tmp_path):
+        """The top-level seed is reported under its own key, not
+        `train_config`."""
+        ds, onto = data
+        path = tmp_path / "m.json"
+        save_model(train("box", ds, onto, TrainConfig(epochs=0, d=4)), path)
+        doc = json.loads(path.read_text())
+        doc["seed"] = -3
+        path.write_text(json.dumps(doc))
+        with pytest.raises(BackendError) as info:
+            load_model(path, onto)
+        assert str(info.value) == "seed must be non-negative, got -3"
+
     def test_missing_entry_rejected(self, data, tmp_path):
         ds, onto = data
         model = train("box", ds, onto, TrainConfig(epochs=0, d=4))
