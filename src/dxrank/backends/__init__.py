@@ -22,7 +22,6 @@ from ..ehr import Dataset, Ontology, PredictionInstance, build_instances
 from .base import (
     BackendError,
     EncodedInstance,
-    LogitVector,
     TrainConfig,
     encode_batch,
     pack_instances,
@@ -47,12 +46,12 @@ class Backend:
     and shapes its tensors, and its kernels over a packed batch: the forward
     (flat, batch, volume) to logits and a cache, the backward (flat, batch,
     cache, dlogits, volume, grads), and inference (patients, vocab, flat,
-    volume) to one LogitVector per patient."""
+    volume) to the forward's (n, vocab) logits."""
 
     init: Callable[..., ParamTree]
     forward: Callable[..., tuple[np.ndarray, dict]]
     backward: Callable[..., None]
-    logits: Callable[..., list[LogitVector]]
+    logits: Callable[..., np.ndarray]
 
 
 # The kernels are looked up as module globals at call time, so a wrapper
@@ -88,6 +87,9 @@ def _losses(backend: Backend, flat: ParamTree, encoded: Sequence[EncodedInstance
     `grads`, also accumulate the gradient of `scale` times their sum."""
     batch = pack_instances(encoded)
     logits, cache = backend.forward(flat, batch, volume)
+    if not np.all(np.isfinite(logits)):
+        raise BackendError("non-finite logit in training: the parameters diverged "
+                           "(lower train.learning_rate)")
     if grads is not None:
         dlogits = bce_with_logits_grad(logits, batch.targets) * scale
         backend.backward(flat, batch, cache, dlogits, volume, grads)
@@ -132,9 +134,9 @@ def gradients(backend_kind: str, vocab: tuple[str, ...], tensors: ParamTree,
 
 def infer_logits(backend_kind: str, vocab: tuple[str, ...], tensors: ParamTree,
                  patients: Sequence[PredictionInstance],
-                 volume: VolumeConfig = VolumeConfig()) -> list[LogitVector]:
-    """One logit vector per patient, scored as one batch by the kind's
-    scorer."""
+                 volume: VolumeConfig = VolumeConfig()) -> np.ndarray:
+    """The (n, vocab) logits of n patients, scored as one batch by the
+    kind's scorer."""
     return _backend(backend_kind).logits(patients, vocab, tensors, volume)
 
 
@@ -155,11 +157,20 @@ class TrainedModel:
     config: TrainConfig
     volume: VolumeConfig = VolumeConfig()
 
-    def logits(self, patients: Sequence[PredictionInstance]) -> list[LogitVector]:
-        """One logit vector per patient, scored `config.batch_size` at a time."""
-        return [lv for chunk in _chunks(patients, self.config.batch_size)
-                for lv in infer_logits(self.backend, self.vocab, self.tensors, chunk,
-                                       self.volume)]
+    def logits(self, patients: Sequence[PredictionInstance]) -> np.ndarray:
+        """The (n, vocab) logits of n patients, scored `config.batch_size` at
+        a time."""
+        chunks = [infer_logits(self.backend, self.vocab, self.tensors, chunk, self.volume)
+                  for chunk in _chunks(patients, self.config.batch_size)]
+        return np.concatenate(chunks) if chunks else np.empty((0, len(self.vocab)))
+
+    def rankings(self, patients: Sequence[PredictionInstance]) -> list[list[int]]:
+        """Each patient's vocabulary positions from the highest logit down.
+        The vocabulary is sorted, so the stable sort breaks ties by code."""
+        logits = self.logits(patients)
+        if not np.all(np.isfinite(logits)):
+            raise BackendError("non-finite logit")
+        return np.argsort(-logits, axis=1, kind="stable").tolist()
 
 
 def train(backend_kind: str, dataset: Dataset, ontology: Ontology,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .. import record
 from ..ehr import PredictionInstance
-from .base import BackendError, LogitVector, PackedBatch, encode_batch, pack_instances
+from .base import BackendError, PackedBatch, encode_batch, pack_instances
 from .numerics import ParamTree, segment_ids, segment_softmax, segment_softmax_vjp, \
     sigmoid, softplus, softplus_inv
 
@@ -42,12 +42,11 @@ def boxlm_logits(
     vocab: tuple[str, ...],
     tensors: ParamTree,
     cfg: VolumeConfig = VolumeConfig(),
-) -> list[LogitVector]:
-    """score(c) = log(max(eps, volume(patient box ∩ code box c))) for every
-    CCS code in the vocabulary, for each patient, scored as one batch."""
+) -> np.ndarray:
+    """The (n, vocab) logits of n patients, scored as one batch: score(c) =
+    log(max(eps, volume(patient box ∩ code box c))) for every CCS code."""
     batch = pack_instances(encode_batch(patients, vocab))
-    logits, _ = box_forward(tensors, batch, cfg)
-    return [LogitVector(vocab=vocab, scores=row) for row in logits]
+    return box_forward(tensors, batch, cfg)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -14,18 +14,16 @@ from typing import Sequence
 import numpy as np
 
 from ..ehr import PredictionInstance
-from .base import LogitVector, PackedBatch, encode_batch, pack_instances
+from .base import PackedBatch, encode_batch, pack_instances
 from .numerics import ParamTree, segment_ids, segment_softmax, segment_softmax_vjp, \
     sigmoid
 
 
 def retain_logits(patients: Sequence[PredictionInstance], vocab: tuple[str, ...],
-                  tensors: ParamTree) -> list[LogitVector]:
-    """Logits over the CCS vocabulary for each prediction instance, scored
-    as one batch."""
+                  tensors: ParamTree) -> np.ndarray:
+    """The (n, vocab) logits of n patients, scored as one batch."""
     batch = pack_instances(encode_batch(patients, vocab))
-    logits, _ = retain_forward(tensors, batch)
-    return [LogitVector(vocab=vocab, scores=row) for row in logits]
+    return retain_forward(tensors, batch)[0]
 
 
 # ---------------------------------------------------------------------------

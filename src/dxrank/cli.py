@@ -386,7 +386,7 @@ def cmd_train(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
     # they need neither the model nor numpy.
     instances = build_instances(test_ds)
     save_rankings(out_dir / RANKINGS_FILE, _rankings_meta(cfg, out_dir), instances,
-                  model.logits(instances))
+                  model.rankings(instances))
     print(
         f"trained {cfg.backend} on {len(train_ds)} patients: "
         f"loss {model.losses[0]:.4f} -> {model.losses[-1]:.4f}"

@@ -11,7 +11,7 @@ import json
 import math
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from . import InputError, field, json_value, record
 from .config import TASKS, BackendError, SplitError, check_split_ratios
@@ -158,34 +158,11 @@ class PredictionInstance:
         object.__setattr__(self, "target_novel", self.target_overall - history)
 
 
-@record(frozen=True)
-class Ranking:
-    """A scorer's order of a sorted vocabulary: `positions` holds each
-    vocabulary position once, from the highest score down, ties in code
-    order. It is all the evidence layer reads of a scorer."""
-
-    vocab: tuple[str, ...]
-    positions: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "vocab", tuple(self.vocab))
-        object.__setattr__(self, "positions", tuple(self.positions))
-        if (not set(map(type, self.positions)) <= {int}
-                or sorted(self.positions) != list(range(len(self.vocab)))):
-            raise BackendError("ranking is not a permutation of the vocabulary")
-
-    def codes(self) -> Iterator[str]:
-        """The vocabulary in ranking order."""
-        return map(self.vocab.__getitem__, self.positions)
-
-
-def code_index(vocab: tuple[str, ...]) -> dict[str, int]:
+# A command reads one vocabulary throughout, so its code -> position map is
+# built once. Callers must not mutate the returned dict.
+@lru_cache(maxsize=8)
+def vocab_index(vocab: tuple[str, ...]) -> dict[str, int]:
     return {c: i for i, c in enumerate(vocab)}
-
-
-# Every ranking of a model shares one vocabulary, so its code -> position
-# map is built once. Callers must not mutate the returned dict.
-vocab_index = lru_cache(maxsize=8)(code_index)
 
 
 # ---------------------------------------------------------------------------
@@ -408,26 +385,32 @@ def check_provenance(line: str, expected: dict, command: str) -> None:
 
 
 def save_rankings(path: str | Path, meta: dict, instances: Sequence[PredictionInstance],
-                  rankings: Sequence[Ranking]) -> None:
-    """Write `meta`, then each instance's patient id and ranking positions."""
+                  rankings: Sequence[list[int]]) -> None:
+    """Write `meta`, then each instance's patient id and the vocabulary
+    positions of its codes in the scorer's rank order."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(meta, sort_keys=True) + "\n")
-        for instance, ranking in zip(instances, rankings):
+        for instance, positions in zip(instances, rankings):
             fh.write(json.dumps({"patient_id": instance.patient_id,
-                                 "positions": list(ranking.positions)}) + "\n")
+                                 "positions": positions}) + "\n")
 
 
 def load_rankings(path: str | Path, meta: dict, instances: Sequence[PredictionInstance],
-                  vocab: tuple[str, ...]) -> list[Ranking]:
-    """The rankings over `vocab` that `save_rankings` wrote under `meta` for `instances`, in
-    order; a meta line other than `meta`, a malformed line or other patients is an input error."""
+                  vocab: tuple[str, ...]) -> list[tuple[str, ...]]:
+    """Each of `instances`' codes of `vocab` in the rank order that `save_rankings` wrote
+    under `meta`; a meta line other than `meta`, a malformed line, positions that are not
+    a permutation of the vocabulary's or other patients is an input error."""
     with open(path, encoding="utf-8") as fh:
         check_provenance(fh.readline(), meta, "train")
         try:
             rows = [json.loads(line) for line in fh]
             if [row["patient_id"] for row in rows] != [i.patient_id for i in instances]:
                 raise InputError("its patients are not the test split's (run `dxrank train` again)")
-            return [Ranking(vocab, row["positions"]) for row in rows]
+            rankings = [row["positions"] for row in rows]
+            whole = list(range(len(vocab)))
+            if any(not set(map(type, p)) <= {int} or sorted(p) != whole for p in rankings):
+                raise BackendError("ranking is not a permutation of the vocabulary")
+            return [tuple(map(vocab.__getitem__, p)) for p in rankings]
         # Not JSON, another shape, or nested too deep; the InputErrors above pass.
         except (json.JSONDecodeError, TypeError, KeyError, RecursionError):
             raise InputError("malformed ranking line") from None

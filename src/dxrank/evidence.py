@@ -1,7 +1,7 @@
 """Evidence extraction around a trained scorer: top-K candidate selection,
 ranked history prioritization with ICD propagation, and co-occurrence
 based relational links between history and candidates. It reads only the
-scorer's ranking of the vocabulary and counts in Python ints, so it loads
+scorer's codes in rank order and counts in Python ints, so it loads
 no numpy.
 """
 from __future__ import annotations
@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import InputError, record
-from .ehr import TASKS, Dataset, Ontology, Ranking, Visit, check_provenance, vocab_index
+from .ehr import TASKS, Dataset, Ontology, Visit, check_provenance, vocab_index
 
 UNMAPPED_GROUP = "unmapped"
 
@@ -188,7 +188,7 @@ class CandidateSet:
 
 
 def select_candidates(
-    ranking: Ranking,
+    ranking: Sequence[str],
     K: int,
     mode: CandidateMode,
     history_ccs: frozenset[str] = frozenset(),
@@ -197,7 +197,7 @@ def select_candidates(
     codes before the cut, so the set stays at K when enough codes remain."""
     if K < 1:
         raise EvidenceError("K must be at least 1")
-    codes = ranking.codes()
+    codes: Iterable[str] = ranking
     if mode == "novel":
         codes = (c for c in codes if c not in history_ccs)
     return CandidateSet(codes=tuple(islice(codes, K)), mode=mode)
@@ -210,16 +210,16 @@ def eligible_candidates(vocab: Sequence[str], mode: CandidateMode,
 
 
 def prioritize_history(
-    history_ccs: Iterable[str], ranking: Ranking
+    history_ccs: Iterable[str], ranking: Sequence[str]
 ) -> list[str]:
     """History codes in the scorer's ranking order: by descending logit,
     ties by code id."""
     history = set(history_ccs)
-    index = vocab_index(ranking.vocab)
-    for h in sorted(history):
-        if h not in index:
-            raise EvidenceError(f"history code {h!r} has no logit")
-    return [c for c in ranking.codes() if c in history]
+    ordered = [c for c in ranking if c in history]
+    if len(ordered) < len(history):
+        missing = min(history.difference(ordered))
+        raise EvidenceError(f"history code {missing!r} has no logit")
+    return ordered
 
 
 @record(frozen=True)

@@ -6,7 +6,8 @@ pipeline itself scores packed batches, computes log-softplus in place, scores
 each task from one set of eligible records, never reads metrics back and
 draws its streams from `dxrank.rng`, so none of this ships in `src/`.
 `code_accuracy_at_k` scores one metric of a bare record list through the
-shipped formula, and `score` reads one code's logit, which only tests need."""
+shipped formula, `score` reads one code's logit and `ranked` orders a
+vocabulary by its scores in plain Python, which only tests need."""
 from __future__ import annotations
 
 import json
@@ -17,11 +18,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from dxrank.backends.base import BackendError, LogitVector, code_index
+from dxrank.backends.base import BackendError
 from dxrank.backends.boxes import VolumeConfig
 from dxrank.backends.numerics import ParamTree, bce_with_logits, sigmoid, softplus, \
     softplus_inv
-from dxrank.ehr import Dataset
+from dxrank.ehr import Dataset, vocab_index
 from dxrank.llm import _candidate_names, _supported_names
 from dxrank.prompting import HISTORY_TITLE_PRIORITIZED
 from dxrank.metrics import EvalError, MetricsReport, RunArtifact, RunRecord, _pooled_accuracy, \
@@ -128,24 +129,30 @@ def patient_box(visit_boxes: Sequence[BoxEmbed], tensors: ParamTree) -> BoxEmbed
     return _aggregate(visit_boxes, tensors["visit_weight_vec"], "patient")
 
 
-def score(logits: LogitVector, code: str) -> float:
-    """The score `logits` gives `code`; the pipeline reads only the ranking."""
+def score(vocab: tuple[str, ...], logits: Sequence[float], code: str) -> float:
+    """The score `logits`, aligned to `vocab`, give `code`; the pipeline
+    reads only the ranking."""
     try:
-        return float(logits.scores[code_index(logits.vocab)[code]])
+        return float(logits[vocab_index(vocab)[code]])
     except KeyError:
         raise BackendError(f"CCS code {code!r} not in logit vector") from None
 
 
-def bce_loss(logits: LogitVector, target: Sequence[str]) -> float:
-    """Mean over codes of binary cross-entropy between logits and the
-    multi-hot encoding of the target CCS set."""
-    index = code_index(logits.vocab)
-    y = np.zeros(len(logits.vocab))
+def ranked(vocab: Sequence[str], scores: Sequence[float]) -> tuple[str, ...]:
+    """`vocab` from the highest of its aligned `scores` down, ties by code."""
+    return tuple(code for _, code in sorted(zip((-float(s) for s in scores), vocab)))
+
+
+def bce_loss(vocab: tuple[str, ...], logits: np.ndarray, target: Sequence[str]) -> float:
+    """Mean over codes of binary cross-entropy between `logits`, aligned to
+    `vocab`, and the multi-hot encoding of the target CCS set."""
+    index = vocab_index(vocab)
+    y = np.zeros(len(vocab))
     try:
         y[[index[c] for c in sorted(set(target))]] = 1.0
     except KeyError as exc:
         raise BackendError(f"target CCS {exc.args[0]!r} not in vocabulary") from None
-    return float(bce_with_logits(logits.scores, y))
+    return float(bce_with_logits(logits, y))
 
 
 def load_metrics(path: str | Path) -> MetricsReport:

@@ -32,7 +32,7 @@ from dxrank.metrics import (
 )
 from dxrank.synth import SyntheticConfig, generate_synthetic
 from tests.conftest import dense_counts
-from tests.reference import BoxEmbed, intersection_volume, load_metrics
+from tests.reference import BoxEmbed, intersection_volume, load_metrics, ranked
 from tests.test_metrics import EXPECTED, KS_123, fixture_artifact
 
 
@@ -328,7 +328,7 @@ def test_criterion_9_echo_round_trip(tmp_path):
         vals = []
         for rec in run.records:
             inst = instances[rec.patient_id]
-            cands = select_candidates(model.logits([inst])[0], K=10,
+            cands = select_candidates(ranked(model.vocab, model.logits([inst])[0]), K=10,
                                       mode="overall")
             assert cands.codes == rec.candidates, rec.patient_id
             vals.append(visit_precision_at_k(list(cands.codes),

@@ -164,10 +164,10 @@ class TestBoxLogits:
         params = init_box_params(vocab, 3, rng)
         inst = _instance([["C00", "C02"], ["C01", "C04", "C05"], ["C03"]])
         cfg = VolumeConfig()
-        got = boxlm_logits([inst], vocab, params, cfg)[0]
+        got = boxlm_logits([inst], vocab, params, cfg)
         want = dense_reference_logits(inst, vocab, params, cfg)
-        np.testing.assert_allclose(got.scores, want, rtol=1e-10)
-        assert got.vocab == vocab
+        assert got.shape == (1, len(vocab))
+        np.testing.assert_allclose(got[0], want, rtol=1e-10)
 
     def test_far_apart_boxes_clamp_to_log_eps(self):
         vocab = ("C00", "C01")
@@ -178,9 +178,9 @@ class TestBoxLogits:
             visit_weight_vec=np.array([0.0]),
         )
         inst = _instance([["C00"]])
-        lv = boxlm_logits([inst], vocab, params)[0]
-        assert score(lv, "C01") == pytest.approx(math.log(1e-30))
-        assert score(lv, "C00") > score(lv, "C01")
+        logits = boxlm_logits([inst], vocab, params)[0]
+        assert score(vocab, logits, "C01") == pytest.approx(math.log(1e-30))
+        assert score(vocab, logits, "C00") > score(vocab, logits, "C01")
 
     def test_unknown_history_code_rejected(self):
         params = two_code_params()

@@ -14,7 +14,6 @@ import pytest
 from dxrank.backends.base import (
     BackendError,
     EncodedInstance,
-    LogitVector,
     pack_instances,
 )
 from dxrank.backends.boxes import (
@@ -247,12 +246,11 @@ def test_boxlm_logits_is_a_batch_of_one():
     vocab = tuple(f"C{i}" for i in range(5))
     params = init_box_params(vocab, 3, np.random.default_rng(2))
     inst = _instance([["C1", "C2"], ["C4"]])
-    got = boxlm_logits([inst], vocab, params)[0]
-    assert isinstance(got, LogitVector)
+    got = boxlm_logits([inst], vocab, params)
     enc = EncodedInstance(visit_idx=(np.array([1, 2]), np.array([4])),
                           target=np.eye(5)[0])
     want, _ = box_forward(params, pack_instances([enc]), VolumeConfig())
-    assert np.array_equal(got.scores, want[0])
+    assert np.array_equal(got, want)
 
 
 def test_empty_visit_or_instance_is_rejected():

@@ -12,7 +12,6 @@ import sys
 import threading
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import dxrank.cli as cli_module
@@ -54,7 +53,7 @@ from dxrank.prompting import ABLATION_STAGES, HISTORY_TITLE_PRIORITIZED, SC_SAMP
 from dxrank.synth import SyntheticConfigError
 
 from .loopback import LoopbackLlm
-from .reference import load_metrics
+from .reference import load_metrics, ranked
 
 SMALL_CFG = {
     "seed": 0,
@@ -712,9 +711,9 @@ class TestRankings:
                         "sha256": {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                                    for name in (DATASET_FILE, MODEL_FILE, ONTOLOGY_FILE)}}
         assert [row["patient_id"] for row in rows] == [i.patient_id for i in instances]
-        logits = load_model(out / MODEL_FILE).logits(instances)
-        for row, vector in zip(rows, logits):
-            assert row["positions"] == np.argsort(-vector.scores, kind="stable").tolist()
+        model = load_model(out / MODEL_FILE)
+        for row, logits in zip(rows, model.logits(instances)):
+            assert [model.vocab[p] for p in row["positions"]] == list(ranked(model.vocab, logits))
 
     def test_base_stage_reads_neither_rankings_nor_model(self, chain, tmp_path):
         cfg_path, base = chain
@@ -1140,6 +1139,19 @@ class TestProcessEntry:
         assert done.returncode == EXIT_BAD_CONFIG
         lines = done.stderr.decode().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+    @pytest.mark.parametrize("backend", ["box", "retain"])
+    def test_diverged_training_exits_2_with_one_line(self, tmp_path, backend):
+        out = tmp_path / "runs"
+        assert main(["synth", "--out", str(out), "--n-patients", "40", "--n-ccs", "12"]) == EXIT_OK
+        done = self._process("train", "--out", out, "--backend", backend, "--epochs", 3,
+                             "--d", 4, "--learning-rate", "1e300")
+        assert done.returncode == EXIT_BAD_CONFIG
+        err = done.stderr.decode()
+        # The overflowing kernels may warn first; the command still ends on one error line.
+        assert "Traceback" not in err, err
+        errors = [ln for ln in err.splitlines() if ln.startswith("error: ")]
+        assert len(errors) == 1 and "train.learning_rate" in errors[0], err
 
     def test_predict_process_writes_and_prints_what_main_does(self, tmp_path, capsys):
         out = run_chain(tmp_path)

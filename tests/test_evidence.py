@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dxrank import InputError
-from dxrank.backends.base import BackendError, LogitVector
+from dxrank.backends.base import BackendError
 from dxrank.ehr import TASKS, Visit, build_instances
 from dxrank.evidence import (
     UNMAPPED_GROUP,
@@ -29,7 +29,7 @@ from dxrank.evidence import (
 from dxrank.synth import SyntheticConfig, generate_synthetic
 
 from .conftest import CCS_NAMES, dense_counts
-from .reference import score
+from .reference import ranked, score
 
 VOCAB = tuple(sorted(CCS_NAMES))
 # The record of a split that `cooc` writes and the loader is handed back.
@@ -210,46 +210,47 @@ class TestCooccurrence:
             )
 
 
-def _logits(pairs: dict[str, float]) -> LogitVector:
-    vocab = tuple(sorted(pairs))
-    return LogitVector(vocab=vocab, scores=np.array([pairs[c] for c in vocab]))
+def _ranking(pairs: dict[str, float]) -> tuple[str, ...]:
+    """The codes of `pairs` in the order of their scores."""
+    return ranked(list(pairs), list(pairs.values()))
 
 
 class TestSelectCandidates:
-    LOGITS = _logits({"C01": 0.5, "C02": 2.0, "C03": 0.5, "C04": -1.0, "C05": 1.0})
+    SCORES = {"C01": 0.5, "C02": 2.0, "C03": 0.5, "C04": -1.0, "C05": 1.0}
+    VOCAB = tuple(SCORES)
+    RANKING = _ranking(SCORES)
 
     def test_descending_with_code_tie_break(self):
-        cands = select_candidates(self.LOGITS, K=4, mode="overall")
+        cands = select_candidates(self.RANKING, K=4, mode="overall")
         assert cands.codes == ("C02", "C05", "C01", "C03")
 
     def test_novel_filters_before_the_cut(self):
         cands = select_candidates(
-            self.LOGITS, K=3, mode="novel", history_ccs=frozenset({"C02"})
+            self.RANKING, K=3, mode="novel", history_ccs=frozenset({"C02"})
         )
         # C02 holds the top logit but is history; the set stays at K.
         assert cands.codes == ("C05", "C01", "C03")
         assert cands.mode == "novel"
 
     def test_k_larger_than_pool_returns_all(self):
-        cands = select_candidates(self.LOGITS, K=50, mode="overall")
+        cands = select_candidates(self.RANKING, K=50, mode="overall")
         assert len(cands.codes) == 5
 
     def test_k_must_be_positive(self):
         with pytest.raises(EvidenceError):
-            select_candidates(self.LOGITS, K=0, mode="overall")
+            select_candidates(self.RANKING, K=0, mode="overall")
 
     def test_order_invariant_to_monotone_transform(self):
-        doubled = _logits(
-            {c: 2.0 * s + 3.0 for c, s in zip(self.LOGITS.vocab, self.LOGITS.scores)}
-        )
-        a = select_candidates(self.LOGITS, K=5, mode="overall")
+        doubled = _ranking({c: 2.0 * s + 3.0 for c, s in self.SCORES.items()})
+        a = select_candidates(self.RANKING, K=5, mode="overall")
         b = select_candidates(doubled, K=5, mode="overall")
         assert a.codes == b.codes
 
     def test_unknown_code_score_raises(self):
-        assert score(self.LOGITS, "C05") == 1.0
+        scores = list(self.SCORES.values())
+        assert score(self.VOCAB, scores, "C05") == 1.0
         with pytest.raises(BackendError, match="not in logit vector"):
-            score(self.LOGITS, "C09")
+            score(self.VOCAB, scores, "C09")
 
     def test_matches_brute_force_order(self):
         rng = np.random.default_rng(0)
@@ -257,17 +258,17 @@ class TestSelectCandidates:
         for _ in range(50):
             # Few distinct values, so ties are common.
             scores = rng.integers(-3, 3, size=len(vocab)) / 2.0
-            logits = _logits(dict(zip(vocab, scores)))
+            ranking = _ranking(dict(zip(vocab, scores)))
             history = frozenset(rng.choice(vocab, size=5, replace=False))
             want = sorted((c for c in vocab if c not in history),
                           key=lambda c: (-scores[vocab.index(c)], c))[:10]
-            got = select_candidates(logits, K=10, mode="novel", history_ccs=history)
+            got = select_candidates(ranking, K=10, mode="novel", history_ccs=history)
             assert got.codes == tuple(want)
 
     def test_zero_logits_list_every_eligible_code_in_code_order(self):
         # Logit ties break by code: all-zero logits with K = |vocab|.
-        vocab = self.LOGITS.vocab
-        zero = LogitVector(vocab=vocab, scores=np.zeros(len(vocab)))
+        vocab = self.VOCAB
+        zero = ranked(vocab, [0.0] * len(vocab))
         history = frozenset({"C02", "C04"})
         for mode in ("overall", "novel"):
             got = select_candidates(zero, K=len(vocab), mode=mode, history_ccs=history)
@@ -286,21 +287,21 @@ def test_eligible_candidates_are_the_top_vocab_of_zero_logits(vocab, mode, histo
     all-zero logits with K = |vocab|. The history may hold codes off the
     vocabulary."""
     vocab = tuple(sorted(vocab))
-    zero = LogitVector(vocab=vocab, scores=np.zeros(len(vocab)))
+    zero = ranked(vocab, [0.0] * len(vocab))
     assert eligible_candidates(vocab, mode, history) == select_candidates(
         zero, len(vocab), mode, history)
 
 
 class TestPrioritizeHistory:
     def test_descending_logit_with_tie_break(self):
-        logits = _logits({"C01": 1.0, "C02": 5.0, "C03": 1.0, "C04": 0.0})
-        got = prioritize_history({"C01", "C02", "C03"}, logits)
+        ranking = _ranking({"C01": 1.0, "C02": 5.0, "C03": 1.0, "C04": 0.0})
+        got = prioritize_history({"C01", "C02", "C03"}, ranking)
         assert got == ["C02", "C01", "C03"]
 
     def test_missing_logit_rejected(self):
-        logits = _logits({"C01": 1.0})
+        ranking = _ranking({"C01": 1.0})
         with pytest.raises(EvidenceError, match="C09"):
-            prioritize_history({"C09"}, logits)
+            prioritize_history({"C09"}, ranking)
 
 
 class TestPropagateToIcd:
@@ -391,9 +392,9 @@ class TestExtractRelations:
             pairs = brute_force_counts(ds)
             rng = np.random.default_rng(seed)
             for inst in build_instances(ds):
-                logits = LogitVector(vocab=vocab, scores=rng.integers(-2, 2, len(vocab)))
+                ranking = ranked(vocab, rng.integers(-2, 2, len(vocab)))
                 for mode in ("overall", "novel"):
-                    cands = select_candidates(logits, 8, mode, inst.history_ccs)
+                    cands = select_candidates(ranking, 8, mode, inst.history_ccs)
                     want = []
                     history = sorted(inst.history_ccs)
                     for cand in cands.codes:

@@ -110,7 +110,7 @@ class TestNumerics:
 
 def _batch_loss_public(kind: str, tensors: dict, volume: VolumeConfig) -> float:
     vals = [
-        bce_loss(infer_logits(kind, VOCAB, tensors, [inst], volume)[0],
+        bce_loss(VOCAB, infer_logits(kind, VOCAB, tensors, [inst], volume)[0],
                  sorted(inst.target_overall))
         for inst in BATCH
     ]

@@ -119,3 +119,32 @@ def test_visit_and_count_row_order_change_no_output_byte(reference, tmp_path_fac
     assert "ablation.csv" in written and "model.json" in written
     for name in written:
         assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_ontology_row_order_changes_no_output_byte(reference, tmp_path_factory, rng):
+    """The ontology sorts its codes when it is loaded, so permuting the
+    data rows of `ontology.csv` before `train` changes no output byte but
+    `ontology.csv`'s own and those of `rankings.jsonl`'s meta line, which
+    hashes it."""
+    cfg_path, ref = reference
+    out = tmp_path_factory.getbasetemp() / "reordered"
+    shutil.rmtree(out, ignore_errors=True)
+    out.mkdir()
+    shutil.copy(ref / DATASET_FILE, out)
+    # Each row keeps its own line end, so only the order of the rows changes.
+    original = (ref / ONTOLOGY_FILE).read_bytes()
+    header, *rows = original.splitlines(keepends=True)
+    rng.shuffle(rows)
+    permuted = b"".join([header, *rows])
+    assume(permuted != original)
+    (out / ONTOLOGY_FILE).write_bytes(permuted)
+    for command in ("train", "cooc", "ablate"):
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+    assert _lines(out / RANKINGS_FILE)[1:] == _lines(ref / RANKINGS_FILE)[1:]
+    written = sorted(path.name for path in out.iterdir()
+                     if path.name not in (ONTOLOGY_FILE, RANKINGS_FILE))
+    assert "ablation.csv" in written and "model.json" in written
+    for name in written:
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name

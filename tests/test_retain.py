@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from dxrank.backends.base import BackendError, code_index, encode_instance, pack_instances
+from dxrank.backends.base import BackendError, encode_instance, pack_instances
 from dxrank.backends.retain import init_retain_params, retain_forward, retain_logits
-from dxrank.ehr import PredictionInstance, Visit
+from dxrank.ehr import PredictionInstance, Visit, vocab_index
 
 
 def _instance(visits: list[list[str]]) -> PredictionInstance:
@@ -92,16 +92,16 @@ class TestRetainForward:
         vocab = tuple(f"C{i}" for i in range(5))
         params = _params(vocab, 4, seed=3)
         inst = _instance([["C0", "C2"], ["C1"], ["C3", "C4", "C0"]])
-        got = retain_logits([inst], vocab, params)[0]
+        got = retain_logits([inst], vocab, params)
         want = reference_logits(inst, vocab, params)
-        np.testing.assert_allclose(got.scores, want, rtol=1e-10, atol=1e-12)
-        assert got.vocab == vocab
+        assert got.shape == (1, len(vocab))
+        np.testing.assert_allclose(got[0], want, rtol=1e-10, atol=1e-12)
 
     def test_single_visit_gets_full_attention(self):
         vocab = ("C0", "C1", "C2")
         params = _params(vocab, 3, seed=1)
         inst = _instance([["C1", "C2"]])
-        encoded = encode_instance(inst, code_index(vocab))
+        encoded = encode_instance(inst, vocab_index(vocab))
         _, cache = retain_forward(params, pack_instances([encoded]))
         np.testing.assert_allclose(cache["alpha"], [1.0])
 
@@ -110,15 +110,15 @@ class TestRetainForward:
         params = _params(vocab, 2, seed=2)
         params["W_o"] = np.zeros_like(params["W_o"])
         params["b_o"] = np.array([0.25, -1.5])
-        lv = retain_logits([_instance([["C0"], ["C1"]])], vocab, params)[0]
-        np.testing.assert_allclose(lv.scores, [0.25, -1.5])
+        logits = retain_logits([_instance([["C0"], ["C1"]])], vocab, params)
+        np.testing.assert_allclose(logits, [[0.25, -1.5]])
 
     def test_visit_order_matters(self):
         vocab = tuple(f"C{i}" for i in range(4))
         params = _params(vocab, 4, seed=5)
         fwd = retain_logits([_instance([["C0"], ["C1"], ["C2", "C3"]])], vocab, params)[0]
         rev = retain_logits([_instance([["C2", "C3"], ["C1"], ["C0"]])], vocab, params)[0]
-        assert not np.allclose(fwd.scores, rev.scores)
+        assert not np.allclose(fwd, rev)
 
     def test_unknown_code_rejected(self):
         vocab = ("C0", "C1")

@@ -77,9 +77,9 @@ class TestTrainLoop:
         ds, onto = data
         model = train("box", ds, onto, TrainConfig(epochs=1, d=4, seed=2))
         inst = build_instances(ds)[0]
-        via_model = model.logits([inst])[0]
-        direct = infer_logits("box", model.vocab, model.tensors, [inst], model.volume)[0]
-        np.testing.assert_array_equal(via_model.scores, direct.scores)
+        via_model = model.logits([inst])
+        direct = infer_logits("box", model.vocab, model.tensors, [inst], model.volume)
+        np.testing.assert_array_equal(via_model, direct)
 
     @pytest.mark.parametrize("kind", ["box", "retain"])
     def test_logits_in_chunks_match_each_scored_alone(self, data, kind):
@@ -87,11 +87,11 @@ class TestTrainLoop:
         model = train(kind, ds, onto, TrainConfig(epochs=1, d=4, seed=2, batch_size=3))
         insts = build_instances(ds)[:10]
         got = model.logits(insts)
-        assert len(got) == len(insts)
-        for inst, lv in zip(insts, got):
+        assert got.shape == (len(insts), len(model.vocab))
+        for inst, row in zip(insts, got):
             alone = infer_logits(kind, model.vocab, model.tensors, [inst],
-                                 model.volume)[0].scores
-            np.testing.assert_allclose(lv.scores, alone, rtol=0,
+                                 model.volume)[0]
+            np.testing.assert_allclose(row, alone, rtol=0,
                                        atol=1e-12 * np.max(np.abs(alone)))
 
 
@@ -137,9 +137,7 @@ class TestSerialization:
         assert again.losses == model.losses
         assert again.volume == model.volume
         inst = build_instances(ds)[0]
-        np.testing.assert_array_equal(
-            again.logits([inst])[0].scores, model.logits([inst])[0].scores
-        )
+        np.testing.assert_array_equal(again.logits([inst]), model.logits([inst]))
         # Re-saving the loaded model writes the same bytes.
         save_model(again, tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
