@@ -4,7 +4,7 @@ re-ranker, and ranking evaluation."""
 
 import math
 from functools import cache
-from typing import get_args, get_origin, get_type_hints
+from typing import Sequence, get_args, get_origin, get_type_hints
 
 __version__ = "0.1.0"
 
@@ -24,6 +24,16 @@ def json_value(hint: type, value, where: str):
             or isinstance(value, float) and not math.isfinite(value)):
         raise InputError(f"{where} must be {hint.__name__}, got {value!r}")
     return value
+
+
+def mean(values: Sequence[float]) -> float:
+    """Plain left-to-right mean of a non-empty sequence. Not `sum`, which
+    compensates its rounding from Python 3.12 on, so the bits would differ
+    between versions."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .. import asdict, from_json, json_value, record, replace
+from .. import asdict, from_json, json_value, mean, record, replace
 from ..ehr import Dataset, Ontology, PredictionInstance, build_instances
 from .base import (
     BackendError,
@@ -96,20 +96,11 @@ def _losses(backend: Backend, flat: ParamTree, encoded: Sequence[EncodedInstance
     return bce_with_logits(logits, batch.targets).tolist()
 
 
-def _mean(losses: Sequence[float]) -> float:
-    """Plain left-to-right mean. Not `sum`, which compensates its rounding
-    from Python 3.12 on, so the bits would differ between versions."""
-    total = 0.0
-    for loss in losses:
-        total += loss
-    return total / len(losses)
-
-
 def _batch_loss(backend: Backend, flat: ParamTree,
                 encoded: Sequence[EncodedInstance], volume: VolumeConfig,
                 chunk_size: int) -> float:
     """Mean loss over `encoded`, scored `chunk_size` instances at a time."""
-    return _mean([loss for chunk in _chunks(encoded, chunk_size)
+    return mean([loss for chunk in _chunks(encoded, chunk_size)
                   for loss in _losses(backend, flat, chunk, volume)])
 
 
@@ -193,21 +184,24 @@ def train(backend_kind: str, dataset: Dataset, ontology: Ontology,
 
     state = adam_init(flat)
     losses = [_batch_loss(backend, flat, encoded, volume, cfg.batch_size)]
-    for _ in range(cfg.epochs):
-        # An epoch's loss is each instance's loss in the batch it trained in,
-        # averaged in instance order as `_batch_loss` does: an instance's
-        # loss does not depend on its batch-mates, so at learning rate 0
-        # every entry equals losses[0] bit for bit.
-        seen = [0.0] * len(encoded)
-        order = rng.permutation(len(encoded))
-        for picks in _chunks(order, cfg.batch_size):
-            grads = zeros_like_tree(flat)
-            chunk = [encoded[i] for i in picks]
-            for i, loss in zip(picks, _losses(backend, flat, chunk, volume, grads,
-                                              1.0 / len(picks))):
-                seen[i] = loss
-            adam_step(flat, grads, state, cfg.learning_rate)
-        losses.append(_mean(seen))
+    # Diverging parameters overflow the kernels; the finite-logit check in
+    # `_losses` reports that as one error, so numpy's warnings stay quiet.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.epochs):
+            # An epoch's loss is each instance's loss in the batch it trained
+            # in, averaged in instance order as `_batch_loss` does: an
+            # instance's loss does not depend on its batch-mates, so at
+            # learning rate 0 every entry equals losses[0] bit for bit.
+            seen = [0.0] * len(encoded)
+            order = rng.permutation(len(encoded))
+            for picks in _chunks(order, cfg.batch_size):
+                grads = zeros_like_tree(flat)
+                chunk = [encoded[i] for i in picks]
+                for i, loss in zip(picks, _losses(backend, flat, chunk, volume, grads,
+                                                  1.0 / len(picks))):
+                    seen[i] = loss
+                adam_step(flat, grads, state, cfg.learning_rate)
+            losses.append(mean(seen))
 
     return TrainedModel(backend=backend_kind, vocab=vocab, tensors=flat,
                         losses=losses, config=cfg, volume=volume)

@@ -309,44 +309,49 @@ def run_predictions(
     out_dir: Path,
     inputs: PredictionInputs,
     client: LlmClient,
-    stage: str,
-    k: int,
-    run_name: str,
-) -> RunArtifact:
-    """Predict over the test split and write one JSONL artifact.
+    variants: Sequence[tuple[str, int, str]],
+) -> list[RunArtifact]:
+    """Predict over the test split once per (stage, K, run file) variant and
+    write each variant's JSONL artifact; return the artifacts in order.
 
-    With the remote LLM, instances run on a pool of twice as many workers
-    as the client has request slots: while up to half of them sleep out a
-    retry backoff or build and parse prompts, the rest keep every slot
-    busy. The mocks do no I/O, and threads would only contend for the
-    interpreter lock, so they run in order on the calling thread. The
-    artifact is sorted by patient id, so output bytes do not depend on
-    completion order.
+    With the remote LLM, every (variant, instance) job of the command runs
+    on one pool of twice as many workers as the client has request slots:
+    while up to half of them sleep out a retry backoff or build and parse
+    prompts, the rest keep every slot busy, and a run's last requests share
+    the slots with the next run's first ones instead of waiting alone. The
+    mocks do no I/O, and threads would only contend for the interpreter
+    lock, so they run in order on the calling thread. Each artifact is
+    sorted by patient id, so output bytes do not depend on completion
+    order, and every run file is written once all runs have finished.
     """
-    flags = AblationFlags.for_stage(stage)
+    n = len(inputs.instances)
+    jobs = [(AblationFlags.for_stage(stage), k, i)
+            for stage, k, _ in variants for i in range(n)]
 
-    def one(instance: PredictionInstance, shortlist: CandidateSet | None,
-            groups: tuple[HistoryGroup, ...] | None) -> RunRecord:
-        return predict_record(instance, shortlist, groups, inputs.cooc, inputs.ontology, flags,
-                              inputs.options, client, k)
+    def one(job: tuple[AblationFlags, int, int]) -> RunRecord:
+        flags, k, i = job
+        return predict_record(inputs.instances[i], inputs.shortlists[i], inputs.groups[i],
+                              inputs.cooc, inputs.ontology, flags, inputs.options, client, k)
 
     if client.remote:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=2 * cfg.llm.max_in_flight) as pool:
-            records = list(pool.map(one, inputs.instances, inputs.shortlists,
-                                        inputs.groups))
+            records = list(pool.map(one, jobs))
     else:
-        records = list(map(one, inputs.instances, inputs.shortlists, inputs.groups))
+        records = list(map(one, jobs))
 
-    artifact = RunArtifact(
-        records=tuple(sorted(records, key=lambda r: r.patient_id)),
-        fingerprint=fingerprint_config(cfg),
-        seed=cfg.seed,
-        task=cfg.task,
-    )
-    save_run(artifact, out_dir / run_name)
-    return artifact
+    artifacts = []
+    for j, (_, _, run_name) in enumerate(variants):
+        artifact = RunArtifact(
+            records=tuple(sorted(records[j * n:(j + 1) * n], key=lambda r: r.patient_id)),
+            fingerprint=fingerprint_config(cfg),
+            seed=cfg.seed,
+            task=cfg.task,
+        )
+        save_run(artifact, out_dir / run_name)
+        artifacts.append(artifact)
+    return artifacts
 
 
 def _failure_exit(artifact: RunArtifact) -> int:
@@ -412,8 +417,7 @@ def _run_variants(cfg: RunConfig, out_dir: Path, variants: Sequence[tuple[str, i
     inputs = load_prediction_inputs(cfg, out_dir, [(stage, k) for stage, k, _ in variants])
     with LlmClient(cfg.llm) as client:
         client.cache_in(out_dir / LLM_CACHE_DIR)
-        artifacts = [run_predictions(cfg, out_dir, inputs, client, stage, k, run_file)
-                     for stage, k, run_file in variants]
+        artifacts = run_predictions(cfg, out_dir, inputs, client, variants)
     return artifacts, client
 
 

@@ -87,7 +87,9 @@ class LlmClient:
     unset or empty is an InputError.
 
     `complete` asks the backend; `ask` answers from the completion cache
-    that `cache_in` sets up when it can, and asks the backend otherwise.
+    that `cache_in` sets up when it can, and asks the backend otherwise. A
+    cacheable `ask` whose request another thread is asking waits for that
+    answer, so the endpoint gets each such request once.
     `fetched` counts the completions the endpoint answered, and `from_cache`
     those `ask` read from the cache. `remote` says whether cfg.backend sends
     requests; the mocks answer in process, with no I/O.
@@ -106,6 +108,9 @@ class LlmClient:
         self._headers = {"Content-Type": "application/json"}
         self._cache_dir: Path | None = None
         self._count_lock = threading.Lock()
+        # The cache entries `ask` is fetching, each with the event that is set
+        # once it is done; guarded by `_count_lock`.
+        self._fetching: dict[Path, threading.Event] = {}
         self.fetched = 0
         self.from_cache = 0
         self._mock = MOCKS.get(cfg.backend)
@@ -175,16 +180,27 @@ class LlmClient:
         """`complete`, read from the completion cache instead when the same
         request was answered before; a new cacheable answer is stored."""
         entry = self._cache_entry(prompt, temperature)
-        if entry is not None:
+        if entry is None:
+            return self.complete(prompt, temperature, sample_tag)
+        while True:
+            with self._count_lock:
+                fetching = self._fetching.get(entry)
+                if fetching is None:
+                    self._fetching[entry] = threading.Event()
+                    break
+            fetching.wait()
+        try:
             text = _read_entry(entry)
             if text is not None:
                 self._count("from_cache")
                 return CompletionResult(text=text, latency_ms=0, attempt_count=0,
                                         backend_tag="cache")
-        result = self.complete(prompt, temperature, sample_tag)
-        if entry is not None:
+            result = self.complete(prompt, temperature, sample_tag)
             _write_entry(entry, result.text)
-        return result
+            return result
+        finally:
+            with self._count_lock:
+                self._fetching.pop(entry).set()
 
     def _cache_entry(self, prompt: str, temperature: float | None) -> Path | None:
         """The cache file of a remote temperature-0 request, or None for a

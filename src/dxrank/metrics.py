@@ -14,7 +14,7 @@ import json
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from . import InputError, field, fields, from_json, record, replace
+from . import InputError, field, fields, from_json, mean, record, replace
 from .config import DEFAULT_KS, TASKS
 
 
@@ -139,11 +139,11 @@ def _views(records: Sequence[RunRecord], task: str) -> list[_View]:
 
 
 def _mean_precision(views: Sequence[_View], k: int) -> float | None:
-    """Mean of visit_precision_at_k over the views, summed in record order;
+    """Mean of visit_precision_at_k over the views, added in record order;
     None when no record qualifies."""
     if not views:
         return None
-    return sum(visit_precision_at_k(ranked, target, k) for ranked, target in views) / len(views)
+    return mean([visit_precision_at_k(ranked, target, k) for ranked, target in views])
 
 
 def _pooled_accuracy(views: Sequence[_View], k: int) -> float | None:

@@ -22,6 +22,7 @@ from dxrank.backends.base import BackendError
 from dxrank.backends.boxes import VolumeConfig
 from dxrank.backends.numerics import ParamTree, bce_with_logits, sigmoid, softplus, \
     softplus_inv
+from dxrank import mean
 from dxrank.ehr import Dataset, vocab_index
 from dxrank.llm import _candidate_names, _supported_names
 from dxrank.prompting import HISTORY_TITLE_PRIORITIZED
@@ -206,8 +207,7 @@ def score_by_loops(artifact: RunArtifact, ks: Mapping[str, Sequence[int]]) -> Me
                     ranked, target = view
                     hits = sum(1 for c in ranked[:k] if c in target)
                     precisions.append(hits / min(k, len(target)))
-            values[task]["visit_precision"][k] = (
-                sum(precisions) / len(precisions) if precisions else None)
+            values[task]["visit_precision"][k] = mean(precisions) if precisions else None
             hit_total, target_total = 0, 0
             for rec in artifact.records:
                 view = _task_view(rec, task)

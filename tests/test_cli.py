@@ -984,9 +984,10 @@ class TestAblate:
         calls = count_calls(monkeypatch, "load_model", "load_dataset", "load_rankings",
                             "load_cooccurrence", "run_predictions")
         assert cli("ablate", cfg_path, out) == EXIT_OK
-        # Each input is read once, and the scorer only as `train`'s rankings.
+        # Each input is read once, the scorer only as `train`'s rankings, and
+        # one runner runs every stage.
         assert calls == {"load_model": 0, "load_dataset": 1, "load_rankings": 1,
-                         "load_cooccurrence": 1, "run_predictions": 4}
+                         "load_cooccurrence": 1, "run_predictions": 1}
 
     def test_ablate_runs_match_predict(self, tmp_path):
         doc = dict(SMALL_CFG, llm={"backend": "mock_evidence"})
@@ -1114,7 +1115,7 @@ class TestSweepK:
         assert single[1:] == (out / "run_k10.jsonl").read_bytes().splitlines()[1:]
         calls = count_calls(monkeypatch, "load_model", "run_predictions")
         assert cli("sweep-k", cfg_path, out) == EXIT_OK
-        assert calls == {"load_model": 0, "run_predictions": len(SWEEP_KS)}
+        assert calls == {"load_model": 0, "run_predictions": 1}
 
 
 class TestProcessEntry:
@@ -1147,11 +1148,10 @@ class TestProcessEntry:
         done = self._process("train", "--out", out, "--backend", backend, "--epochs", 3,
                              "--d", 4, "--learning-rate", "1e300")
         assert done.returncode == EXIT_BAD_CONFIG
-        err = done.stderr.decode()
-        # The overflowing kernels may warn first; the command still ends on one error line.
-        assert "Traceback" not in err, err
-        errors = [ln for ln in err.splitlines() if ln.startswith("error: ")]
-        assert len(errors) == 1 and "train.learning_rate" in errors[0], err
+        lines = done.stderr.decode().splitlines()
+        # The overflowing kernels do not warn: stderr is the error line alone.
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert "train.learning_rate" in lines[0], lines
 
     def test_predict_process_writes_and_prints_what_main_does(self, tmp_path, capsys):
         out = run_chain(tmp_path)
@@ -1192,16 +1192,97 @@ class TestProcessEntry:
         assert 'dxrank = "dxrank.cli:process_main"' in pyproject.read_text().splitlines()
 
 
+def _stub_reply(cfg, body):
+    """What the endpoint answers a request body with: mock_evidence's answer."""
+    prompt = json.loads(body)["messages"][0]["content"]
+    text = mock_evidence_aware(prompt, derive_seed(cfg.seed, prompt))
+    return 200, json.dumps({"choices": [{"message": {"content": text}}]}).encode()
+
+
 def _stub_remote_client(cfg):
     """A remote client whose transport answers in process, as mock_evidence
     would, so the pooled remote path runs without a server."""
+    return LlmClient(cfg, transport=lambda url, body, headers: _stub_reply(cfg, body))
 
-    def transport(url, body, headers):
-        prompt = json.loads(body)["messages"][0]["content"]
-        text = mock_evidence_aware(prompt, derive_seed(cfg.seed, prompt))
-        return 200, json.dumps({"choices": [{"message": {"content": text}}]}).encode()
 
-    return LlmClient(cfg, transport=transport)
+class PairingTransport:
+    """A transport that answers like `_stub_reply` and serves requests in
+    pairs: it holds each odd-numbered request until the next one starts, or
+    for `timeout` seconds. `started` records how many requests were in
+    flight when each one started, itself included, and `alone` each request
+    that waited out the timeout: no other request started while it was
+    served."""
+
+    def __init__(self, cfg, timeout: float = 5.0):
+        self.cfg, self.timeout = cfg, timeout
+        self.started: list[int] = []
+        self.alone: list[int] = []
+        self._in_flight = 0
+        self._changed = threading.Condition()
+
+    def __call__(self, url, body, headers):
+        with self._changed:
+            self._in_flight += 1
+            self.started.append(self._in_flight)
+            n = len(self.started)
+            self._changed.notify_all()
+            if n % 2 and not self._changed.wait_for(lambda: len(self.started) > n,
+                                                    self.timeout):
+                self.alone.append(n)
+        try:
+            return _stub_reply(self.cfg, body)
+        finally:
+            with self._changed:
+                self._in_flight -= 1
+
+
+class TestSharedPool:
+    def test_no_request_waits_alone_for_the_next_run(self, tmp_path, monkeypatch):
+        """A remote ablate's four stages share one worker pool. With two
+        request slots and an odd number of requests per stage, each stage's
+        last request is served beside the next stage's first instead of alone
+        while the stage drains its own pool."""
+        doc = dict(SMALL_CFG, synth=dict(SMALL_CFG["synth"], n_patients=32),
+                   llm={"backend": "remote", "max_in_flight": 2,
+                        "endpoint_url": "http://127.0.0.1:9"})
+        cfg_path = write_cfg(tmp_path, doc)
+        out = tmp_path / "runs"
+        for command in ("synth", "train", "cooc"):
+            assert cli(command, cfg_path, out) == EXIT_OK
+        transports = []
+
+        def client(cfg):
+            transports.append(PairingTransport(cfg))
+            return LlmClient(cfg, transport=transports[-1])
+
+        monkeypatch.setattr(cli_module, "LlmClient", client)
+        assert cli("ablate", cfg_path, out) == EXIT_OK
+        asked = [len(_asked(out / f"run_{stage}.jsonl")) for stage in ABLATION_STAGES]
+        # Every stage asks 7 times; 28 requests in all pair up exactly.
+        assert asked == [7] * len(ABLATION_STAGES)
+        [transport] = transports
+        assert len(transport.started) == sum(asked)
+        assert max(transport.started) == 2
+        assert transport.alone == []
+
+    def test_runs_that_ask_alike_send_each_request_once(self, tmp_path, monkeypatch, capsys):
+        """Over 10 codes every K offers every eligible code, so `sweep-k`'s
+        four runs ask the same requests, and the pool's workers can reach
+        into the next run before a run's requests are answered. Each distinct
+        request is sent once; the other runs read its answer."""
+        doc = dict(SMALL_CFG, llm={"backend": "remote", "max_in_flight": 2,
+                                   "endpoint_url": "http://127.0.0.1:9"})
+        cfg_path = write_cfg(tmp_path, doc)
+        out = tmp_path / "runs"
+        for command in ("synth", "train", "cooc"):
+            assert cli(command, cfg_path, out) == EXIT_OK
+        monkeypatch.setattr(cli_module, "LlmClient", _stub_remote_client)
+        assert cli("sweep-k", cfg_path, out) == EXIT_OK
+        asked = _asked(out / "run_k10.jsonl")
+        assert all(_asked(out / f"run_k{k}.jsonl") == asked for k in SWEEP_KS)
+        assert len(set(asked)) == len(asked)
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"llm: {len(asked)} fetched, {(len(SWEEP_KS) - 1) * len(asked)} from cache")
 
 
 class TestLoopbackEndpoint:

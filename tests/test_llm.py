@@ -401,8 +401,9 @@ class TestCompletionCache:
         assert (client.fetched, client.from_cache) == (0, 0)
 
     def test_concurrent_misses_leave_one_entry(self, tmp_path):
-        # Every worker misses the same key before any answer arrives, so
-        # each one writes the entry through its own temporary file.
+        # Every client, as every command sharing the directory would, misses
+        # the same key before any answer arrives, so each one writes the
+        # entry through its own temporary file.
         workers = 4
         barrier = threading.Barrier(workers, timeout=10)
 
@@ -410,15 +411,42 @@ class TestCompletionCache:
             barrier.wait()
             return 200, ok_body("Answer: X")
 
-        client = LlmClient(LlmConfig(**REMOTE, max_in_flight=workers), transport=transport)
-        client.cache_in(tmp_path / "llm_cache")
+        clients = [LlmClient(LlmConfig(**REMOTE), transport=transport) for _ in range(workers)]
+        for client in clients:
+            client.cache_in(tmp_path / "llm_cache")
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            got = list(pool.map(client.ask, ["p"] * workers))
+            got = list(pool.map(lambda client: client.ask("p"), clients))
         assert [r.text for r in got] == ["Answer: X"] * workers
-        assert (client.fetched, client.from_cache) == (workers, 0)
+        assert [(c.fetched, c.from_cache) for c in clients] == [(1, 0)] * workers
         (entry,) = cache_entries(tmp_path)
         assert entry.suffix == ".json"
         assert json.loads(entry.read_text()) == {"text": "Answer: X"}
+
+
+    def test_concurrent_asks_of_one_request_send_it_once(self, tmp_path):
+        """An ask whose request is in flight waits for its answer and reads
+        it from the cache instead of sending the request again."""
+        sent = [threading.Event(), threading.Event()]
+        release = threading.Event()
+
+        def transport(url, body, headers):
+            next(e for e in sent if not e.is_set()).set()
+            assert release.wait(10)
+            return 200, ok_body("Answer: X")
+
+        client = LlmClient(LlmConfig(**REMOTE, max_in_flight=2), transport=transport)
+        client.cache_in(tmp_path / "llm_cache")
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            first = pool.submit(client.ask, "p")
+            assert sent[0].wait(10)
+            second = pool.submit(client.ask, "p")
+            # The second ask has a free slot, so a send would come at once.
+            assert not sent[1].wait(0.5)
+            release.set()
+            results = [first.result(10), second.result(10)]
+        assert [(r.text, r.backend_tag) for r in results] == [
+            ("Answer: X", "remote"), ("Answer: X", "cache")]
+        assert (client.fetched, client.from_cache) == (1, 1)
 
 
 class TestBackendRegistry:

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import random
 
 import pytest
 
+from dxrank.cli import ABLATION_FILE, METRICS_FILE, main
 from dxrank.metrics import (
     DEFAULT_KS,
     ComparisonTable,
@@ -383,3 +385,32 @@ class TestCompareAblations:
         text = table.text()
         assert text.splitlines()[1].startswith("base")
         assert "(+0." in text or "(-0." in text or "(+1." in text
+
+
+# A small seed-0 mock chain whose visit-precision means `sum` would round
+# differently from Python 3.12 on, and the sha256 of the `metrics.json` and
+# `ablation.csv` it writes. Every supported Python adds the same way, so
+# these bytes are the same on each: a change to the scores, the order they
+# are added in or the files' format shows here first.
+PINNED_CHAIN = {
+    "seed": 0, "k_candidates": 5, "task": "novel",
+    "synth": {"n_patients": 80, "n_ccs": 20},
+    "train": {"epochs": 2, "d": 4},
+    "llm": {"backend": "mock_evidence"},
+    "eval_ks": {"overall": [3, 5], "novel": [3, 5]},
+}
+PINNED_METRICS = {
+    METRICS_FILE: "8b911fceb96630bd48e9d0c1f2df3d79e96ce5c4f71242795e168414fe719256",
+    ABLATION_FILE: "047dda44729c5d87d4be10dba27c48fd0b0df903506ded57863fdb9910a5fae5",
+}
+
+
+def test_metric_bytes_are_pinned(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(PINNED_CHAIN))
+    out = tmp_path / "out"
+    for command in ("synth", "train", "cooc", "predict", "eval", "ablate"):
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0, command
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in PINNED_METRICS}
+    assert got == PINNED_METRICS
